@@ -13,7 +13,7 @@ int main(int argc, char** argv) {
   const int jobs = bench::jobs_from_args(argc, argv);
 
   bench::SweepSpec sweep;
-  sweep.device = core::nokia1();
+  sweep.family = "fig09";
   const auto cells = bench::run_sweep(sweep, runs, duration, jobs, "fig09_nokia1_drops");
   bench::print_drop_panel(cells);
   bench::print_crash_panel(cells);

@@ -14,7 +14,7 @@ int main(int argc, char** argv) {
   const int jobs = bench::jobs_from_args(argc, argv);
 
   bench::SweepSpec sweep;
-  sweep.device = core::nexus5();
+  sweep.family = "fig11";
   const auto cells = bench::run_sweep(sweep, runs, duration, jobs, "fig11_nexus5_drops");
   bench::print_drop_panel(cells);
   bench::print_crash_panel(cells);

@@ -32,27 +32,19 @@ int main(int argc, char** argv) {
 
   const auto batch = runner::run_batch(heights.size(), jobs, [&](std::size_t i) {
     // Declarative scenario (DESIGN.md §11): one Nokia 1 world with one
-    // video session; the legacy VideoRunSpec tuple maps onto it 1:1.
-    scenario::ScenarioSpec spec;
-    spec.family.clear();
-    spec.device_override = core::nokia1();
-    spec.seed = 5;
-    scenario::VideoWorkloadSpec session;
-    session.height = heights[i];
-    session.fps = 60;
-    session.duration_s = duration;
-    session.seed = 5;
+    // video session.
+    auto spec =
+        scenario::single_video("fig16", heights[i], 60, duration, mem::PressureLevel::Normal, 5);
 
     // Scripted frame-rate schedule: thirds of the session.
     const video::BitrateLadder ladder = video::BitrateLadder::youtube();
     const int segments = duration / 4;
     std::vector<video::ScheduledAbr::Step> steps;
-    steps.push_back({0, *ladder.find(session.height, 60)});
-    steps.push_back({segments / 3, *ladder.find(session.height, 48)});
-    steps.push_back({2 * segments / 3, *ladder.find(session.height, 24)});
+    steps.push_back({0, *ladder.find(heights[i], 60)});
+    steps.push_back({segments / 3, *ladder.find(heights[i], 48)});
+    steps.push_back({2 * segments / 3, *ladder.find(heights[i], 24)});
     video::ScheduledAbr abr(steps);
-    session.abr = &abr;
-    spec.workloads.emplace_back(std::move(session));
+    scenario::video_spec(spec).abr = &abr;
 
     const auto scen = scenario::run_scenario(spec);
     const auto& result = scen.sessions.at(0).result;

@@ -13,15 +13,14 @@ int main(int argc, char** argv) {
   const int jobs = bench::jobs_from_args(argc, argv);
 
   bench::SweepSpec sweep;
-  sweep.device = core::nexus5();
-  sweep.platform = video::PlayerPlatform::ExoPlayer;
+  sweep.family = "fig18";  // Nexus 5 + ExoPlayer
   sweep.heights = {480, 720, 1080};
   const auto exo = bench::run_sweep(sweep, runs, duration, jobs, "fig18_exoplayer");
   bench::print_drop_panel(exo);
   bench::print_crash_panel(exo);
 
   // Appendix B's comparison point: same cells with Firefox.
-  sweep.platform = video::PlayerPlatform::Firefox;
+  sweep.family = "fig11";  // Nexus 5 + Firefox
   const auto firefox = bench::run_sweep(sweep, runs, duration, jobs);
 
   bench::section("shape check: ExoPlayer vs Firefox (drops under pressure)");

@@ -13,14 +13,13 @@ int main(int argc, char** argv) {
   const int jobs = bench::jobs_from_args(argc, argv);
 
   bench::SweepSpec sweep;
-  sweep.device = core::nexus5();
-  sweep.platform = video::PlayerPlatform::Chrome;
+  sweep.family = "fig19";  // Nexus 5 + Chrome
   sweep.heights = {480, 720, 1080};
   const auto chrome = bench::run_sweep(sweep, runs, duration, jobs, "fig19_chrome");
   bench::print_drop_panel(chrome);
   bench::print_crash_panel(chrome);
 
-  sweep.platform = video::PlayerPlatform::Firefox;
+  sweep.family = "fig11";  // Nexus 5 + Firefox
   const auto firefox = bench::run_sweep(sweep, runs, duration, jobs);
 
   bench::section("shape check: Chrome vs Firefox (drops under pressure)");

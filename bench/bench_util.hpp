@@ -9,8 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "core/experiment.hpp"
-#include "runner/scenario_batch.hpp"
 #include "runner/video_batch.hpp"
 
 namespace mvqoe::bench {
@@ -36,22 +34,16 @@ inline void compare(const std::string& what, double paper, double measured,
 /// Number of repetitions per experiment cell. The paper uses five; the
 /// MVQOE_RUNS environment variable can lower it for quick smoke runs.
 inline int runs_per_cell(int fallback = 5) {
-  if (const char* env = std::getenv("MVQOE_RUNS")) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
-  }
-  return fallback;
+  const char* env = std::getenv("MVQOE_RUNS");
+  return env != nullptr ? runner::parse_positive<int>(env, "MVQOE_RUNS") : fallback;
 }
 
 /// Video duration (seconds) used by the sweep benches. The paper streams
 /// a few minutes; 60 simulated seconds keeps the full suite fast while
 /// giving every mechanism time to express itself.
 inline int video_duration_s(int fallback = 60) {
-  if (const char* env = std::getenv("MVQOE_DURATION_S")) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
-  }
-  return fallback;
+  const char* env = std::getenv("MVQOE_DURATION_S");
+  return env != nullptr ? runner::parse_positive<int>(env, "MVQOE_DURATION_S") : fallback;
 }
 
 /// Worker threads for the sweep benches: --jobs N / --jobs=N on the
@@ -62,10 +54,10 @@ inline int jobs_from_args(int argc, char** argv) {
 }
 
 /// Shared sweep for the Fig 9/11/18/19 drop panels and Table 2/3 crash
-/// tables: device x platform x {resolutions} x {30,60} x pressure states.
+/// tables: one scenario family (device x platform) x {resolutions} x
+/// {30,60} x pressure states.
 struct SweepSpec {
-  core::DeviceProfile device;
-  video::PlayerPlatform platform = video::PlayerPlatform::Firefox;
+  std::string family;
   std::vector<int> heights = {240, 360, 480, 720, 1080};
   std::vector<int> fps = {30, 60};
   std::vector<mem::PressureLevel> states = {mem::PressureLevel::Normal,
@@ -89,17 +81,11 @@ struct SweepCell {
 /// json_name is given the cells are also dumped to BENCH_<json_name>.json.
 inline std::vector<SweepCell> run_sweep(const SweepSpec& sweep, int runs, int duration_s,
                                         int jobs = 0, const char* json_name = nullptr) {
-  // Declarative proto (DESIGN.md §11): one custom-device scenario with a
-  // single video workload; each grid cell retargets its height/fps/seed.
-  scenario::ScenarioSpec proto;
-  proto.family.clear();
-  proto.device_override = sweep.device;
-  scenario::VideoWorkloadSpec video;
-  video.platform = sweep.platform;
-  video.duration_s = duration_s;
-  proto.workloads.emplace_back(std::move(video));
-  const auto grid = runner::run_scenario_sweep_grid(proto, sweep.states, sweep.fps, sweep.heights,
-                                                    runs, jobs, sweep.base_seed);
+  // Each grid cell retargets the proto's height/fps/state/seed.
+  const auto proto = scenario::single_video(sweep.family, 1080, 30, duration_s,
+                                            mem::PressureLevel::Normal, sweep.base_seed);
+  const auto grid = runner::run_sweep_grid(proto, sweep.states, sweep.fps, sweep.heights, runs,
+                                           jobs, sweep.base_seed);
   if (json_name != nullptr) {
     const std::string path =
         runner::write_sweep_json(json_name, grid, runs, runner::resolve_jobs(jobs),

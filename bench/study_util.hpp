@@ -16,11 +16,8 @@
 namespace mvqoe::bench {
 
 inline double study_scale() {
-  if (const char* env = std::getenv("MVQOE_STUDY_SCALE")) {
-    const double scale = std::atof(env);
-    if (scale > 0.0) return scale;
-  }
-  return 0.1;
+  const char* env = std::getenv("MVQOE_STUDY_SCALE");
+  return env != nullptr ? runner::parse_positive<double>(env, "MVQOE_STUDY_SCALE") : 0.1;
 }
 
 struct StudyData {

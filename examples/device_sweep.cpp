@@ -32,9 +32,8 @@ int main(int argc, char** argv) {
   constexpr int kRunsPerCell = 1;
 
   for (const core::DeviceProfile& device : core::all_devices()) {
-    core::VideoRunSpec proto;
-    proto.device = device;
-    proto.asset = video::dubai_flow_motion(40);
+    auto proto = scenario::single_video("", 1080, 30, 40, mem::PressureLevel::Normal, kSeed);
+    proto.device_override = device;
     const auto cells =
         runner::run_sweep_grid(proto, states, rates, heights, kRunsPerCell, jobs, kSeed);
 

@@ -12,28 +12,28 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "core/experiment.hpp"
+#include "scenario/driver.hpp"
 
 namespace {
 
-mvqoe::core::VideoRunSpec make_spec(int height, int fps, bool storm) {
+mvqoe::scenario::ScenarioResult run(int height, int fps, bool storm) {
   using namespace mvqoe;
-  core::VideoRunSpec spec;
-  spec.device = core::nexus5();
-  spec.height = height;
-  spec.fps = fps;
-  spec.asset = video::dubai_flow_motion(/*duration_s=*/60);
-  spec.seed = 7;
+  fault::FaultPlan plan;
+  if (storm) {
+    plan.link_outages.push_back({sim::sec(8), sim::sec(5)});
+    plan.thermal_windows.push_back({sim::sec(18), sim::sec(8), 0.55});
+    plan.kills.push_back({sim::sec(30), 0});
+  }
+  // "fig11" is the paper's Nexus 5 + Firefox setup.
+  auto spec = scenario::single_video("fig11", height, fps, /*duration_s=*/60,
+                                     mem::PressureLevel::Normal, /*seed=*/7, std::move(plan));
   spec.run_watchdog = true;
   if (storm) {
-    spec.fault_plan.link_outages.push_back({sim::sec(8), sim::sec(5)});
-    spec.fault_plan.thermal_windows.push_back({sim::sec(18), sim::sec(8), 0.55});
-    spec.fault_plan.kills.push_back({sim::sec(30), 0});
     video::RecoveryConfig recovery;
     recovery.relaunch_on_kill = true;
-    spec.recovery = recovery;
+    scenario::video_spec(spec).recovery = recovery;
   }
-  return spec;
+  return scenario::run_scenario(spec);
 }
 
 void print_run(const char* label, const mvqoe::core::VideoRunResult& r) {
@@ -57,8 +57,9 @@ int main(int argc, char** argv) {
   std::printf("fault storm vs clean run: Nexus 5, %dp%d, 60 s\n", height, fps);
   std::printf("storm: outage 8-13 s, thermal 18-26 s @ 0.55x, kill at 30 s (relaunch on)\n\n");
 
-  const core::VideoRunResult clean = core::run_video(make_spec(height, fps, false));
-  const core::VideoRunResult storm = core::run_video(make_spec(height, fps, true));
+  const core::VideoRunResult clean = run(height, fps, false).sessions.at(0).result;
+  const scenario::ScenarioResult storm_run = run(height, fps, true);
+  const core::VideoRunResult& storm = storm_run.sessions.at(0).result;
 
   print_run("clean:", clean);
   print_run("storm:", storm);
@@ -75,7 +76,7 @@ int main(int argc, char** argv) {
               "           %d watchdog violation(s)\n",
               100.0 * (storm.outcome.drop_rate - clean.outcome.drop_rate),
               storm.metrics.relaunches, storm.outcome.relaunch_downtime_s,
-              static_cast<int>(storm.watchdog_violations.size()));
+              static_cast<int>(storm_run.watchdog_violations.size()));
 
   std::printf("\nper-second rendered FPS through the storm:\n");
   const auto& series = storm.metrics.presented_per_second;

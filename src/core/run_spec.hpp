@@ -1,55 +1,16 @@
-// Single-video run description and result — the legacy surface the
-// scenario layer generalizes. Kept as a standalone header (below
-// experiment.hpp) so scenario specs can translate to/from it without
-// pulling in the experiment driver.
+// Per-session video run result. Scenario runs (scenario/driver.hpp)
+// report one of these per video workload; kept in core so results can
+// be named below the scenario layer.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
-#include <vector>
 
-#include "core/device.hpp"
-#include "fault/fault_injector.hpp"
-#include "fault/watchdog.hpp"
 #include "mem/types.hpp"
 #include "qoe/metrics.hpp"
 #include "video/session.hpp"
 
 namespace mvqoe::core {
-
-struct VideoRunSpec {
-  DeviceProfile device = nexus5();
-  video::VideoAsset asset = video::dubai_flow_motion();
-  int height = 1080;
-  int fps = 30;
-  video::PlayerPlatform platform = video::PlayerPlatform::Firefox;
-  /// Synthetic pressure target, applied MP-Simulator style before the
-  /// video starts (§4.1). Ignored when organic_background_apps > 0.
-  mem::PressureLevel pressure = mem::PressureLevel::Normal;
-  /// Organic pressure instead: open this many top-free apps (no games)
-  /// before launching the player (§4.3).
-  int organic_background_apps = 0;
-  std::uint64_t seed = 1;
-  /// World (boot + pressure-inducement) seed, when it must differ from
-  /// the per-run seed: warm-start sweeps pre-roll one world per
-  /// (state, rep) group and fork many video cells from it, so every cell
-  /// of a group shares the world stream while its video stream (`seed`)
-  /// varies. Unset = world follows `seed` (the plain single-run path).
-  std::optional<std::uint64_t> world_seed;
-  /// ABR policy; null = fixed rung (the controlled sweeps).
-  video::AbrPolicy* abr = nullptr;
-  /// Override the session defaults when set.
-  std::optional<video::SessionConfig> session_override;
-  /// Fault script, armed when the video starts (plan times are relative
-  /// to video start). Kill entries with pid 0 target the video client.
-  fault::FaultPlan fault_plan;
-  /// Session recovery knobs (applied on top of session_override).
-  std::optional<video::RecoveryConfig> recovery;
-  /// Run the invariant watchdog alongside the video and report its
-  /// violations in the result (debug/test harnesses).
-  bool run_watchdog = false;
-};
 
 /// How a run ended — structured partial results instead of a bare crash
 /// bit, so fault scenarios can assert on the exact failure mode.
@@ -69,8 +30,6 @@ struct VideoRunResult {
   std::string failure_reason;
   /// Pressure level observed when playback started.
   mem::PressureLevel start_level = mem::PressureLevel::Normal;
-  /// Populated when spec.run_watchdog was set.
-  std::vector<fault::WatchdogViolation> watchdog_violations;
 };
 
 }  // namespace mvqoe::core

@@ -22,6 +22,7 @@
 #include <cstddef>
 #include <exception>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <type_traits>
 #include <utility>
@@ -29,15 +30,23 @@
 
 namespace mvqoe::runner {
 
-/// Resolve a jobs request to a concrete worker count >= 1.
-/// requested > 0 wins; otherwise the MVQOE_JOBS environment variable;
-/// otherwise std::thread::hardware_concurrency().
-int resolve_jobs(int requested) noexcept;
+/// Parse `text`, the value of `name` (a command-line flag or environment
+/// variable), as a strictly positive number. Throws std::invalid_argument
+/// naming `name` on empty input, trailing characters, overflow and values
+/// <= 0, so a malformed run-path knob fails loudly instead of falling
+/// back to a default. Instantiated for int and double.
+template <typename T>
+T parse_positive(std::string_view text, std::string_view name);
 
-/// Parse `--jobs N` / `--jobs=N` out of argv (first match wins) and
-/// resolve it. Unrecognized arguments are ignored so examples can keep
-/// their positional parameters.
-int jobs_from_args(int argc, char** argv, int requested = 0) noexcept;
+/// Resolve a jobs request to a concrete worker count >= 1.
+/// requested > 0 wins; otherwise the MVQOE_JOBS environment variable
+/// (strictly parsed); otherwise std::thread::hardware_concurrency().
+int resolve_jobs(int requested);
+
+/// Parse `--jobs N` / `--jobs=N` out of argv (first match wins, strictly
+/// parsed) and resolve it. Unrecognized arguments are ignored so examples
+/// can keep their positional parameters.
+int jobs_from_args(int argc, char** argv, int requested = 0);
 
 /// One run's outcome: either a value or a structured failure.
 template <typename Result>

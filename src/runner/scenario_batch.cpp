@@ -4,56 +4,6 @@
 
 namespace mvqoe::runner {
 
-std::vector<SweepCellResult> run_scenario_sweep_grid(
-    const scenario::ScenarioSpec& proto, const std::vector<mem::PressureLevel>& states,
-    const std::vector<int>& fps, const std::vector<int>& heights, int runs, int jobs,
-    std::uint64_t base_seed) {
-  std::vector<SweepCellResult> cells;
-  if (runs <= 0) return cells;
-  for (const auto state : states) {
-    for (const int f : fps) {
-      for (const int h : heights) {
-        SweepCellResult cell;
-        cell.height = h;
-        cell.fps = f;
-        cell.state = state;
-        cell.cell_seed = sweep_cell_seed(base_seed, h, f, state);
-        cells.push_back(cell);
-      }
-    }
-  }
-
-  // Flatten to (cell, run) tasks so parallelism spans the whole grid, not
-  // just the runs of one cell at a time.
-  const std::size_t total = cells.size() * static_cast<std::size_t>(runs);
-  auto result = run_batch(total, jobs, [&](std::size_t task) {
-    const SweepCellResult& cell = cells[task / static_cast<std::size_t>(runs)];
-    const std::size_t run_index = task % static_cast<std::size_t>(runs);
-    scenario::ScenarioSpec spec = proto;
-    scenario::VideoWorkloadSpec& video = scenario::video_spec(spec);
-    video.height = cell.height;
-    video.fps = cell.fps;
-    spec.state = cell.state;
-    const std::uint64_t seed = stats::derive_seed(cell.cell_seed, run_index + 1);
-    spec.seed = seed;
-    video.seed = seed;
-    return scenario::run_scenario(spec).sessions.at(0).result.outcome;
-  });
-
-  // Deterministic reduction: tasks are laid out cell-major, so walking
-  // the slots in index order rebuilds each cell's runs in run order.
-  for (std::size_t task = 0; task < result.runs.size(); ++task) {
-    SweepCellResult& cell = cells[task / static_cast<std::size_t>(runs)];
-    const auto& slot = result.runs[task];
-    if (slot.ok) {
-      cell.aggregate.add(slot.value);
-    } else {
-      ++cell.failures;
-    }
-  }
-  return cells;
-}
-
 std::uint64_t contention_cell_seed(std::uint64_t base, int sessions,
                                    mem::PressureLevel state) noexcept {
   std::uint64_t seed = stats::derive_seed(base, 0x434F4E54ULL /* "CONT" */);

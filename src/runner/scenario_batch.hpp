@@ -1,17 +1,9 @@
-// Batch execution of declarative scenarios (DESIGN.md §11) on the
-// thread-pool runner.
+// Multi-session scenario grids (DESIGN.md §11) on the thread-pool runner.
 //
-// run_scenario_sweep_grid is the ScenarioSpec counterpart of
-// run_sweep_grid: identical grid layout, identical seed scheme
-// (sweep_cell_seed + derive_seed(cell, run + 1)), cells retargeting the
-// proto's first video workload — so a single-video proto reproduces the
-// legacy sweep bit for bit.
-//
-// run_contention_grid is the multi-session grid the legacy runner could
-// not express: N concurrent video sessions contending inside one
-// simulated device per cell, with per-session QoE attribution. The same
-// determinism contract applies: results are independent of worker count
-// (--jobs N equals serial byte-for-byte).
+// run_contention_grid runs N concurrent video sessions contending inside
+// one simulated device per cell, with per-session QoE attribution. The
+// determinism contract of runner/video_batch applies: results are
+// independent of worker count (--jobs N equals serial byte-for-byte).
 #pragma once
 
 #include <cstdint>
@@ -23,13 +15,6 @@
 #include "scenario/driver.hpp"
 
 namespace mvqoe::runner {
-
-/// ScenarioSpec sweep over (states x fps x heights). `proto` must carry
-/// at least one video workload; each cell retargets its height/fps/seed.
-std::vector<SweepCellResult> run_scenario_sweep_grid(
-    const scenario::ScenarioSpec& proto, const std::vector<mem::PressureLevel>& states,
-    const std::vector<int>& fps, const std::vector<int>& heights, int runs, int jobs,
-    std::uint64_t base_seed);
 
 /// Collision-free per-cell seed for a (session-count, state) contention
 /// cell (chained derive_seed streams, like sweep_cell_seed).

@@ -16,17 +16,24 @@ std::uint64_t sweep_cell_seed(std::uint64_t base, int height, int fps,
   return seed;
 }
 
-VideoBatch run_video_batch(const core::VideoRunSpec& spec, int runs, int jobs) {
+namespace {
+
+/// `spec` with its world and first video stream both set to `seed`.
+scenario::ScenarioSpec seeded(scenario::ScenarioSpec spec, std::uint64_t seed) {
+  spec.seed = seed;
+  scenario::video_spec(spec).seed = seed;
+  return spec;
+}
+
+}  // namespace
+
+VideoBatch run_video_batch(const scenario::ScenarioSpec& spec, int runs, int jobs) {
   VideoBatch batch;
   if (runs <= 0) return batch;
-  const std::uint64_t base_seed = spec.seed;
-  auto result = run_batch(static_cast<std::size_t>(runs), jobs, [&spec, base_seed](std::size_t i) {
-    core::VideoRunSpec run_spec = spec;
-    // Same stream derivation as core::run_video_repeated: the serial
-    // helper, the serial fallback, and the parallel path all see run i
-    // with the identical seed.
-    run_spec.seed = stats::derive_seed(base_seed, static_cast<std::uint64_t>(i) + 1);
-    return core::run_video(run_spec);
+  auto result = run_batch(static_cast<std::size_t>(runs), jobs, [&spec](std::size_t i) {
+    return scenario::run_scenario(seeded(spec, stats::derive_seed(spec.seed, i + 1)))
+        .sessions.at(0)
+        .result;
   });
   batch.jobs_used = result.jobs_used;
   batch.failures = result.failures;
@@ -37,7 +44,7 @@ VideoBatch run_video_batch(const core::VideoRunSpec& spec, int runs, int jobs) {
   return batch;
 }
 
-std::vector<SweepCellResult> run_sweep_grid(const core::VideoRunSpec& proto,
+std::vector<SweepCellResult> run_sweep_grid(const scenario::ScenarioSpec& proto,
                                             const std::vector<mem::PressureLevel>& states,
                                             const std::vector<int>& fps,
                                             const std::vector<int>& heights, int runs, int jobs,
@@ -63,12 +70,12 @@ std::vector<SweepCellResult> run_sweep_grid(const core::VideoRunSpec& proto,
   auto result = run_batch(total, jobs, [&](std::size_t task) {
     const SweepCellResult& cell = cells[task / static_cast<std::size_t>(runs)];
     const std::size_t run_index = task % static_cast<std::size_t>(runs);
-    core::VideoRunSpec spec = proto;
-    spec.height = cell.height;
-    spec.fps = cell.fps;
-    spec.pressure = cell.state;
-    spec.seed = stats::derive_seed(cell.cell_seed, run_index + 1);
-    return core::run_video(spec);
+    scenario::ScenarioSpec spec = seeded(proto, stats::derive_seed(cell.cell_seed, run_index + 1));
+    scenario::VideoWorkloadSpec& video = scenario::video_spec(spec);
+    video.height = cell.height;
+    video.fps = cell.fps;
+    spec.state = cell.state;
+    return scenario::run_scenario(spec).sessions.at(0).result.outcome;
   });
 
   // Deterministic reduction: tasks are laid out cell-major, so walking
@@ -77,7 +84,7 @@ std::vector<SweepCellResult> run_sweep_grid(const core::VideoRunSpec& proto,
     SweepCellResult& cell = cells[task / static_cast<std::size_t>(runs)];
     const auto& slot = result.runs[task];
     if (slot.ok) {
-      cell.aggregate.add(slot.value.outcome);
+      cell.aggregate.add(slot.value);
     } else {
       ++cell.failures;
     }

@@ -1,10 +1,10 @@
-// Batch execution of seeded video experiments (the paper's repeated-run
-// methodology, §4.1) on the thread-pool runner.
+// Batch execution of seeded single-video scenarios (the paper's
+// repeated-run methodology, §4.1) on the thread-pool runner.
 //
 // Determinism contract:
-//  - run i of a batch uses seed stats::derive_seed(batch_seed, i + 1) —
-//    exactly what the serial core::run_video_repeated helper does, so the
-//    parallel batch reproduces its per-run results bit for bit;
+//  - run i of a batch uses seed stats::derive_seed(batch_seed, i + 1) for
+//    both the world and the first video stream, so every worker count
+//    (jobs == 1 is the serial case) sees run i with the identical seed;
 //  - sweep cells derive their base seed from the cell coordinates via
 //    chained derive_seed streams (collision-free, unlike the old additive
 //    `1000 + height + fps + state*7` bench formula where distinct tuples
@@ -17,9 +17,9 @@
 #include <string>
 #include <vector>
 
-#include "core/experiment.hpp"
 #include "runner/batch.hpp"
 #include "runner/json_writer.hpp"
+#include "scenario/driver.hpp"
 
 namespace mvqoe::runner {
 
@@ -39,9 +39,11 @@ struct VideoBatch {
 };
 
 /// Run `runs` seeded repetitions of `spec` across `jobs` workers (0 =>
-/// MVQOE_JOBS / hardware). spec.seed is the batch seed. jobs == 1 is the
-/// byte-identical serial fallback.
-VideoBatch run_video_batch(const core::VideoRunSpec& spec, int runs, int jobs);
+/// MVQOE_JOBS / hardware). spec.seed is the batch seed; run i sets both
+/// spec.seed and the first video workload's seed to
+/// derive_seed(spec.seed, i + 1). Each run reports the first video
+/// session's result. jobs == 1 is the byte-identical serial case.
+VideoBatch run_video_batch(const scenario::ScenarioSpec& spec, int runs, int jobs);
 
 /// One cell of a sweep grid plus its aggregated outcome.
 struct SweepCellResult {
@@ -56,9 +58,11 @@ struct SweepCellResult {
 /// Run a full device sweep grid (states x fps x heights, the bench layout)
 /// with `runs` repetitions per cell, fanned out over `jobs` workers at
 /// (cell, run) granularity so small grids still use every core. `proto`
-/// supplies everything but height/fps/pressure/seed. Cells come back in
-/// grid order, runs within a cell in run-index order.
-std::vector<SweepCellResult> run_sweep_grid(const core::VideoRunSpec& proto,
+/// must carry at least one video workload; each cell retargets the first
+/// one's height/fps, the scenario state, and (run r) both seeds to
+/// derive_seed(cell_seed, r + 1). Cells come back in grid order, runs
+/// within a cell in run-index order.
+std::vector<SweepCellResult> run_sweep_grid(const scenario::ScenarioSpec& proto,
                                             const std::vector<mem::PressureLevel>& states,
                                             const std::vector<int>& fps,
                                             const std::vector<int>& heights, int runs, int jobs,

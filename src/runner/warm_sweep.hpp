@@ -71,7 +71,7 @@ std::vector<CellRunOutcome> run_warm_group(const scenario::ScenarioSpec& proto,
 /// (cells in state-major grid order, runs per cell in run order); only
 /// the seed scheme differs — cell_seed reports the run-0 video seed.
 /// `proto` is a ScenarioSpec whose first video workload each cell
-/// retargets (legacy callers build it with scenario::from_run_spec).
+/// retargets.
 std::vector<SweepCellResult> run_sweep_grid_shared(
     const scenario::ScenarioSpec& proto, const std::vector<mem::PressureLevel>& states,
     const std::vector<int>& fps, const std::vector<int>& heights, int runs, int jobs,

@@ -1,16 +1,16 @@
 // Scenario execution driver (DESIGN.md §11).
 //
-// Generalizes the legacy VideoExperiment's phased prepare/start/advance/
-// finalize API to N workloads on one Testbed: every workload attaches
-// during the world phase (pressure regimes block until established),
-// every session starts at the same instant, and one 1-second slice
-// cadence advances them all — so concurrent video sessions contend for
-// the same pages, CPU and link inside a single simulated device.
+// Runs N workloads on one Testbed through a phased prepare/start/
+// advance/finalize API: every workload attaches during the world phase
+// (pressure regimes block until established), every session starts at
+// the same instant, and one 1-second slice cadence advances them all —
+// so concurrent video sessions contend for the same pages, CPU and link
+// inside a single simulated device. The §5 trace-analysis benches run a
+// scenario to completion and then dissect testbed() and video().
 //
-// For a single-video scenario the event sequence is byte-identical with
-// the legacy experiment (the golden-blob replay test proves it); the
-// snapshot surface walks the Testbed's component registry instead of a
-// hand-maintained subsystem list.
+// The single-video event sequence is pinned by the golden-blob replay
+// test (tests/data/golden_fig16.blob); the snapshot surface walks the
+// Testbed's component registry.
 #pragma once
 
 #include <memory>

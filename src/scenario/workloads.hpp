@@ -1,7 +1,6 @@
 // First-party Workload implementations (DESIGN.md §11): the video
 // session, the organic background-app cohort and the synthetic pressure
-// inducer — the three actors the legacy VideoExperiment hard-wired, now
-// composable in any number per scenario.
+// inducer — composable in any number per scenario.
 #pragma once
 
 #include <functional>

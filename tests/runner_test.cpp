@@ -23,6 +23,17 @@
 namespace mvqoe::runner {
 namespace {
 
+/// The message of the std::invalid_argument `fn` throws ("" if none).
+template <typename Fn>
+std::string invalid_argument_of(Fn fn) {
+  try {
+    fn();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
 TEST(ResolveJobs, ExplicitRequestWins) {
   EXPECT_EQ(resolve_jobs(3), 3);
   EXPECT_EQ(resolve_jobs(1), 1);
@@ -32,8 +43,27 @@ TEST(ResolveJobs, EnvironmentFallback) {
   ::setenv("MVQOE_JOBS", "7", 1);
   EXPECT_EQ(resolve_jobs(0), 7);
   EXPECT_EQ(resolve_jobs(2), 2);  // explicit still wins
+  // Malformed values fail loudly, naming the variable, instead of
+  // falling back to the hardware count.
+  for (const char* bad : {"", "abc", "4x", " 4", "0", "-2", "99999999999"}) {
+    ::setenv("MVQOE_JOBS", bad, 1);
+    EXPECT_NE(invalid_argument_of([] { resolve_jobs(0); }).find("MVQOE_JOBS"), std::string::npos)
+        << "MVQOE_JOBS='" << bad << "'";
+    EXPECT_EQ(resolve_jobs(2), 2);  // explicit still wins
+  }
   ::unsetenv("MVQOE_JOBS");
   EXPECT_GE(resolve_jobs(0), 1);  // hardware fallback is always >= 1
+
+  // The bench knobs (MVQOE_RUNS, MVQOE_DURATION_S, MVQOE_STUDY_SCALE) go
+  // through the same parser.
+  EXPECT_EQ(parse_positive<int>("3", "MVQOE_RUNS"), 3);
+  EXPECT_DOUBLE_EQ(parse_positive<double>("0.25", "MVQOE_STUDY_SCALE"), 0.25);
+  for (const char* bad : {"", "0.1x", "0", "-0.5", "inf", "nan", "1e999"}) {
+    EXPECT_NE(invalid_argument_of([bad] { parse_positive<double>(bad, "MVQOE_STUDY_SCALE"); })
+                  .find("MVQOE_STUDY_SCALE"),
+              std::string::npos)
+        << "MVQOE_STUDY_SCALE='" << bad << "'";
+  }
 }
 
 TEST(ResolveJobs, ArgvParsing) {
@@ -43,6 +73,25 @@ TEST(ResolveJobs, ArgvParsing) {
   EXPECT_EQ(jobs_from_args(2, const_cast<char**>(argv2)), 6);
   const char* argv3[] = {"bench", "positional"};
   EXPECT_GE(jobs_from_args(2, const_cast<char**>(argv3)), 1);
+
+  // Malformed values fail loudly, naming the flag, in both spellings.
+  for (const char* bad : {"", "abc", "4x", "0", "-1", "1e3", "99999999999"}) {
+    const char* split[] = {"bench", "--jobs", bad};
+    EXPECT_NE(invalid_argument_of([&] { jobs_from_args(3, const_cast<char**>(split)); })
+                  .find("--jobs"),
+              std::string::npos)
+        << "--jobs '" << bad << "'";
+    const std::string joined = std::string("--jobs=") + bad;
+    const char* equals[] = {"bench", joined.c_str()};
+    EXPECT_NE(invalid_argument_of([&] { jobs_from_args(2, const_cast<char**>(equals)); })
+                  .find("--jobs"),
+              std::string::npos)
+        << joined;
+  }
+  const char* missing[] = {"bench", "--jobs"};
+  EXPECT_NE(
+      invalid_argument_of([&] { jobs_from_args(2, const_cast<char**>(missing)); }).find("--jobs"),
+      std::string::npos);
 }
 
 TEST(RunBatch, ResultsInIndexOrder) {
@@ -247,19 +296,12 @@ std::string dump_runs(const std::vector<RunSlot<core::VideoRunResult>>& runs) {
   return w.str();
 }
 
-core::VideoRunSpec small_video_spec() {
-  core::VideoRunSpec spec;
-  spec.device = core::nexus5();
-  spec.height = 480;
-  spec.fps = 30;
-  spec.pressure = mem::PressureLevel::Normal;
-  spec.asset = video::dubai_flow_motion(6);
-  spec.seed = 77;
-  return spec;
+scenario::ScenarioSpec small_video_spec() {
+  return scenario::single_video("fig11", 480, 30, 6, mem::PressureLevel::Normal, 77);
 }
 
 TEST(VideoBatch, ParallelMatchesSerialByteIdentical) {
-  const core::VideoRunSpec spec = small_video_spec();
+  const scenario::ScenarioSpec spec = small_video_spec();
   const auto serial = run_video_batch(spec, 4, 1);
   const auto parallel = run_video_batch(spec, 4, 4);
   EXPECT_EQ(serial.jobs_used, 1);
@@ -268,22 +310,24 @@ TEST(VideoBatch, ParallelMatchesSerialByteIdentical) {
   EXPECT_EQ(dump_runs(serial.runs), dump_runs(parallel.runs));
 }
 
-TEST(VideoBatch, MatchesLegacySerialHelper) {
-  const core::VideoRunSpec spec = small_video_spec();
+// Run i of a batch is exactly run_scenario of the spec with its world and
+// first video stream seeded by hand with derive_seed(seed, i + 1).
+TEST(VideoBatch, RunMatchesHandSeededScenario) {
+  const scenario::ScenarioSpec spec = small_video_spec();
   const auto batch = run_video_batch(spec, 3, 4);
-  const auto legacy = core::run_video_repeated(spec, 3);
-  ASSERT_EQ(batch.aggregate.runs(), legacy.runs());
-  for (std::size_t i = 0; i < legacy.runs(); ++i) {
-    JsonWriter a;
-    write_run_outcome(a, batch.aggregate.outcomes()[i]);
-    JsonWriter b;
-    write_run_outcome(b, legacy.outcomes()[i]);
-    EXPECT_EQ(a.str(), b.str()) << "run " << i;
+  std::vector<RunSlot<core::VideoRunResult>> expected(3);
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    scenario::ScenarioSpec seeded = spec;
+    seeded.seed = stats::derive_seed(spec.seed, i + 1);
+    scenario::video_spec(seeded).seed = seeded.seed;
+    expected[i] = {i, true, scenario::run_scenario(seeded).sessions.at(0).result, ""};
   }
+  EXPECT_EQ(batch.aggregate.runs(), expected.size());
+  EXPECT_EQ(dump_runs(batch.runs), dump_runs(expected));
 }
 
 TEST(VideoBatch, SweepGridParallelMatchesSerial) {
-  core::VideoRunSpec proto = small_video_spec();
+  const scenario::ScenarioSpec proto = small_video_spec();
   const std::vector<mem::PressureLevel> states = {mem::PressureLevel::Normal};
   const std::vector<int> fps = {30};
   const std::vector<int> heights = {360, 480};
@@ -305,7 +349,7 @@ TEST(VideoBatch, SweepGridParallelMatchesSerial) {
 }
 
 TEST(VideoBatch, SweepJsonIsWritten) {
-  core::VideoRunSpec proto = small_video_spec();
+  const scenario::ScenarioSpec proto = small_video_spec();
   const auto cells =
       run_sweep_grid(proto, {mem::PressureLevel::Normal}, {30}, {480}, 1, 2, 1000);
   ::setenv("MVQOE_JSON_DIR", ::testing::TempDir().c_str(), 1);

@@ -1,6 +1,5 @@
 // Scenario/workload model tests (DESIGN.md §11): the declarative spec
-// round-trips through the SCEN section (v2, with v1 back-compat), the
-// single-video scenario sweep reproduces the legacy sweep bit for bit,
+// round-trips through the SCEN section (v2, with v1 back-compat),
 // multi-session contention scenarios replay deterministically with
 // per-session QoE attribution, the contention grid is --jobs invariant,
 // and the component registry rejects section-tag collisions.
@@ -121,36 +120,6 @@ TEST(ScenarioSpec, SaveRejectsRuntimeOnlyKnobs) {
                                          mem::PressureLevel::Normal, 1);
   video_spec(with_asset, 0).asset_override = video::dubai_flow_motion(8);
   EXPECT_THROW(save_scenario(w, with_asset), std::invalid_argument);
-}
-
-// The refactor's byte-identity contract: a single-video ScenarioSpec
-// proto on the scenario sweep must reproduce the legacy VideoRunSpec
-// sweep bit for bit (same seeds, same cells, same JSON payload).
-TEST(ScenarioSweep, SingleVideoProtoMatchesLegacySweepByteForByte) {
-  const std::vector<mem::PressureLevel> states = {mem::PressureLevel::Normal,
-                                                  mem::PressureLevel::Moderate};
-  const std::vector<int> fps = {30};
-  const std::vector<int> heights = {360, 480};
-  const int runs = 2;
-  const std::uint64_t base_seed = 900;
-
-  core::VideoRunSpec legacy;
-  legacy.device = core::nokia1();
-  legacy.asset = video::dubai_flow_motion(8);
-  const auto old_grid =
-      runner::run_sweep_grid(legacy, states, fps, heights, runs, 1, base_seed);
-
-  ScenarioSpec proto;
-  proto.family.clear();
-  proto.device_override = core::nokia1();
-  VideoWorkloadSpec video;
-  video.duration_s = 8;
-  proto.workloads.emplace_back(std::move(video));
-  const auto new_grid =
-      runner::run_scenario_sweep_grid(proto, states, fps, heights, runs, 1, base_seed);
-
-  EXPECT_EQ(runner::sweep_json("identity", old_grid, runs, 1, base_seed),
-            runner::sweep_json("identity", new_grid, runs, 1, base_seed));
 }
 
 // Two concurrent sessions, replayed twice: identical per-session digests
