@@ -29,6 +29,7 @@
 
 #include "legacy_engine.hpp"
 #include "mem/types.hpp"
+#include "runner/batch.hpp"
 #include "runner/json_writer.hpp"
 #include "scenario/driver.hpp"
 #include "scenario/spec.hpp"
@@ -226,7 +227,9 @@ int main(int argc, char** argv) {
   int chains = 8;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--chains") == 0 && i + 1 < argc) chains = std::atoi(argv[++i]);
+    if (std::strcmp(argv[i], "--chains") == 0 && i + 1 < argc) {
+      chains = runner::parse_arg(argc, argv, ++i, "--chains", chains, 1);
+    }
   }
   // Iteration budget: sized so the smoke tier fits a ~15 s suite slot.
   // Every workload is run `reps` times and the best rate kept — the

@@ -6,14 +6,14 @@
 //
 //   $ ./examples/app_contention [sessions]
 #include <cstdio>
-#include <cstdlib>
 
+#include "runner/batch.hpp"
 #include "runner/scenario_batch.hpp"
 #include "scenario/driver.hpp"
 
 int main(int argc, char** argv) {
   using namespace mvqoe;
-  const int sessions = argc > 1 ? std::atoi(argv[1]) : 2;
+  const int sessions = runner::parse_arg(argc, argv, 1, "sessions", 2, 1);
 
   // Declarative world: Nokia 1 at moderate ambient pressure, one memory
   // hog driving toward critical, and N players watching the same clip

@@ -10,8 +10,8 @@
 //   t=30 s   targeted kill of the video client; the session relaunches
 //            cold after 2.5 s and resumes at the next segment boundary
 #include <cstdio>
-#include <cstdlib>
 
+#include "runner/batch.hpp"
 #include "scenario/driver.hpp"
 
 namespace {
@@ -51,8 +51,8 @@ void print_run(const char* label, const mvqoe::core::VideoRunResult& r) {
 
 int main(int argc, char** argv) {
   using namespace mvqoe;
-  const int height = argc > 1 ? std::atoi(argv[1]) : 480;
-  const int fps = argc > 2 ? std::atoi(argv[2]) : 30;
+  const int height = runner::parse_arg(argc, argv, 1, "height", 480, 1);
+  const int fps = runner::parse_arg(argc, argv, 2, "fps", 30, 1);
 
   std::printf("fault storm vs clean run: Nexus 5, %dp%d, 60 s\n", height, fps);
   std::printf("storm: outage 8-13 s, thermal 18-26 s @ 0.55x, kill at 30 s (relaunch on)\n\n");

@@ -8,26 +8,26 @@
 // so the population fans out across the batch runner; the report prints
 // in population order whatever the worker count.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <limits>
+#include <string_view>
+#include <vector>
 
 #include "runner/batch.hpp"
 #include "study/analysis.hpp"
 
 int main(int argc, char** argv) {
   using namespace mvqoe;
-  int devices = 12;
-  double scale = 0.15;
-  int positional = 0;
+  // The positional arguments around --jobs N / --jobs=N.
+  std::vector<char*> args = {argv[0]};
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--jobs", 6) == 0) {
-      if (std::strcmp(argv[i], "--jobs") == 0) ++i;  // value consumed by jobs_from_args
-      continue;
-    }
-    if (positional == 0) devices = std::atoi(argv[i]);
-    if (positional == 1) scale = std::atof(argv[i]);
-    ++positional;
+    const std::string_view arg = argv[i];
+    if (arg == "--jobs") ++i;  // value consumed by jobs_from_args
+    if (!arg.starts_with("--jobs")) args.push_back(argv[i]);
   }
+  const int count = static_cast<int>(args.size());
+  const int devices = runner::parse_arg(count, args.data(), 1, "devices", 12, 1);
+  const double scale = runner::parse_arg(count, args.data(), 2, "hours_scale", 0.15,
+                                         std::numeric_limits<double>::denorm_min());
   const int jobs = runner::jobs_from_args(argc, argv);
 
   auto population = study::generate_population(devices, 42);

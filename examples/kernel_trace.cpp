@@ -5,14 +5,15 @@
 //
 //   $ ./examples/kernel_trace [pressure: 0..3]
 #include <cstdio>
-#include <cstdlib>
 
+#include "runner/batch.hpp"
 #include "scenario/driver.hpp"
 #include "trace/analysis.hpp"
 
 int main(int argc, char** argv) {
   using namespace mvqoe;
-  const auto pressure = static_cast<mem::PressureLevel>(argc > 1 ? std::atoi(argv[1]) : 1);
+  const auto pressure =
+      static_cast<mem::PressureLevel>(runner::parse_arg(argc, argv, 1, "pressure", 1, 0, 3));
 
   scenario::ScenarioDriver driver(scenario::single_video("fig09", 480, 60, 60, pressure, 3));
   const auto result = driver.run().sessions.at(0).result;

@@ -4,14 +4,14 @@
 //
 //   $ ./examples/organic_pressure [background_apps]
 #include <cstdio>
-#include <cstdlib>
 
+#include "runner/batch.hpp"
 #include "scenario/driver.hpp"
 #include "trace/analysis.hpp"
 
 int main(int argc, char** argv) {
   using namespace mvqoe;
-  const int apps = argc > 1 ? std::atoi(argv[1]) : 8;
+  const int apps = runner::parse_arg(argc, argv, 1, "background_apps", 8, 0);
 
   auto spec = scenario::single_video("fig09", 480, 60, 60, mem::PressureLevel::Normal, 5);
   spec.organic_background_apps = apps;

@@ -6,16 +6,17 @@
 // This walks the whole public API surface once: pick a device preset,
 // describe the run, execute it, read the metrics.
 #include <cstdio>
-#include <cstdlib>
 
+#include "runner/batch.hpp"
 #include "scenario/driver.hpp"
 
 int main(int argc, char** argv) {
   using namespace mvqoe;
 
-  const int height = argc > 1 ? std::atoi(argv[1]) : 1080;
-  const int fps = argc > 2 ? std::atoi(argv[2]) : 60;
-  const auto pressure = static_cast<mem::PressureLevel>(argc > 3 ? std::atoi(argv[3]) : 1);
+  const int height = runner::parse_arg(argc, argv, 1, "height", 1080, 1);
+  const int fps = runner::parse_arg(argc, argv, 2, "fps", 60, 1);
+  const auto pressure =
+      static_cast<mem::PressureLevel>(runner::parse_arg(argc, argv, 3, "pressure", 1, 0, 3));
   // "fig11" is the paper's Nexus 5 + Firefox setup.
   const scenario::ScenarioSpec spec =
       scenario::single_video("fig11", height, fps, /*duration_s=*/60, pressure, /*seed=*/7);

@@ -4,36 +4,24 @@
 #include <utility>
 
 #include "snapshot/bytes.hpp"
-#include "snapshot/digest.hpp"
 
 namespace mvqoe::campaign {
 
 namespace {
 
-scenario::ScenarioSpec lane_proto(const PolicyCompareSpec& spec,
-                                  const mem::MemPolicySpec& policy) {
-  scenario::ScenarioSpec proto;
-  proto.family = spec.base.family;
-  proto.organic_background_apps = spec.base.organic_apps;
-  proto.mem_policy = policy;
-  scenario::VideoWorkloadSpec session;
-  session.duration_s = spec.base.duration_s;
-  proto.workloads.emplace_back(std::move(session));
-  return proto;
+/// Lane i of the compare: the base grid under policies[i]. Every lane
+/// keeps the base grid's link and seeds, so lanes differ by policy only.
+std::vector<SweepCampaignSpec> lane_specs(const PolicyCompareSpec& spec) {
+  std::vector<SweepCampaignSpec> lanes(spec.policies.size(), spec.base);
+  for (std::size_t i = 0; i < lanes.size(); ++i) lanes[i].mem_policy = spec.policies[i];
+  return lanes;
 }
 
 void validate(const PolicyCompareSpec& spec) {
-  if (spec.base.runs <= 0) throw std::invalid_argument("campaign: compare runs must be >= 1");
-  if (spec.base.states.empty() || spec.base.fps.empty() || spec.base.heights.empty()) {
-    throw std::invalid_argument("campaign: compare grid has an empty axis");
-  }
-  if (spec.base.duration_s <= 0) {
-    throw std::invalid_argument("campaign: compare duration must be >= 1s");
-  }
   if (spec.policies.empty()) {
     throw std::invalid_argument("campaign: compare needs at least one policy");
   }
-  for (const mem::MemPolicySpec& policy : spec.policies) mem::validate_policy_spec(policy);
+  for (const SweepCampaignSpec& lane : lane_specs(spec)) validate_sweep_spec(lane);
 }
 
 }  // namespace
@@ -97,89 +85,24 @@ PolicyCompareResult run_policy_compare(const PolicyCompareSpec& spec, CampaignOp
   campaign.config = encode_policy_config(spec);
   campaign.fingerprint = policy_config_fingerprint(spec);
 
-  const std::uint64_t groups_per_lane = sweep_total_units(spec.base);
+  const std::vector<SweepCampaignSpec> lanes = lane_specs(spec);
   std::vector<scenario::ScenarioSpec> protos;
-  protos.reserve(spec.policies.size());
-  for (const mem::MemPolicySpec& policy : spec.policies) {
-    protos.push_back(lane_proto(spec, policy));
-  }
-  const int group_workers = spec.base.group_workers > 0 ? spec.base.group_workers : 1;
-  const auto unit_fn = [&](std::uint64_t unit) {
-    const std::size_t lane = static_cast<std::size_t>(unit / groups_per_lane);
-    const std::uint64_t group = unit % groups_per_lane;
-    const auto state = spec.base.states.at(static_cast<std::size_t>(group) /
-                                           static_cast<std::size_t>(spec.base.runs));
-    const int run = static_cast<int>(group % static_cast<std::uint64_t>(spec.base.runs));
-    // Same (state, run) -> same sweep_group_seed for every lane: the
-    // lanes boot identically-seeded worlds and differ only by policy.
-    const std::vector<runner::CellRunOutcome> outcomes =
-        runner::run_warm_group(protos.at(lane), state, run, spec.base.fps, spec.base.heights,
-                               spec.base.seed, group_workers);
-    snapshot::ByteWriter w;
-    w.u32(static_cast<std::uint32_t>(outcomes.size()));
-    for (const runner::CellRunOutcome& outcome : outcomes) {
-      runner::encode_cell_outcome(w, outcome);
-    }
-    return std::move(w).take();
-  };
+  for (const SweepCampaignSpec& lane : lanes) protos.push_back(sweep_proto(lane));
+  const std::uint64_t groups_per_lane = sweep_total_units(spec.base);
 
   PolicyCompareResult result;
-  result.campaign = run_campaign(policy_total_units(spec), unit_fn, campaign);
-
-  const std::size_t cells_per_state = spec.base.fps.size() * spec.base.heights.size();
-  for (const mem::MemPolicySpec& policy : spec.policies) {
-    PolicyLane lane;
-    lane.policy = policy;
-    for (const auto state : spec.base.states) {
-      for (const int f : spec.base.fps) {
-        for (const int h : spec.base.heights) {
-          runner::SweepCellResult cell;
-          cell.height = h;
-          cell.fps = f;
-          cell.state = state;
-          cell.cell_seed = runner::sweep_video_seed(
-              runner::sweep_group_seed(spec.base.seed, state, 0), h, f);
-          lane.cells.push_back(cell);
-        }
-      }
-    }
-    result.lanes.push_back(std::move(lane));
-  }
-
+  result.campaign = run_campaign(
+      policy_total_units(spec),
+      [&](std::uint64_t unit) {
+        const std::size_t lane = static_cast<std::size_t>(unit / groups_per_lane);
+        return sweep_group_payload(lanes[lane], protos[lane], unit % groups_per_lane);
+      },
+      campaign);
   snapshot::StateHash digest;
-  for (std::size_t unit = 0; unit < result.campaign.payloads.size(); ++unit) {
-    const std::size_t lane_index = unit / static_cast<std::size_t>(groups_per_lane);
-    const std::size_t group = unit % static_cast<std::size_t>(groups_per_lane);
-    const std::size_t state_index = group / static_cast<std::size_t>(spec.base.runs);
-    std::vector<runner::SweepCellResult>& cells = result.lanes[lane_index].cells;
-    if (!result.campaign.completed[unit]) {
-      for (std::size_t c = 0; c < cells_per_state; ++c) {
-        ++cells[state_index * cells_per_state + c].failures;
-      }
-      continue;
-    }
-    digest.mix(unit);
-    digest.mix_bytes(result.campaign.payloads[unit]);
-    snapshot::ByteReader r(result.campaign.payloads[unit]);
-    const std::uint32_t count = r.u32();
-    if (count != cells_per_state) {
-      throw std::runtime_error("campaign: compare unit " + std::to_string(unit) + " carries " +
-                               std::to_string(count) + " cells, grid has " +
-                               std::to_string(cells_per_state));
-    }
-    for (std::size_t c = 0; c < cells_per_state; ++c) {
-      const runner::CellRunOutcome outcome = runner::decode_cell_outcome(r);
-      runner::SweepCellResult& cell = cells[state_index * cells_per_state + c];
-      if (outcome.ok) {
-        cell.aggregate.add(outcome.outcome);
-      } else {
-        ++cell.failures;
-      }
-    }
-    if (!r.done()) {
-      throw std::runtime_error("campaign: trailing bytes in compare unit " +
-                               std::to_string(unit));
-    }
+  for (std::size_t i = 0; i < lanes.size(); ++i) {
+    result.lanes.push_back(
+        {spec.policies[i], fold_sweep_payloads(lanes[i], result.campaign, i * groups_per_lane,
+                                               digest)});
   }
   result.digest = result.campaign.complete ? digest.value() : 0;
   return result;

@@ -21,7 +21,8 @@
 namespace mvqoe::campaign {
 
 /// A serializable policy-compare description: one sweep grid (the
-/// `base.mem_policy` field is ignored — each lane overrides it) plus the
+/// `base.mem_policy` field is ignored — each lane overrides it; every
+/// other field, the link included, holds in every lane) plus the
 /// ordered list of policies to run it under.
 struct PolicyCompareSpec {
   SweepCampaignSpec base;

@@ -1,42 +1,12 @@
 #include "campaign/sweep_campaign.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
 #include "snapshot/bytes.hpp"
-#include "snapshot/digest.hpp"
 
 namespace mvqoe::campaign {
-
-namespace {
-
-/// The bench proto-spec the grid retargets per cell: one video session
-/// on the family's device, optional organic churn in the world phase.
-scenario::ScenarioSpec sweep_proto(const SweepCampaignSpec& spec) {
-  scenario::ScenarioSpec proto;
-  proto.family = spec.family;
-  proto.organic_background_apps = spec.organic_apps;
-  proto.mem_policy = spec.mem_policy;
-  proto.net = spec.net;
-  scenario::VideoWorkloadSpec session;
-  session.duration_s = spec.duration_s;
-  proto.workloads.emplace_back(std::move(session));
-  return proto;
-}
-
-void validate(const SweepCampaignSpec& spec) {
-  if (spec.runs <= 0) throw std::invalid_argument("campaign: sweep runs must be >= 1");
-  if (spec.states.empty() || spec.fps.empty() || spec.heights.empty()) {
-    throw std::invalid_argument("campaign: sweep grid has an empty axis");
-  }
-  if (spec.duration_s <= 0) {
-    throw std::invalid_argument("campaign: sweep duration must be >= 1s");
-  }
-  mem::validate_policy_spec(spec.mem_policy);
-  net::validate_net_spec(spec.net);
-}
-
-}  // namespace
 
 std::uint64_t sweep_total_units(const SweepCampaignSpec& spec) {
   return static_cast<std::uint64_t>(spec.states.size()) * static_cast<std::uint64_t>(spec.runs);
@@ -101,7 +71,7 @@ SweepCampaignSpec decode_sweep_config(const std::string& bytes) {
   if (!r.done()) {
     throw std::runtime_error("campaign: trailing bytes after the sweep config");
   }
-  validate(spec);
+  validate_sweep_spec(spec);
   return spec;
 }
 
@@ -120,34 +90,50 @@ SweepCampaignSpec load_sweep_resume_config(const std::string& path) {
   }
 }
 
-SweepCampaignResult run_sweep_campaign(const SweepCampaignSpec& spec, CampaignOptions campaign) {
-  validate(spec);
-  campaign.config = encode_sweep_config(spec);
-  campaign.fingerprint = sweep_config_fingerprint(spec);
+void validate_sweep_spec(const SweepCampaignSpec& spec) {
+  if (spec.runs <= 0) throw std::invalid_argument("campaign: sweep runs must be >= 1");
+  if (spec.states.empty() || spec.fps.empty() || spec.heights.empty()) {
+    throw std::invalid_argument("campaign: sweep grid has an empty axis");
+  }
+  if (spec.duration_s <= 0) {
+    throw std::invalid_argument("campaign: sweep duration must be >= 1s");
+  }
+  mem::validate_policy_spec(spec.mem_policy);
+  net::validate_net_spec(spec.net);
+}
 
-  const scenario::ScenarioSpec proto = sweep_proto(spec);
-  const int group_workers = spec.group_workers > 0 ? spec.group_workers : 1;
-  const auto unit_fn = [&](std::uint64_t unit) {
-    const auto state = spec.states.at(static_cast<std::size_t>(unit) /
-                                      static_cast<std::size_t>(spec.runs));
-    const int run = static_cast<int>(unit % static_cast<std::uint64_t>(spec.runs));
-    const std::vector<runner::CellRunOutcome> group =
-        runner::run_warm_group(proto, state, run, spec.fps, spec.heights, spec.seed,
-                               group_workers);
-    snapshot::ByteWriter w;
-    w.u32(static_cast<std::uint32_t>(group.size()));
-    for (const runner::CellRunOutcome& outcome : group) {
-      runner::encode_cell_outcome(w, outcome);
-    }
-    return std::move(w).take();
-  };
+scenario::ScenarioSpec sweep_proto(const SweepCampaignSpec& spec) {
+  scenario::ScenarioSpec proto;
+  proto.family = spec.family;
+  proto.organic_background_apps = spec.organic_apps;
+  proto.mem_policy = spec.mem_policy;
+  proto.net = spec.net;
+  scenario::VideoWorkloadSpec session;
+  session.duration_s = spec.duration_s;
+  proto.workloads.emplace_back(std::move(session));
+  return proto;
+}
 
-  SweepCampaignResult result;
-  result.campaign = run_campaign(sweep_total_units(spec), unit_fn, campaign);
+std::string sweep_group_payload(const SweepCampaignSpec& spec,
+                                const scenario::ScenarioSpec& proto, std::uint64_t group) {
+  const auto state = spec.states.at(static_cast<std::size_t>(group) /
+                                    static_cast<std::size_t>(spec.runs));
+  const int run = static_cast<int>(group % static_cast<std::uint64_t>(spec.runs));
+  // The group seed depends on (seed, state, run) only, so grids that
+  // differ in policy or link boot identically-seeded worlds.
+  const std::vector<runner::CellRunOutcome> outcomes = runner::run_warm_group(
+      proto, state, run, spec.fps, spec.heights, spec.seed, std::max(spec.group_workers, 1));
+  snapshot::ByteWriter w;
+  w.u32(static_cast<std::uint32_t>(outcomes.size()));
+  for (const runner::CellRunOutcome& outcome : outcomes) runner::encode_cell_outcome(w, outcome);
+  return std::move(w).take();
+}
 
-  // Rebuild the run_sweep_grid_shared grid: state-major cells, each
-  // aggregated over its runs in run order.
-  const std::size_t cells_per_state = spec.fps.size() * spec.heights.size();
+std::vector<runner::SweepCellResult> fold_sweep_payloads(const SweepCampaignSpec& spec,
+                                                         const CampaignResult& campaign,
+                                                         std::uint64_t first_unit,
+                                                         snapshot::StateHash& digest) {
+  std::vector<runner::SweepCellResult> cells;
   for (const auto state : spec.states) {
     for (const int f : spec.fps) {
       for (const int h : spec.heights) {
@@ -157,24 +143,23 @@ SweepCampaignResult run_sweep_campaign(const SweepCampaignSpec& spec, CampaignOp
         cell.state = state;
         cell.cell_seed =
             runner::sweep_video_seed(runner::sweep_group_seed(spec.seed, state, 0), h, f);
-        result.cells.push_back(cell);
+        cells.push_back(cell);
       }
     }
   }
 
-  snapshot::StateHash digest;
-  for (std::size_t unit = 0; unit < result.campaign.payloads.size(); ++unit) {
-    const std::size_t state_index = unit / static_cast<std::size_t>(spec.runs);
-    if (!result.campaign.completed[unit]) {
-      // Degraded campaign: the whole group's runs count as failures.
-      for (std::size_t c = 0; c < cells_per_state; ++c) {
-        ++result.cells[state_index * cells_per_state + c].failures;
-      }
+  const std::size_t cells_per_state = spec.fps.size() * spec.heights.size();
+  for (std::uint64_t group = 0; group < sweep_total_units(spec); ++group) {
+    const std::size_t unit = static_cast<std::size_t>(first_unit + group);
+    const std::size_t first_cell =
+        static_cast<std::size_t>(group) / static_cast<std::size_t>(spec.runs) * cells_per_state;
+    if (!campaign.completed[unit]) {
+      for (std::size_t c = 0; c < cells_per_state; ++c) ++cells[first_cell + c].failures;
       continue;
     }
     digest.mix(unit);
-    digest.mix_bytes(result.campaign.payloads[unit]);
-    snapshot::ByteReader r(result.campaign.payloads[unit]);
+    digest.mix_bytes(campaign.payloads[unit]);
+    snapshot::ByteReader r(campaign.payloads[unit]);
     const std::uint32_t count = r.u32();
     if (count != cells_per_state) {
       throw std::runtime_error("campaign: sweep unit " + std::to_string(unit) + " carries " +
@@ -183,7 +168,7 @@ SweepCampaignResult run_sweep_campaign(const SweepCampaignSpec& spec, CampaignOp
     }
     for (std::size_t c = 0; c < cells_per_state; ++c) {
       const runner::CellRunOutcome outcome = runner::decode_cell_outcome(r);
-      runner::SweepCellResult& cell = result.cells[state_index * cells_per_state + c];
+      runner::SweepCellResult& cell = cells[first_cell + c];
       if (outcome.ok) {
         cell.aggregate.add(outcome.outcome);
       } else {
@@ -194,6 +179,21 @@ SweepCampaignResult run_sweep_campaign(const SweepCampaignSpec& spec, CampaignOp
       throw std::runtime_error("campaign: trailing bytes in sweep unit " + std::to_string(unit));
     }
   }
+  return cells;
+}
+
+SweepCampaignResult run_sweep_campaign(const SweepCampaignSpec& spec, CampaignOptions campaign) {
+  validate_sweep_spec(spec);
+  campaign.config = encode_sweep_config(spec);
+  campaign.fingerprint = sweep_config_fingerprint(spec);
+
+  const scenario::ScenarioSpec proto = sweep_proto(spec);
+  SweepCampaignResult result;
+  result.campaign = run_campaign(
+      sweep_total_units(spec),
+      [&](std::uint64_t unit) { return sweep_group_payload(spec, proto, unit); }, campaign);
+  snapshot::StateHash digest;
+  result.cells = fold_sweep_payloads(spec, result.campaign, 0, digest);
   result.digest = result.campaign.complete ? digest.value() : 0;
   return result;
 }

@@ -19,6 +19,7 @@
 #include "campaign/coordinator.hpp"
 #include "net/cc.hpp"
 #include "runner/warm_sweep.hpp"
+#include "snapshot/digest.hpp"
 
 namespace mvqoe::campaign {
 
@@ -71,6 +72,31 @@ struct SweepCampaignResult {
   std::uint64_t digest = 0;
   CampaignResult campaign;
 };
+
+/// Throws std::invalid_argument for a grid that cannot run: no runs, an
+/// empty axis, a non-positive duration, or an unknown policy or link.
+void validate_sweep_spec(const SweepCampaignSpec& spec);
+
+/// The bench proto-spec the grid retargets per cell: one video session
+/// on the family's device, organic churn in the world phase, and the
+/// spec's memory policy and link.
+scenario::ScenarioSpec sweep_proto(const SweepCampaignSpec& spec);
+
+/// Run (state, run) group `group` of the grid (unit numbering of
+/// sweep_total_units) from `proto` and encode its CellRunOutcome vector:
+/// the campaign unit payload.
+std::string sweep_group_payload(const SweepCampaignSpec& spec,
+                                const scenario::ScenarioSpec& proto, std::uint64_t group);
+
+/// Fold one grid's payloads — units [first_unit, first_unit +
+/// sweep_total_units(spec)) of `campaign` — into its state-major cells,
+/// each aggregated over its runs in run order. Every completed unit
+/// mixes (unit, payload) into `digest`; a group the campaign did not
+/// complete counts as one failure in each of its cells.
+std::vector<runner::SweepCellResult> fold_sweep_payloads(const SweepCampaignSpec& spec,
+                                                         const CampaignResult& campaign,
+                                                         std::uint64_t first_unit,
+                                                         snapshot::StateHash& digest);
 
 /// Run (or resume) the sweep grid under the coordinator.
 /// `campaign.config` / `campaign.fingerprint` are filled in from `spec`.

@@ -20,7 +20,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <exception>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -30,13 +32,30 @@
 
 namespace mvqoe::runner {
 
-/// Parse `text`, the value of `name` (a command-line flag or environment
-/// variable), as a strictly positive number. Throws std::invalid_argument
-/// naming `name` on empty input, trailing characters, overflow and values
-/// <= 0, so a malformed run-path knob fails loudly instead of falling
-/// back to a default. Instantiated for int and double.
+/// Parse `text`, the value of `name` (a command-line flag or argument, or
+/// an environment variable), as a decimal number in [lo, hi]. Throws
+/// std::invalid_argument naming `name` on empty input, a sign the type
+/// does not take, trailing characters, overflow, non-finite values and
+/// values outside [lo, hi], so a malformed knob fails loudly instead of
+/// falling back to a default. A multi-digit integer with a leading zero
+/// is rejected too: no base-0 spelling (`010`, `0x1f`) that an older
+/// strtoull command line accepted can change meaning silently.
+/// Instantiated for int, std::int64_t, std::uint64_t and double.
+template <typename T>
+T parse_number(std::string_view text, std::string_view name, T lo,
+               T hi = std::numeric_limits<T>::max());
+
+/// parse_number with only values > 0 accepted. Instantiated for int and
+/// double.
 template <typename T>
 T parse_positive(std::string_view text, std::string_view name);
+
+/// argv[index] of an example or bench, parsed by parse_number as `name`,
+/// or `fallback` when argc <= index. A malformed value prints
+/// "<argv[0]>: <reason>" on stderr and exits with status 2.
+template <typename T>
+T parse_arg(int argc, char** argv, int index, std::string_view name, T fallback, T lo,
+            T hi = std::numeric_limits<T>::max());
 
 /// Resolve a jobs request to a concrete worker count >= 1.
 /// requested > 0 wins; otherwise the MVQOE_JOBS environment variable

@@ -5,11 +5,16 @@
 // parity with the in-process grid.
 #include <gtest/gtest.h>
 
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
+#include <optional>
+#include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "campaign/cli.hpp"
 #include "campaign/coordinator.hpp"
 #include "campaign/fuzz_campaign.hpp"
 #include "campaign/sweep_campaign.hpp"
@@ -599,6 +604,159 @@ TEST(SweepCampaign, ResumeKeepsDigest) {
   ASSERT_TRUE(resumed.campaign.complete);
   EXPECT_EQ(resumed.campaign.units_from_checkpoint, campaign::sweep_total_units(spec));
   EXPECT_EQ(resumed.digest, first.digest);
+}
+
+// --- Campaign command-line layer (campaign/cli) ---------------------------
+
+namespace cli = campaign::cli;
+
+/// Apply `words` (the arguments after the program name) to `flags`;
+/// returns the UsageError message, "" if they parse.
+std::string parse(const cli::Flags& flags, std::vector<std::string> words) {
+  std::vector<char*> argv = {const_cast<char*>("tool")};
+  for (std::string& word : words) argv.push_back(word.data());
+  try {
+    flags.parse(static_cast<int>(argv.size()), argv.data(), 1);
+  } catch (const cli::UsageError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(CampaignCli, AcceptsBothFlagSpellings) {
+  int runs = 0;
+  std::string out;
+  bool progress = false;
+  cli::Flags flags;
+  flags.number("--runs", runs, 1).text("--out", out).toggle("--progress", progress);
+  EXPECT_EQ(parse(flags, {"--runs", "7", "--out=a=b", "--progress"}), "");
+  EXPECT_EQ(std::tie(runs, out, progress), std::make_tuple(7, "a=b", true));
+  EXPECT_EQ(parse(flags, {"--runs=9", "--out", "--progress"}), "");  // values may look like flags
+  EXPECT_EQ(std::tie(runs, out), std::make_tuple(9, "--progress"));
+}
+
+TEST(CampaignCli, RejectsUnknownFlagsMissingValuesAndBadNumbers) {
+  int runs = 0;
+  bool progress = false;
+  cli::Flags flags;
+  flags.number("--runs", runs, 1).toggle("--progress", progress);
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases = {
+      {{"--rnus", "7"}, "unknown argument '--rnus'"}, {{"--runs"}, "--runs needs a value"},
+      {{"--progress=1"}, "--progress takes no value"}, {{"stray"}, "'stray'"},
+      {{"--runs", "7x"}, "--runs must be"}, {{"--runs=0"}, "--runs must be"},
+      {{"--runs", "2147483648"}, "--runs must be"}};
+  for (const auto& [words, message] : cases) {
+    EXPECT_NE(parse(flags, words).find(message), std::string::npos) << words.front();
+  }
+}
+
+TEST(CampaignCli, ListsRejectEmptyItemsAndBadStates) {
+  campaign::SweepCampaignSpec spec;
+  cli::Flags flags;
+  cli::add_sweep_flags(flags, spec);
+  EXPECT_EQ(parse(flags, {"--states=low,critical", "--fps", "30,60", "--seed", "0"}), "");
+  using mem::PressureLevel;
+  EXPECT_EQ(spec.states, (std::vector<PressureLevel>{PressureLevel::Low, PressureLevel::Critical}));
+  EXPECT_EQ(spec.fps, (std::vector<int>{30, 60}));
+  EXPECT_EQ(spec.seed, 0u);
+  for (const auto& [flag, value] : std::vector<std::pair<std::string, std::string>>{
+           {"--fps", "30,"}, {"--fps", ",30"}, {"--fps", "30,,60"}, {"--fps", ""},
+           {"--heights", "36O"}, {"--states", "low,bogus"}, {"--states", "Low"}}) {
+    EXPECT_NE(parse(flags, {flag, value}).find(flag), std::string::npos) << flag << " " << value;
+  }
+  EXPECT_EQ(cli::parse_state(cli::state_name(mem::PressureLevel::Moderate), "--state"),
+            mem::PressureLevel::Moderate);
+}
+
+/// The CampaignOptions fields the campaign block sets.
+auto option_fields(const campaign::CampaignOptions& o) {
+  return std::make_tuple(o.procs, o.shard_size, o.max_attempts, o.heartbeat_timeout_ms,
+                         o.backoff_ms, o.state_path, o.resume, o.hooks.abort_unit,
+                         o.hooks.abort_attempts, o.hooks.kill_after_checkpoints,
+                         static_cast<bool>(o.progress), o.interrupt != nullptr);
+}
+
+// Each tool's defaults build the CampaignOptions its own hand-written
+// block built: fuzz shards 8 runs and, like fleet, keeps procs 0 (in
+// process) unless a checkpoint engages the coordinator on one worker;
+// sweep and compare run one group per shard on one worker.
+TEST(CampaignCli, CampaignBlockBuildsEachToolsOptions) {
+  struct Tool {
+    cli::CampaignFlags defaults;
+    bool sharded;
+  };
+  for (const Tool& tool : {Tool{{.procs = 0, .shard_size = 8}, true}, Tool{{}, true},
+                           Tool{{.procs = 0}, false}}) {
+    cli::CampaignFlags flags = tool.defaults;
+    cli::Flags table;
+    flags.add_to(table, tool.sharded);
+    EXPECT_EQ(parse(table, {}), "");
+    EXPECT_EQ(option_fields(cli::CampaignRun(flags, "units").options),
+              std::make_tuple(1, tool.defaults.shard_size, 3, 120000, 100, std::string(), false,
+                              std::int64_t{-1}, 1, 0, false, true));
+    EXPECT_EQ(flags.coordinated(), tool.defaults.procs > 0);
+    EXPECT_EQ(parse(table, {"--procs", "0"}).empty(), tool.defaults.procs == 0);
+    EXPECT_EQ(parse(table, {"--resume", "r.mvqs"}).empty(), tool.sharded);
+  }
+
+  cli::CampaignFlags flags{.procs = 0, .shard_size = 8};
+  cli::Flags table;
+  flags.add_to(table, true);
+  EXPECT_EQ(parse(table, {"--procs", "4", "--resume=r.mvqs", "--retries", "5", "--heartbeat-ms",
+                          "50", "--backoff-ms", "0", "--shard-size", "3",
+                          "--kill-after-checkpoints", "2", "--abort-unit", "7",
+                          "--abort-attempts", "2", "--progress"}),
+            "");
+  EXPECT_EQ(option_fields(cli::CampaignRun(flags, "runs").options),
+            std::make_tuple(4, std::size_t{3}, 5, 50, 0, std::string("r.mvqs"), true,
+                            std::int64_t{7}, 2, 2, true, true));
+  flags.state_path = "s.mvqs";
+  EXPECT_THROW(cli::CampaignRun(flags, "runs"), cli::UsageError);
+}
+
+/// Everything `fn` prints to the FILE it is given.
+template <typename Fn>
+std::string printed(Fn fn) {
+  std::FILE* out = std::tmpfile();
+  fn(out);
+  std::string text(static_cast<std::size_t>(std::ftell(out)), '\0');
+  std::rewind(out);
+  text.resize(std::fread(text.data(), 1, text.size(), out));
+  std::fclose(out);
+  return text;
+}
+
+// The report prints the tools' own lines, byte for byte.
+TEST(CampaignCli, ReportPrintsTheToolsLines) {
+  campaign::CampaignResult result;
+  result.units_from_checkpoint = 3;
+  result.units_done = 6;
+  result.shards = {{0, 2, 3, campaign::ShardStatus::Failed, "worker killed by signal 9"},
+                   {2, 2, 1, campaign::ShardStatus::Completed, ""},
+                   {4, 2, 2, campaign::ShardStatus::Completed, ""}};
+  std::optional<int> code;
+  EXPECT_EQ(printed([&](std::FILE* out) {
+              cli::CampaignRun run(cli::CampaignFlags{}, "groups", out);
+              code = run.report(result, 8);
+            }),
+            "resumed: 3/8 groups from checkpoint, 3 executed\n"
+            "shard groups [0..2) FAILED after 3 attempts: worker killed by signal 9\n"
+            "shard groups [4..6) recovered on attempt 2\n");
+  EXPECT_FALSE(code.has_value());
+
+  result = {};
+  result.units_done = 2;
+  result.interrupted = true;
+  for (const std::string state : {"", "camp.mvqs"}) {
+    EXPECT_EQ(printed([&](std::FILE* out) {
+                cli::CampaignRun run(cli::CampaignFlags{.state_path = state}, "runs", out);
+                std::raise(SIGINT);  // the guard's handler only records it
+                code = run.report(result, 8);
+              }),
+              "interrupted by signal 2: 2/8 runs done, checkpoint " +
+                  (state.empty() ? "disabled (--state not set)" : "flushed to " + state) + "\n");
+    EXPECT_EQ(code, 128 + SIGINT);
+  }
 }
 
 }  // namespace

@@ -299,41 +299,58 @@ TEST(PolicyDifferential, PoliciesProducePairwiseDistinctKillSequences) {
   }
 }
 
-// The compare campaign's baseline lane IS the plain sweep campaign: the
-// policy-major unit mapping may never perturb the mechanism's results.
+// Every lane of a compare IS the plain sweep campaign of the base grid
+// under that lane's policy: the policy-major unit mapping may never
+// perturb the mechanism's results, and a lane runs every other field of
+// the base grid — its link included.
 TEST(PolicyCompare, BaselineLaneMatchesPlainSweepByteForByte) {
-  campaign::SweepCampaignSpec base;
-  base.duration_s = 8;
-  base.states = {mem::PressureLevel::Low};
-  base.fps = {30};
-  base.heights = {480};
-  base.runs = 2;
-  base.seed = 5;
+  campaign::SweepCampaignSpec fifo;
+  fifo.duration_s = 8;
+  fifo.states = {mem::PressureLevel::Low};
+  fifo.fps = {30};
+  fifo.heights = {480};
+  fifo.runs = 2;
+  fifo.seed = 5;
+  campaign::SweepCampaignSpec cubic = fifo;
+  cubic.net.cc = "cubic";
 
-  campaign::PolicyCompareSpec compare;
-  compare.base = base;
-  for (const std::string& name : mem::mem_policy_names()) {
-    compare.policies.push_back({name, {}});
-  }
-  const campaign::PolicyCompareResult result =
-      campaign::run_policy_compare(compare, campaign::CampaignOptions{});
-  ASSERT_TRUE(result.campaign.complete);
-  ASSERT_EQ(result.lanes.size(), 4u);
-
-  const campaign::SweepCampaignResult plain =
-      campaign::run_sweep_campaign(base, campaign::CampaignOptions{});
-  ASSERT_TRUE(plain.campaign.complete);
-  EXPECT_EQ(runner::sweep_json("lane", result.lanes[0].cells, base.runs, 1, base.seed),
-            runner::sweep_json("lane", plain.cells, base.runs, 1, base.seed));
-
-  // And the four lanes are pairwise distinct grids.
-  for (std::size_t a = 0; a < result.lanes.size(); ++a) {
-    for (std::size_t b = a + 1; b < result.lanes.size(); ++b) {
-      EXPECT_NE(runner::sweep_json("lane", result.lanes[a].cells, base.runs, 1, base.seed),
-                runner::sweep_json("lane", result.lanes[b].cells, base.runs, 1, base.seed))
-          << result.lanes[a].policy.name << " vs " << result.lanes[b].policy.name;
+  std::vector<std::string> baseline_lanes;
+  for (const campaign::SweepCampaignSpec& base : {fifo, cubic}) {
+    SCOPED_TRACE(base.net.cc);
+    const auto json = [&base](const std::vector<runner::SweepCellResult>& cells) {
+      return runner::sweep_json("lane", cells, base.runs, 1, base.seed);
+    };
+    campaign::PolicyCompareSpec compare;
+    compare.base = base;
+    for (const std::string& name : mem::mem_policy_names()) {
+      compare.policies.push_back({name, {}});
     }
+    const campaign::PolicyCompareResult result =
+        campaign::run_policy_compare(compare, campaign::CampaignOptions{});
+    ASSERT_TRUE(result.campaign.complete);
+    ASSERT_EQ(result.lanes.size(), 4u);
+
+    for (const campaign::PolicyLane& lane : result.lanes) {
+      campaign::SweepCampaignSpec plain = base;
+      plain.mem_policy = lane.policy;
+      const campaign::SweepCampaignResult sweep =
+          campaign::run_sweep_campaign(plain, campaign::CampaignOptions{});
+      ASSERT_TRUE(sweep.campaign.complete);
+      EXPECT_EQ(json(lane.cells), json(sweep.cells)) << lane.policy.name;
+    }
+
+    // And the four lanes are pairwise distinct grids.
+    for (std::size_t a = 0; a < result.lanes.size(); ++a) {
+      for (std::size_t b = a + 1; b < result.lanes.size(); ++b) {
+        EXPECT_NE(json(result.lanes[a].cells), json(result.lanes[b].cells))
+            << result.lanes[a].policy.name << " vs " << result.lanes[b].policy.name;
+      }
+    }
+    baseline_lanes.push_back(json(result.lanes[0].cells));
   }
+  // The link is a real axis of this grid: a compare that dropped it
+  // would run its cubic lanes on fifo and fail the lane checks above.
+  EXPECT_NE(baseline_lanes[0], baseline_lanes[1]);
 }
 
 }  // namespace

@@ -45,7 +45,7 @@ TEST(ResolveJobs, EnvironmentFallback) {
   EXPECT_EQ(resolve_jobs(2), 2);  // explicit still wins
   // Malformed values fail loudly, naming the variable, instead of
   // falling back to the hardware count.
-  for (const char* bad : {"", "abc", "4x", " 4", "0", "-2", "99999999999"}) {
+  for (const char* bad : {"", "abc", "4x", " 4", "0", "-2", "99999999999", "0x10", "010"}) {
     ::setenv("MVQOE_JOBS", bad, 1);
     EXPECT_NE(invalid_argument_of([] { resolve_jobs(0); }).find("MVQOE_JOBS"), std::string::npos)
         << "MVQOE_JOBS='" << bad << "'";
@@ -64,6 +64,28 @@ TEST(ResolveJobs, EnvironmentFallback) {
               std::string::npos)
         << "MVQOE_STUDY_SCALE='" << bad << "'";
   }
+
+  // Seeds: unsigned, zero allowed, decimal only — no base-0 spelling an
+  // older strtoull command line took (0x10, 010) changes meaning.
+  EXPECT_EQ(parse_number<std::uint64_t>("0", "--seed", 0), 0u);
+  EXPECT_EQ(parse_number<std::uint64_t>("18446744073709551615", "--seed", 0),
+            18446744073709551615ull);
+  for (const char* bad : {"-1", "1e6", "0x10", "010", "12a", "", "18446744073709551616"}) {
+    EXPECT_NE(invalid_argument_of([bad] { parse_number<std::uint64_t>(bad, "--seed", 0); })
+                  .find("--seed"),
+              std::string::npos)
+        << "--seed '" << bad << "'";
+  }
+  // Per-flag bounds are inclusive at both ends.
+  EXPECT_EQ(parse_number<int>("0", "pressure", 0, 3), 0);
+  EXPECT_EQ(parse_number<int>("3", "pressure", 0, 3), 3);
+  EXPECT_EQ(parse_number<std::int64_t>("-1", "--offset", -1, 1), -1);
+  for (const char* bad : {"-1", "4", "03"}) {
+    EXPECT_NE(invalid_argument_of([bad] { parse_number<int>(bad, "pressure", 0, 3); })
+                  .find("pressure must be a decimal integer in [0, 3]"),
+              std::string::npos)
+        << "pressure '" << bad << "'";
+  }
 }
 
 TEST(ResolveJobs, ArgvParsing) {
@@ -75,7 +97,7 @@ TEST(ResolveJobs, ArgvParsing) {
   EXPECT_GE(jobs_from_args(2, const_cast<char**>(argv3)), 1);
 
   // Malformed values fail loudly, naming the flag, in both spellings.
-  for (const char* bad : {"", "abc", "4x", "0", "-1", "1e3", "99999999999"}) {
+  for (const char* bad : {"", "abc", "4x", "0", "-1", "1e3", "99999999999", "12a", "010"}) {
     const char* split[] = {"bench", "--jobs", bad};
     EXPECT_NE(invalid_argument_of([&] { jobs_from_args(3, const_cast<char**>(split)); })
                   .find("--jobs"),

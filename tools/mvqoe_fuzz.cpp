@@ -40,22 +40,18 @@
 //       same options; exit 0 iff the recorded oracle trips again.
 //
 // Exit status: 0 all runs clean / repro reproduced, 1 failures found or
-// repro did not reproduce, 2 usage or I/O errors, 3 campaign degraded
+// repro did not reproduce, 2 usage (a malformed flag, named on stderr;
+// numbers are strict decimal) or I/O errors, 3 campaign degraded
 // (a shard exhausted its retry budget), 128+signo interrupted with the
 // checkpoint flushed.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <exception>
 #include <optional>
 #include <string>
-
 #include <vector>
 
+#include "campaign/cli.hpp"
 #include "campaign/fuzz_campaign.hpp"
-#include "campaign/progress.hpp"
-#include "campaign/signal.hpp"
 #include "check/harness.hpp"
 #include "check/shrink.hpp"
 #include "mem/policy.hpp"
@@ -65,6 +61,7 @@
 namespace {
 
 using namespace mvqoe;
+namespace cli = campaign::cli;
 
 int usage() {
   std::fprintf(stderr,
@@ -96,114 +93,35 @@ struct Args {
   bool meta = true;
   int perturb_run = -1;
   int perturb_at_s = 2;
-  // Campaign mode (multi-process, crash-safe).
-  int procs = 0;  // 0 = in-process --jobs pool; >0 = campaign coordinator
-  std::string state_path;
-  std::string resume_path;
-  int shard_size = 8;
-  int retries = 3;
-  int heartbeat_ms = 120000;
-  int backoff_ms = 100;
-  // Deterministic failure injection (tests; see campaign::TestHooks).
-  int abort_run = -1;
-  int abort_attempts = 1;
-  int kill_after_checkpoints = 0;
-  bool progress = false;
-  bool ok = true;
+  /// Campaign mode (multi-process, crash-safe): procs 0 keeps the
+  /// in-process --jobs pool unless --state or --resume asks for a
+  /// checkpoint.
+  cli::CampaignFlags campaign{.procs = 0, .shard_size = 8};
 };
-
-void split_csv(const std::string& csv, std::vector<std::string>& out) {
-  std::size_t start = 0;
-  while (start <= csv.size()) {
-    const std::size_t comma = csv.find(',', start);
-    const std::string name =
-        csv.substr(start, comma == std::string::npos ? std::string::npos : comma - start);
-    if (!name.empty()) out.push_back(name);
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-}
 
 Args parse_args(int argc, char** argv) {
   Args args;
-  const auto value = [&](int& i) -> const char* {
-    const char* eq = std::strchr(argv[i], '=');
-    if (eq != nullptr) return eq + 1;
-    if (i + 1 >= argc) {
-      args.ok = false;
-      return "";
-    }
-    return argv[++i];
-  };
-  const auto is_flag = [&](int i, const char* name) {
-    const std::size_t len = std::strlen(name);
-    return std::strncmp(argv[i], name, len) == 0 && (argv[i][len] == '\0' || argv[i][len] == '=');
-  };
-  for (int i = 1; i < argc && args.ok; ++i) {
-    if (is_flag(i, "--seed")) {
-      args.seed = std::strtoull(value(i), nullptr, 0);
-    } else if (is_flag(i, "--runs")) {
-      args.runs = std::atoi(value(i));
-    } else if (is_flag(i, "--jobs")) {
-      args.jobs = std::atoi(value(i));
-    } else if (is_flag(i, "--minutes")) {
-      args.minutes = std::atoi(value(i));
-    } else if (is_flag(i, "--out")) {
-      args.out_dir = value(i);
-    } else if (is_flag(i, "--repro")) {
-      args.repro_path = value(i);
-    } else if (is_flag(i, "--max-videos")) {
-      args.max_videos = std::atoi(value(i));
-    } else if (is_flag(i, "--max-duration")) {
-      args.max_duration = std::atoi(value(i));
-    } else if (is_flag(i, "--policy")) {
-      split_csv(value(i), args.policies);
-      if (args.policies.empty()) args.ok = false;
-    } else if (is_flag(i, "--cc")) {
-      split_csv(value(i), args.ccs);
-      if (args.ccs.empty()) args.ok = false;
-    } else if (is_flag(i, "--no-meta")) {
-      args.meta = false;
-    } else if (is_flag(i, "--perturb-run")) {
-      args.perturb_run = std::atoi(value(i));
-    } else if (is_flag(i, "--perturb-at")) {
-      args.perturb_at_s = std::atoi(value(i));
-    } else if (is_flag(i, "--procs")) {
-      args.procs = std::atoi(value(i));
-    } else if (is_flag(i, "--state")) {
-      args.state_path = value(i);
-    } else if (is_flag(i, "--resume")) {
-      args.resume_path = value(i);
-    } else if (is_flag(i, "--shard-size")) {
-      args.shard_size = std::atoi(value(i));
-    } else if (is_flag(i, "--retries")) {
-      args.retries = std::atoi(value(i));
-    } else if (is_flag(i, "--heartbeat-ms")) {
-      args.heartbeat_ms = std::atoi(value(i));
-    } else if (is_flag(i, "--backoff-ms")) {
-      args.backoff_ms = std::atoi(value(i));
-    } else if (is_flag(i, "--abort-run")) {
-      args.abort_run = std::atoi(value(i));
-    } else if (is_flag(i, "--abort-attempts")) {
-      args.abort_attempts = std::atoi(value(i));
-    } else if (is_flag(i, "--kill-after-checkpoints")) {
-      args.kill_after_checkpoints = std::atoi(value(i));
-    } else if (std::strcmp(argv[i], "--progress") == 0) {
-      args.progress = true;
-    } else {
-      args.ok = false;
-    }
-  }
-  if (args.runs < 1 || args.max_videos < 1 || args.max_duration < 1) args.ok = false;
-  const bool campaign_mode =
-      args.procs > 0 || !args.state_path.empty() || !args.resume_path.empty();
+  cli::Flags table;
+  table.number("--seed", args.seed, std::uint64_t{0})
+      .number("--runs", args.runs, 1)
+      .number("--jobs", args.jobs, 1)
+      .number("--minutes", args.minutes, 0)
+      .text("--out", args.out_dir)
+      .text("--repro", args.repro_path)
+      .number("--max-videos", args.max_videos, 1)
+      .number("--max-duration", args.max_duration, 1)
+      .value("--policy",
+             [&args](std::string_view v) { args.policies = cli::split_csv(v, "--policy"); })
+      .value("--cc", [&args](std::string_view v) { args.ccs = cli::split_csv(v, "--cc"); })
+      .toggle("--no-meta", args.meta, false)
+      .number("--perturb-run", args.perturb_run, 0)
+      .number("--perturb-at", args.perturb_at_s, 0);
+  args.campaign.add_to(table, /*sharded=*/true);
+  table.parse(argc, argv, 1);
   // A --minutes soak reseeds per batch — one checkpoint cannot describe
   // it, and the coordinator owns parallelism in campaign mode.
-  if (campaign_mode && args.minutes > 0) args.ok = false;
-  if (!args.state_path.empty() && !args.resume_path.empty()) args.ok = false;
-  if (campaign_mode && (args.shard_size < 1 || args.retries < 1 || args.heartbeat_ms < 1 ||
-                        args.backoff_ms < 0)) {
-    args.ok = false;
+  if (args.campaign.coordinated() && args.minutes > 0) {
+    throw cli::UsageError("--minutes cannot be combined with --procs, --state or --resume");
   }
   return args;
 }
@@ -293,71 +211,26 @@ int cmd_repro(const Args& args) {
 
 /// Multi-process crash-safe campaign (--procs / --state / --resume).
 int cmd_campaign(const Args& args) {
+  cli::CampaignRun run(args.campaign, "runs");
   check::FuzzOptions opts;
-  if (!args.resume_path.empty()) {
-    opts = campaign::load_fuzz_resume_config(args.resume_path);
-    std::printf("resume: %s (seed=%llu runs=%d)\n", args.resume_path.c_str(),
+  if (!args.campaign.resume_path.empty()) {
+    opts = campaign::load_fuzz_resume_config(args.campaign.resume_path);
+    std::printf("resume: %s (seed=%llu runs=%d)\n", args.campaign.resume_path.c_str(),
                 static_cast<unsigned long long>(opts.seed), opts.runs);
   } else {
     opts = fuzz_options(args, args.seed);
   }
 
-  campaign::CampaignOptions copts;
-  copts.procs = args.procs > 0 ? args.procs : 1;
-  copts.shard_size = static_cast<std::size_t>(args.shard_size);
-  copts.max_attempts = args.retries;
-  copts.heartbeat_timeout_ms = args.heartbeat_ms;
-  copts.backoff_ms = args.backoff_ms;
-  copts.state_path = args.resume_path.empty() ? args.state_path : args.resume_path;
-  copts.resume = !args.resume_path.empty();
-  copts.hooks.abort_unit = args.abort_run;
-  copts.hooks.abort_attempts = args.abort_attempts;
-  copts.hooks.kill_after_checkpoints = args.kill_after_checkpoints;
-
-  campaign::InterruptGuard guard;
-  copts.interrupt = guard.flag();
-
-  campaign::ProgressMeter meter("runs");
-  if (args.progress) {
-    copts.progress = [&meter](std::uint64_t done, std::uint64_t total) {
-      meter.update(done, total);
-    };
-  }
-
-  const campaign::FuzzCampaignResult result = campaign::run_fuzz_campaign(opts, copts);
-  meter.finish();
-
-  if (result.campaign.units_from_checkpoint > 0) {
-    std::printf("resumed: %llu/%d runs from checkpoint, %llu executed\n",
-                static_cast<unsigned long long>(result.campaign.units_from_checkpoint), opts.runs,
-                static_cast<unsigned long long>(result.campaign.units_done -
-                                                result.campaign.units_from_checkpoint));
-  }
+  const campaign::FuzzCampaignResult result = campaign::run_fuzz_campaign(opts, run.options);
+  run.report_resumed(result.campaign, static_cast<std::uint64_t>(opts.runs), "runs");
   for (const check::FuzzFailure& failure : result.summary.failures) {
     handle_failure(args, opts, failure);
   }
-  for (const campaign::ShardOutcome& shard : result.campaign.shards) {
-    if (shard.status == campaign::ShardStatus::Failed) {
-      std::printf("shard runs [%llu..%llu) FAILED after %d attempts: %s\n",
-                  static_cast<unsigned long long>(shard.first_unit),
-                  static_cast<unsigned long long>(shard.first_unit + shard.unit_count),
-                  shard.attempts, shard.error.c_str());
-    } else if (shard.attempts > 1) {
-      std::printf("shard runs [%llu..%llu) recovered on attempt %d\n",
-                  static_cast<unsigned long long>(shard.first_unit),
-                  static_cast<unsigned long long>(shard.first_unit + shard.unit_count),
-                  shard.attempts);
-    }
-  }
-
-  if (result.campaign.interrupted) {
-    std::printf("interrupted by signal %d: %llu/%d runs done, checkpoint %s\n",
-                guard.signal_number(),
-                static_cast<unsigned long long>(result.campaign.units_done), opts.runs,
-                copts.state_path.empty() ? "disabled (--state not set)"
-                                         : ("flushed to " + copts.state_path).c_str());
-    std::fflush(stdout);
-    return guard.exit_code();
+  run.report_shards(result.campaign, "runs");
+  if (const std::optional<int> code = run.report_interrupt(
+          result.campaign.interrupted, result.campaign.units_done,
+          static_cast<std::uint64_t>(opts.runs))) {
+    return *code;
   }
   if (!result.campaign.complete) {
     std::printf("campaign degraded: %llu/%d runs completed, %d failed among them\n",
@@ -385,7 +258,7 @@ int run_campaign(const Args& args) {
                          : args.seed;
     check::FuzzOptions opts = fuzz_options(args, batch_seed);
     campaign::ProgressMeter meter("runs");
-    if (args.progress) {
+    if (args.campaign.progress) {
       opts.progress = [&meter](std::uint64_t done, std::uint64_t total) {
         meter.update(done, total);
       };
@@ -412,9 +285,8 @@ int run_campaign(const Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args = parse_args(argc, argv);
-  if (!args.ok) return usage();
-  try {
+  return cli::run_tool("mvqoe_fuzz", usage, [&] {
+    const Args args = parse_args(argc, argv);
     for (const std::string& name : args.policies) {
       mvqoe::mem::validate_policy_spec({name, {}});
     }
@@ -422,12 +294,7 @@ int main(int argc, char** argv) {
       mvqoe::net::validate_net_spec({name, {}});
     }
     if (!args.repro_path.empty()) return cmd_repro(args);
-    if (args.procs > 0 || !args.state_path.empty() || !args.resume_path.empty()) {
-      return cmd_campaign(args);
-    }
+    if (args.campaign.coordinated()) return cmd_campaign(args);
     return run_campaign(args);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "mvqoe_fuzz: %s\n", e.what());
-    return 2;
-  }
+  });
 }

@@ -23,17 +23,17 @@
 //       two drivers through the first bad interval to name the first
 //       diverging event and subsystem.
 //
+// Flags take `--name=V` or `--name V`; numbers are strict decimal
+// (campaign/cli.hpp), and a malformed or unknown flag exits 2 naming it.
+//
 // Exit status: 0 on success / digests match, 1 on mismatch or divergence,
 // 2 on usage or I/O errors, 128+signo when a recording is interrupted by
 // SIGINT/SIGTERM (the partial blob is still flushed, atomically).
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <exception>
 #include <optional>
 #include <string>
 
-#include "campaign/signal.hpp"
+#include "campaign/cli.hpp"
 #include "runner/scenario_batch.hpp"
 #include "snapshot/replay/record.hpp"
 
@@ -42,6 +42,7 @@ namespace {
 using namespace mvqoe;
 using namespace mvqoe::snapshot;
 using namespace mvqoe::snapshot::replay;
+namespace cli = mvqoe::campaign::cli;
 
 int usage() {
   std::fprintf(stderr,
@@ -59,22 +60,11 @@ int usage() {
   return 2;
 }
 
-std::optional<std::string> flag_value(int argc, char** argv, const char* name) {
-  const std::size_t len = std::strlen(name);
-  for (int i = 2; i < argc; ++i) {
-    if (std::strncmp(argv[i], name, len) == 0 && argv[i][len] == '=') {
-      return std::string(argv[i] + len + 1);
-    }
-  }
-  return std::nullopt;
-}
-
-std::optional<mem::PressureLevel> parse_state(const std::string& s) {
-  if (s == "normal") return mem::PressureLevel::Normal;
-  if (s == "moderate") return mem::PressureLevel::Moderate;
-  if (s == "low") return mem::PressureLevel::Low;
-  if (s == "critical") return mem::PressureLevel::Critical;
-  return std::nullopt;
+/// --perturb-at=S: flip one RNG bit S seconds into playback.
+void add_perturb_flag(cli::Flags& flags, std::optional<sim::Time>& perturb_at) {
+  flags.value("--perturb-at", [&perturb_at](std::string_view v) {
+    perturb_at = sim::sec(runner::parse_number<int>(v, "--perturb-at", 0));
+  });
 }
 
 int cmd_record(const std::string& path, int argc, char** argv) {
@@ -86,26 +76,19 @@ int cmd_record(const std::string& path, int argc, char** argv) {
   std::uint64_t seed = 1;
   int videos = 1;
   RecordOptions options;
-  if (const auto v = flag_value(argc, argv, "--family")) family = *v;
-  if (const auto v = flag_value(argc, argv, "--height")) height = std::atoi(v->c_str());
-  if (const auto v = flag_value(argc, argv, "--fps")) fps = std::atoi(v->c_str());
-  if (const auto v = flag_value(argc, argv, "--duration")) duration_s = std::atoi(v->c_str());
-  if (const auto v = flag_value(argc, argv, "--seed")) {
-    seed = std::strtoull(v->c_str(), nullptr, 0);
-  }
-  if (const auto v = flag_value(argc, argv, "--state")) {
-    const auto parsed = parse_state(*v);
-    if (!parsed.has_value()) return usage();
-    state = *parsed;
-  }
-  if (const auto v = flag_value(argc, argv, "--videos")) videos = std::atoi(v->c_str());
-  if (const auto v = flag_value(argc, argv, "--interval")) {
-    options.interval = sim::sec(std::atoi(v->c_str()));
-  }
-  if (const auto v = flag_value(argc, argv, "--perturb-at")) {
-    options.perturb_at = sim::sec(std::atoi(v->c_str()));
-  }
-  if (videos < 1) return usage();
+  cli::Flags flags;
+  flags.text("--family", family)
+      .number("--height", height, 1)
+      .number("--fps", fps, 1)
+      .number("--duration", duration_s, 1)
+      .value("--state", [&state](std::string_view v) { state = cli::parse_state(v, "--state"); })
+      .number("--seed", seed, std::uint64_t{0})
+      .number("--videos", videos, 1)
+      .value("--interval", [&options](std::string_view v) {
+        options.interval = sim::sec(runner::parse_number<int>(v, "--interval", 1));
+      });
+  add_perturb_flag(flags, options.perturb_at);
+  flags.parse(argc, argv, 3);
   mvqoe::scenario::ScenarioSpec scen =
       mvqoe::scenario::single_video(family, height, fps, duration_s, state, seed);
   for (int k = 1; k < videos; ++k) {
@@ -167,33 +150,27 @@ int cmd_info(const Snapshot& snap) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 3) return usage();
-  const std::string command = argv[1];
-  const std::string path = argv[2];
-  try {
+  return cli::run_tool("mvqoe_replay", usage, [&] {
+    if (argc < 3) return usage();
+    const std::string command = argv[1];
+    const std::string path = argv[2];
     if (command == "record") return cmd_record(path, argc, argv);
-
-    const Snapshot snap = Snapshot::read_file(path);
-    if (command == "info") return cmd_info(snap);
+    if (command != "info" && command != "verify" && command != "bisect") return usage();
 
     std::optional<sim::Time> perturb_at;
-    if (const auto v = flag_value(argc, argv, "--perturb-at")) {
-      perturb_at = sim::sec(std::atoi(v->c_str()));
-    }
+    cli::Flags flags;
+    if (command != "info") add_perturb_flag(flags, perturb_at);
+    flags.parse(argc, argv, 3);
+    const Snapshot snap = Snapshot::read_file(path);
+    if (command == "info") return cmd_info(snap);
     if (command == "verify") {
       const VerifyReport report = verify_replay(snap, perturb_at);
       std::printf("%s\n", format_report(report).c_str());
       return report.ok ? 0 : 1;
     }
-    if (command == "bisect") {
-      if (!perturb_at.has_value()) return usage();
-      const DivergenceReport report = bisect_divergence(snap, *perturb_at);
-      std::printf("%s\n", format_report(report).c_str());
-      return report.diverged ? 1 : 0;
-    }
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "mvqoe_replay: %s\n", e.what());
-    return 2;
-  }
-  return usage();
+    if (!perturb_at.has_value()) throw cli::UsageError("bisect needs --perturb-at");
+    const DivergenceReport report = bisect_divergence(snap, *perturb_at);
+    std::printf("%s\n", format_report(report).c_str());
+    return report.diverged ? 1 : 0;
+  });
 }
