@@ -7,10 +7,8 @@
 // each), so they fan out across the batch runner; --jobs 1 reproduces
 // the identical numbers serially.
 #include <array>
-#include <chrono>
 
 #include "bench_util.hpp"
-#include "runner/warm_sweep.hpp"
 
 namespace {
 
@@ -100,58 +98,5 @@ int main(int argc, char** argv) {
   std::printf("\nShape check (paper): at 1080p the rendered FPS is ~0 at 60 FPS encoding and\n"
               "recovers to ~the encoded rate at 24 FPS — resolution can be preserved by\n"
               "adapting the frame rate.\n");
-
-  // Warm-start sweep: the fig16 grid (heights x encoded frame rates)
-  // shares one boot+pressure world per (state, run) group. The cold pass
-  // re-simulates that world for every cell; the warm pass prepares it
-  // once and forks the video phase per cell. Outputs must be
-  // byte-identical — the wall-clock delta is pure startup-phase savings.
-  bench::section("warm-start sweep: cold vs forked-warm (same seeds, same bytes)");
-  {
-    using clock = std::chrono::steady_clock;
-    scenario::ScenarioSpec proto;
-    proto.family.clear();
-    proto.device_override = core::nokia1();
-    scenario::VideoWorkloadSpec session;
-    session.duration_s = bench::video_duration_s(16);
-    proto.workloads.emplace_back(std::move(session));
-    // Organic background churn is the expensive shared phase (launching
-    // and settling 20 apps dwarfs synthetic induction) — the setup where
-    // re-simulating the world per cell actually hurts.
-    proto.organic_background_apps = 20;
-    const std::vector<mem::PressureLevel> states = {mem::PressureLevel::Normal};
-    const std::vector<int> sweep_heights = {240, 360, 480, 720, 1080};
-    const std::vector<int> sweep_fps = {24, 48, 60};
-    const int runs = bench::runs_per_cell(1);
-    const std::uint64_t base_seed = 5;
-    const int jobs_used = runner::resolve_jobs(jobs);
-
-    const auto cold_t0 = clock::now();
-    const auto cold = runner::run_sweep_grid_shared(proto, states, sweep_fps, sweep_heights, runs,
-                                                    jobs, base_seed, runner::SweepMode::Cold);
-    const double cold_s = std::chrono::duration<double>(clock::now() - cold_t0).count();
-
-    const auto warm_t0 = clock::now();
-    const auto warm = runner::run_sweep_grid_shared(proto, states, sweep_fps, sweep_heights, runs,
-                                                    jobs, base_seed, runner::SweepMode::Warm);
-    const double warm_s = std::chrono::duration<double>(clock::now() - warm_t0).count();
-
-    const std::string cold_json =
-        runner::sweep_json("fig16_warm_start", cold, runs, jobs_used, base_seed);
-    const std::string warm_json =
-        runner::sweep_json("fig16_warm_start", warm, runs, jobs_used, base_seed);
-    const bool identical = cold_json == warm_json;
-    std::printf("  grid: %zu cells x %d run(s), cold %.2fs, warm %.2fs (%.1f%% wall-clock"
-                " saved)\n",
-                cold.size(), runs, cold_s, warm_s,
-                cold_s > 0.0 ? (1.0 - warm_s / cold_s) * 100.0 : 0.0);
-    std::printf("  outputs byte-identical: %s%s\n", identical ? "yes" : "NO - BUG",
-                runner::warm_fork_supported() ? "" : " (fork unsupported; warm ran cold)");
-    const std::string sweep_path = runner::bench_json_path("fig16_warm_start");
-    if (runner::write_file(sweep_path, warm_json)) {
-      std::printf("  machine-readable: %s\n", sweep_path.c_str());
-    }
-    if (!identical) return 1;
-  }
   return 0;
 }

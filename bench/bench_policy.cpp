@@ -2,7 +2,7 @@
 //
 // Runs the four-policy compare (DESIGN.md §16) on the documented smoke
 // grid — one Low-state fig16 cell, every registered reclaim/kill policy
-// — and records compare throughput (warm-sweep groups/sec) plus one QoE
+// — and records compare throughput (sweep groups/sec) plus one QoE
 // summary row per policy lane, so the cost of the policy indirection
 // gets a trajectory like BENCH_fleet.json. Two invariants are checked
 // on every run, not just smoke:

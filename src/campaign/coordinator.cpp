@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "runner/batch.hpp"
-#include "runner/ipc.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <cerrno>
@@ -45,6 +44,40 @@ std::uint64_t read_u64le(const char* p) {
 void append_u64le(std::string& out, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
 }
+
+#if MVQOE_CAMPAIGN_FORK
+
+/// Write the whole buffer, retrying short writes and EINTR. False on
+/// error (e.g. the read end vanished).
+bool write_all(int fd, std::string_view data) {
+  std::size_t off = 0;
+  while (off < data.size()) {
+    const ssize_t n = ::write(fd, data.data() + off, data.size() - off);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    if (n == 0) return false;
+    off += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+/// Drain the fd to EOF (blocking). EINTR is retried; any other error
+/// truncates the result at the bytes read so far.
+std::string read_all(int fd) {
+  std::string out;
+  char buf[4096];
+  for (;;) {
+    const ssize_t n = ::read(fd, buf, sizeof(buf));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    out.append(buf, static_cast<std::size_t>(n));
+  }
+  return out;
+}
+
+#endif  // MVQOE_CAMPAIGN_FORK
 
 /// One contiguous slice of the campaign's missing units, tracked across
 /// retry attempts. `pending` shrinks as record frames arrive, so a
@@ -244,10 +277,10 @@ CampaignResult run_campaign(std::uint64_t total_units, const UnitFn& fn,
       append_u64le(frame, unit);
       append_u64le(frame, payload.size());
       frame += payload;
-      if (!runner::write_all(fd, frame)) ::_exit(4);  // coordinator gone
+      if (!write_all(fd, frame)) ::_exit(4);  // coordinator gone
     }
     const char done = kDoneFrame;
-    runner::write_all(fd, std::string_view(&done, 1));
+    write_all(fd, std::string_view(&done, 1));
     ::close(fd);
     ::_exit(0);
   };
@@ -333,6 +366,14 @@ CampaignResult run_campaign(std::uint64_t total_units, const UnitFn& fn,
         if (workers.size() >= static_cast<std::size_t>(result.procs_used)) break;
         Shard& shard = shards[s];
         if (shard.done || shard.failed || shard.running || shard.eligible_at > now) continue;
+        // fork() only while single-threaded: a child forked beside live
+        // threads can inherit a lock one of them held and deadlock.
+        if (const int live = runner::live_pool_threads(); live != 0) {
+          throw std::logic_error(
+              "campaign: refusing to fork() with " + std::to_string(live) +
+              " run_batch pool thread(s) live — the coordinator forks only while "
+              "single-threaded, so run_campaign must not run inside a run_batch task");
+        }
         int fds[2];
         if (::pipe(fds) != 0) {
           ++shard.attempts;
@@ -406,7 +447,7 @@ CampaignResult run_campaign(std::uint64_t total_units, const UnitFn& fn,
           // Hung worker: SIGKILL it, then salvage whatever frames it
           // managed to send before stalling.
           ::kill(w.pid, SIGKILL);
-          w.buffer += runner::read_all(w.fd);
+          w.buffer += read_all(w.fd);
           parse_frames(w);
           int status = 0;
           ::waitpid(w.pid, &status, 0);
@@ -418,7 +459,7 @@ CampaignResult run_campaign(std::uint64_t total_units, const UnitFn& fn,
           continue;
         }
         if (eof) {
-          w.buffer += runner::read_all(w.fd);  // drain anything past the last poll
+          w.buffer += read_all(w.fd);  // drain anything past the last poll
           parse_frames(w);
           worker_finished(w);
           finished.push_back(i);

@@ -19,9 +19,12 @@
 // produces byte-identical campaign results.
 //
 // The worker body (`UnitFn`) runs in the forked child: it inherits the
-// coordinator's prepared state copy-on-write (the same trick as the
-// warm-start sweeps, runner/warm_sweep) and must not rely on threads —
-// the coordinator is single-threaded precisely so fork() stays safe.
+// coordinator's prepared state copy-on-write, and a unit may use
+// runner::run_batch threads inside its worker. The coordinator itself
+// forks only while single-threaded — a child forked beside live threads
+// can inherit a lock one of them held — so run_campaign throws
+// std::logic_error instead of forking while runner::live_pool_threads()
+// is nonzero: it must not run inside a run_batch task.
 #pragma once
 
 #include <csignal>
@@ -99,8 +102,9 @@ struct CampaignResult {
 };
 
 /// Execute `total_units` units of `fn` under supervision. Throws on
-/// unusable checkpoints (missing/corrupt/fingerprint mismatch) and on
-/// setup-level failures; per-shard failures degrade into ShardOutcomes.
+/// unusable checkpoints (missing/corrupt/fingerprint mismatch), on
+/// setup-level failures and (std::logic_error) on a fork while run_batch
+/// pool threads are live; per-shard failures degrade into ShardOutcomes.
 CampaignResult run_campaign(std::uint64_t total_units, const UnitFn& fn,
                             const CampaignOptions& opts);
 

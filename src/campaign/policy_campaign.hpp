@@ -1,8 +1,8 @@
 // Policy-compare campaigns: the "what if Android did X" experiment
 // (DESIGN.md §16) on top of the campaign coordinator.
 //
-// A compare runs the SAME warm-start sweep grid once per memory policy.
-// One campaign unit = one (policy, state, run) warm-sweep group in
+// A compare runs the SAME shared-seed sweep grid once per memory policy.
+// One campaign unit = one (policy, state, run) sweep group in
 // policy-major order, and every policy lane reuses the same
 // sweep_group_seed(base, state, run) world stream — so lane p and lane q
 // boot identically-seeded device populations and differ only in how

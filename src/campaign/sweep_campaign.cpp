@@ -1,6 +1,5 @@
 #include "campaign/sweep_campaign.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -122,7 +121,7 @@ std::string sweep_group_payload(const SweepCampaignSpec& spec,
   // The group seed depends on (seed, state, run) only, so grids that
   // differ in policy or link boot identically-seeded worlds.
   const std::vector<runner::CellRunOutcome> outcomes = runner::run_warm_group(
-      proto, state, run, spec.fps, spec.heights, spec.seed, std::max(spec.group_workers, 1));
+      proto, state, run, spec.fps, spec.heights, spec.seed, spec.group_workers);
   snapshot::ByteWriter w;
   w.u32(static_cast<std::uint32_t>(outcomes.size()));
   for (const runner::CellRunOutcome& outcome : outcomes) runner::encode_cell_outcome(w, outcome);

@@ -1,15 +1,13 @@
-// Multi-process sweep campaigns: warm-start sweep grids on top of the
+// Multi-process sweep campaigns: shared-seed sweep grids on top of the
 // campaign coordinator (DESIGN.md §13).
 //
-// One campaign unit = one (pressure state, run) warm-sweep group — the
-// same unit the warm-start path already forks from one prepared world
-// (runner::run_warm_group), so a campaign worker inherits the CoW
-// machinery wholesale: the worker prepares the group's shared world
-// once and forks its (fps, height) cells from it. The unit payload is
-// the group's encoded CellRunOutcome vector; merging payloads in unit
-// order reproduces run_sweep_grid_shared's grid exactly, so a resumed
-// campaign's BENCH json and digest match an uninterrupted run byte for
-// byte.
+// One campaign unit = one (pressure state, run) sweep group
+// (runner::run_warm_group): the worker process runs the group's (fps,
+// height) cells from boot, group_workers at a time on run_batch threads.
+// The unit payload is the group's encoded CellRunOutcome vector; merging
+// payloads in unit order reproduces run_sweep_grid_shared's grid
+// exactly, so a resumed campaign's BENCH json and digest match an
+// uninterrupted run byte for byte.
 #pragma once
 
 #include <cstdint>
@@ -43,7 +41,8 @@ struct SweepCampaignSpec {
   /// Link congestion controller every world in the grid runs. The fifo
   /// default likewise encodes to nothing.
   net::NetSpec net;
-  /// Forked video-phase workers inside each group worker.
+  /// How many of a group's cells run at once, as run_batch threads
+  /// inside the group's worker process.
   int group_workers = 1;
 };
 

@@ -8,8 +8,9 @@
 //
 //   attach()        world phase, after boot. Pressure workloads block
 //                   here until their regime is established (the §4.1
-//                   "start the video after the pressure signal" rule) —
-//                   this is also the warm-start fork boundary.
+//                   "start the video after the pressure signal" rule).
+//                   Between it and start(), ScenarioDriver::set_cell may
+//                   retarget the video cell.
 //   start()         arm faults, build sessions, begin playback. Must not
 //                   advance the engine (all workloads start at one
 //                   instant, and byte-identity with the legacy path

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
+#include <thread>
 #include <type_traits>
 
 namespace mvqoe::runner {
@@ -83,6 +84,32 @@ T parse_arg(int argc, char** argv, int index, std::string_view name, T fallback,
 
 template int parse_arg<int>(int, char**, int, std::string_view, int, int, int);
 template double parse_arg<double>(int, char**, int, std::string_view, double, double, double);
+
+namespace {
+
+std::atomic<int> g_live_pool_threads{0};
+
+}  // namespace
+
+int live_pool_threads() noexcept { return g_live_pool_threads.load(); }
+
+namespace detail {
+
+void run_pool(int n, const std::function<void()>& worker) {
+  g_live_pool_threads += n;
+  try {
+    // The jthreads join as `pool` goes out of scope, on unwinding too.
+    std::vector<std::jthread> pool;
+    pool.reserve(static_cast<std::size_t>(n));
+    for (int w = 0; w < n; ++w) pool.emplace_back(worker);
+  } catch (...) {
+    g_live_pool_threads -= n;
+    throw;
+  }
+  g_live_pool_threads -= n;
+}
+
+}  // namespace detail
 
 int resolve_jobs(int requested) {
   if (requested > 0) return requested;

@@ -22,10 +22,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <exception>
+#include <functional>
 #include <limits>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -66,6 +66,20 @@ int resolve_jobs(int requested);
 /// parsed) and resolve it. Unrecognized arguments are ignored so examples
 /// can keep their positional parameters.
 int jobs_from_args(int argc, char** argv, int requested = 0);
+
+/// run_batch pool threads started and not yet joined, process-wide. A
+/// fork() while other threads run can leave the child's allocator locked,
+/// so campaign::run_campaign refuses to fork while this is nonzero.
+int live_pool_threads() noexcept;
+
+namespace detail {
+
+/// Run `worker` on `n` threads and join them. They count in
+/// live_pool_threads() from before the first starts until after the last
+/// is joined, also when starting one throws.
+void run_pool(int n, const std::function<void()>& worker);
+
+}  // namespace detail
 
 /// One run's outcome: either a value or a structured failure.
 template <typename Result>
@@ -126,10 +140,7 @@ auto run_batch(std::size_t count, int jobs, Fn&& fn)
         execute_one(i);
       }
     };
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(workers));
-    for (int w = 0; w < workers; ++w) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
+    detail::run_pool(workers, worker);
   }
 
   for (const RunSlot<Result>& slot : batch.runs) {

@@ -73,8 +73,8 @@ std::vector<SweepCellResult> run_sweep_grid(const scenario::ScenarioSpec& proto,
 void write_run_outcome(JsonWriter& w, const qoe::RunOutcome& outcome);
 
 /// The BENCH_<name>.json payload as a string — what write_sweep_json
-/// writes. Exposed so byte-identity checks (warm-start vs cold sweeps)
-/// can compare payloads without touching the filesystem.
+/// writes. Exposed so byte-identity checks (a campaign grid vs the
+/// in-process one) can compare payloads without touching the filesystem.
 std::string sweep_json(std::string_view bench_name, const std::vector<SweepCellResult>& cells,
                        int runs, int jobs_used, std::uint64_t base_seed);
 

@@ -1,17 +1,7 @@
-// Warm-start sweep grids: checkpoint the shared startup phase once, fork
-// the video phase per cell.
-//
-// A sweep cell's simulation splits into a *world* phase (boot + pressure
-// induction — identical for every (fps, height) cell of a pressure state)
-// and a *video* phase (the part that varies). The cold path re-simulates
-// the world for every cell; the warm path prepares it once per
-// (state, run) group and forks a child process per cell, so the copy-on-
-// write image carries the full world state — including the engine's
-// closure-holding event queue, which no serializer could (DESIGN.md §10).
-//
-// Both modes use the same seed scheme (one world stream per group, one
-// video stream per cell), so Warm must reproduce Cold byte-for-byte —
-// the warm-vs-cold identity test and bench assert exactly that.
+// Shared-seed sweep groups: the (fps, height) cells of one (pressure
+// state, run) group boot their world from sweep_group_seed and play their
+// video from sweep_video_seed, so they differ only in the video. Every
+// (cell, run) runs from boot on run_batch threads (DESIGN.md §10).
 #pragma once
 
 #include <cstdint>
@@ -25,10 +15,9 @@
 
 namespace mvqoe::runner {
 
-/// One (cell, run) outcome crossing a fork pipe (or, in cold mode,
-/// produced in-process): ok flag + the exact RunOutcome bit patterns, so
-/// warm and cold reductions see identical doubles. The campaign workers
-/// (src/campaign) ship the same encoding in their shard payloads.
+/// One (cell, run) outcome: ok flag + the exact RunOutcome bit patterns,
+/// so every reduction sees identical doubles. The campaign workers
+/// (src/campaign) ship this encoding in their shard payloads.
 struct CellRunOutcome {
   bool ok = false;
   qoe::RunOutcome outcome;
@@ -45,21 +34,10 @@ std::uint64_t sweep_group_seed(std::uint64_t base, mem::PressureLevel state, int
 /// Video stream for one cell within a group.
 std::uint64_t sweep_video_seed(std::uint64_t group_seed, int height, int fps) noexcept;
 
-enum class SweepMode {
-  Cold,  // every (cell, run) simulated from boot on the thread pool
-  Warm,  // one prepared world per (state, run) group, cells forked from it
-};
-
-/// True when the platform supports the fork-based warm path; when false,
-/// Warm silently degrades to Cold (same results either way).
-bool warm_fork_supported() noexcept;
-
-/// Prepare the (state, run) group's shared world once and run every
-/// (fps, height) cell's video phase from it — each cell in a forked
-/// copy-on-write child, `workers` at a time. Outcomes come back in
-/// fps-major cell order (the grid layout of run_sweep_grid_shared).
-/// Degrades to per-cell cold runs (same seeds, same outcomes) when the
-/// platform has no fork. This is the unit of work a campaign worker
+/// Run every (fps, height) cell of the (state, run) group from boot,
+/// `workers` at a time on run_batch threads (serially when `workers` <=
+/// 1). Outcomes come back in fps-major cell order (the grid layout of
+/// run_sweep_grid_shared). This is the unit of work a campaign worker
 /// executes per sweep shard (src/campaign/sweep_campaign).
 std::vector<CellRunOutcome> run_warm_group(const scenario::ScenarioSpec& proto,
                                            mem::PressureLevel state, int run,
@@ -67,14 +45,14 @@ std::vector<CellRunOutcome> run_warm_group(const scenario::ScenarioSpec& proto,
                                            const std::vector<int>& heights,
                                            std::uint64_t base_seed, int workers);
 
-/// Shared-world sweep grid. Layout and reduction match run_sweep_grid
+/// Shared-seed sweep grid. Layout and reduction match run_sweep_grid
 /// (cells in state-major grid order, runs per cell in run order); only
 /// the seed scheme differs — cell_seed reports the run-0 video seed.
 /// `proto` is a ScenarioSpec whose first video workload each cell
-/// retargets.
+/// retargets. Every (cell, run) fans out over `jobs` run_batch threads.
 std::vector<SweepCellResult> run_sweep_grid_shared(
     const scenario::ScenarioSpec& proto, const std::vector<mem::PressureLevel>& states,
     const std::vector<int>& fps, const std::vector<int>& heights, int runs, int jobs,
-    std::uint64_t base_seed, SweepMode mode);
+    std::uint64_t base_seed);
 
 }  // namespace mvqoe::runner

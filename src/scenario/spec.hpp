@@ -3,7 +3,7 @@
 // A ScenarioSpec is the single source of truth for one simulated device
 // world: the device (named paper family or explicit profile), the
 // pressure regime, the world/seed scheme, and an ordered list of
-// WorkloadSpecs — each one actor on the device. Benches, the warm-start
+// WorkloadSpecs — each one actor on the device. Benches, the shared-seed
 // sweep, tools/mvqoe_replay and the MVQS blob all consume this one type
 // instead of re-assembling (family, cell, state, seed) tuples by hand.
 //
@@ -104,7 +104,8 @@ struct ScenarioSpec {
   /// single_video() scenarios.
   std::uint64_t seed = 1;
   /// Override the world stream when it must differ from `seed` (the
-  /// warm-start sweep's shared-world groups).
+  /// shared-seed sweep's groups: one world stream, a video stream per
+  /// cell).
   std::optional<std::uint64_t> world_seed;
   bool run_watchdog = false;
   /// Memory reclaim/kill policy the world runs (mem/policy.hpp). The

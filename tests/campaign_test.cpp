@@ -1,8 +1,8 @@
 // Campaign subsystem tests (DESIGN.md §13): coordinator supervision
-// (crash retry, heartbeat kill, retry-budget degradation), kill-and-
-// resume checkpoint determinism, checkpoint/config round-trips and
-// corruption rejection, atomic file replacement, and sweep-campaign
-// parity with the in-process grid.
+// (crash retry, heartbeat kill, retry-budget degradation, no fork while
+// run_batch threads are live), kill-and-resume checkpoint determinism,
+// checkpoint/config round-trips and corruption rejection, atomic file
+// replacement, and sweep-campaign parity with the in-process grid.
 #include <gtest/gtest.h>
 
 #include <csignal>
@@ -19,7 +19,7 @@
 #include "campaign/fuzz_campaign.hpp"
 #include "campaign/sweep_campaign.hpp"
 #include "check/harness.hpp"
-#include "runner/ipc.hpp"
+#include "runner/batch.hpp"
 #include "snapshot/atomic_file.hpp"
 #include "snapshot/blob.hpp"
 
@@ -190,6 +190,25 @@ TEST(Coordinator, HungWorkerIsKilledByHeartbeatAndRetried) {
     }
   }
   EXPECT_TRUE(retried);
+}
+
+// The coordinator forks only while single-threaded: a campaign started
+// inside a run_batch task refuses instead of forking beside the pool's
+// threads, and one started after the batch returns runs normally.
+TEST(Campaign, RefusesToForkWhilePoolThreadsRun) {
+  const auto inside = runner::run_batch(2, 2, [](std::size_t) {
+    return campaign::run_campaign(4, unit_payload, fast_options()).units_done;
+  });
+  ASSERT_EQ(inside.runs.size(), 2u);
+  for (const auto& slot : inside.runs) {
+    EXPECT_FALSE(slot.ok);
+    EXPECT_NE(slot.error.find("forks only while single-threaded"), std::string::npos)
+        << slot.error;
+  }
+  EXPECT_EQ(runner::live_pool_threads(), 0);
+  const auto after = campaign::run_campaign(4, unit_payload, fast_options());
+  EXPECT_TRUE(after.complete);
+  EXPECT_EQ(after.units_done, 4u);
 }
 
 TEST(Coordinator, UnitExceptionSurfacesAsWorkerExit) {
@@ -569,9 +588,8 @@ TEST(SweepCampaign, MatchesInProcessGridByteForByte) {
   scenario::VideoWorkloadSpec session;
   session.duration_s = spec.duration_s;
   proto.workloads.emplace_back(std::move(session));
-  const auto reference = runner::run_sweep_grid_shared(
-      proto, spec.states, spec.fps, spec.heights, spec.runs, 1, spec.seed,
-      runner::SweepMode::Cold);
+  const auto reference = runner::run_sweep_grid_shared(proto, spec.states, spec.fps,
+                                                       spec.heights, spec.runs, 1, spec.seed);
 
   auto copts = fast_options();
   copts.shard_size = 1;

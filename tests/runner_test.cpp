@@ -2,7 +2,8 @@
 // contract (parallel == serial, byte for byte, in run-index order under
 // any completion schedule), structured per-run failure isolation, the
 // sweep-seed derivation regression (the old additive bench formula let
-// distinct cells alias to one seed), and the JSON emission layer.
+// distinct cells alias to one seed), shared-seed sweep groups, and the
+// JSON emission layer.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -18,6 +19,7 @@
 #include "runner/batch.hpp"
 #include "runner/json_writer.hpp"
 #include "runner/video_batch.hpp"
+#include "runner/warm_sweep.hpp"
 #include "stats/rng.hpp"
 
 namespace mvqoe::runner {
@@ -388,6 +390,99 @@ TEST(VideoBatch, SweepJsonIsWritten) {
   EXPECT_NE(content.find("\"bench\":\"runner_selftest\""), std::string::npos);
   EXPECT_NE(content.find("\"cells\":["), std::string::npos);
   EXPECT_NE(content.find("\"drop_rate_histogram\""), std::string::npos);
+}
+
+// --- Shared-seed sweep groups -------------------------------------------------
+
+/// A short Nokia 1 world whose first video workload each cell retargets.
+scenario::ScenarioSpec group_proto() {
+  scenario::ScenarioSpec proto;
+  proto.family.clear();
+  proto.device_override = core::nokia1();
+  scenario::VideoWorkloadSpec video;
+  video.duration_s = 6;
+  proto.workloads.emplace_back(std::move(video));
+  return proto;
+}
+
+/// The cells' encoded outcomes, as a campaign unit payload carries them.
+std::string encoded(const std::vector<CellRunOutcome>& outcomes) {
+  snapshot::ByteWriter w;
+  for (const CellRunOutcome& outcome : outcomes) encode_cell_outcome(w, outcome);
+  return std::move(w).take();
+}
+
+TEST(WarmGroup, WorkerCountDoesNotChangeOutcomes) {
+  const std::vector<int> fps = {30, 60};
+  const std::vector<int> heights = {360, 480};
+  const auto serial =
+      run_warm_group(group_proto(), mem::PressureLevel::Moderate, 1, fps, heights, 99, 1);
+  const auto threaded =
+      run_warm_group(group_proto(), mem::PressureLevel::Moderate, 1, fps, heights, 99, 3);
+  ASSERT_EQ(serial.size(), fps.size() * heights.size());
+  for (const CellRunOutcome& outcome : serial) EXPECT_TRUE(outcome.ok) << outcome.error;
+  EXPECT_EQ(encoded(serial), encoded(threaded));
+}
+
+// Cell c of a group is run_scenario of the proto retargeted to the c-th
+// (fps, height) pair in fps-major order, its world seeded with the group
+// seed and its scenario and video streams with the cell's video seed.
+TEST(WarmGroup, CellsMatchHandSeededScenarios) {
+  const scenario::ScenarioSpec proto = group_proto();
+  const std::vector<int> fps = {30, 60};
+  const std::vector<int> heights = {360, 480};
+  const auto group = run_warm_group(proto, mem::PressureLevel::Moderate, 1, fps, heights, 99, 3);
+  const std::uint64_t group_seed = sweep_group_seed(99, mem::PressureLevel::Moderate, 1);
+  std::vector<CellRunOutcome> expected;
+  for (const int f : fps) {
+    for (const int h : heights) {
+      scenario::ScenarioSpec spec = proto;
+      scenario::VideoWorkloadSpec& video = scenario::video_spec(spec);
+      video.height = h;
+      video.fps = f;
+      spec.state = mem::PressureLevel::Moderate;
+      spec.world_seed = group_seed;
+      spec.seed = video.seed = sweep_video_seed(group_seed, h, f);
+      expected.push_back({true, scenario::run_scenario(spec).sessions.at(0).result.outcome, ""});
+    }
+  }
+  EXPECT_EQ(encoded(group), encoded(expected));
+}
+
+// One world prepared from the group seed and retargeted per cell with
+// ScenarioDriver::set_cell plays each cell exactly as its from-boot run.
+TEST(WarmGroup, PreparedWorldSetCellMatchesFromBoot) {
+  const scenario::ScenarioSpec proto = group_proto();
+  const std::vector<int> heights = {360, 480};
+  const auto group = run_warm_group(proto, mem::PressureLevel::Moderate, 0, {60}, heights, 99, 1);
+  const std::uint64_t group_seed = sweep_group_seed(99, mem::PressureLevel::Moderate, 0);
+  std::vector<CellRunOutcome> replayed;
+  for (const int h : heights) {
+    scenario::ScenarioSpec world = proto;
+    world.state = mem::PressureLevel::Moderate;
+    world.world_seed = group_seed;
+    world.seed = group_seed;
+    scenario::video_spec(world).seed = group_seed;
+    scenario::ScenarioDriver driver(world);
+    driver.prepare();
+    driver.set_cell(h, 60, sweep_video_seed(group_seed, h, 60));
+    driver.start();
+    while (driver.advance_slice()) {
+    }
+    replayed.push_back({true, driver.finalize().sessions.at(0).result.outcome, ""});
+  }
+  EXPECT_EQ(encoded(group), encoded(replayed));
+}
+
+TEST(WarmSweep, SeedSchemeIsCollisionFreeAcrossCoordinates) {
+  const std::uint64_t g1 = runner::sweep_group_seed(1, mem::PressureLevel::Normal, 0);
+  const std::uint64_t g2 = runner::sweep_group_seed(1, mem::PressureLevel::Moderate, 0);
+  const std::uint64_t g3 = runner::sweep_group_seed(1, mem::PressureLevel::Normal, 1);
+  EXPECT_NE(g1, g2);
+  EXPECT_NE(g1, g3);
+  EXPECT_NE(runner::sweep_video_seed(g1, 480, 30), runner::sweep_video_seed(g1, 480, 60));
+  EXPECT_NE(runner::sweep_video_seed(g1, 480, 30), runner::sweep_video_seed(g1, 720, 30));
+  EXPECT_NE(runner::sweep_video_seed(g1, 480, 30), runner::sweep_video_seed(g2, 480, 30));
 }
 
 }  // namespace

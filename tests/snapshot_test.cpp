@@ -1,13 +1,12 @@
 // Snapshot subsystem tests: blob container round-trips, the
 // checkpoint/restore round-trip invariant across every scenario family,
-// golden-trace regression against a committed blob, divergence
-// bisection, and warm-start sweep byte-identity.
+// golden-trace regression against a committed blob, and divergence
+// bisection.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <string>
 
-#include "runner/warm_sweep.hpp"
 #include "scenario/spec.hpp"
 #include "snapshot/blob.hpp"
 #include "snapshot/digest.hpp"
@@ -179,45 +178,6 @@ TEST(Replay, GoldenBlobReplaysDigestIdentical) {
   const auto report = replay::verify_replay(blob);
   EXPECT_TRUE(report.ok) << replay::format_report(report)
                          << " — simulation behavior drifted from the committed golden trace";
-}
-
-TEST(WarmSweep, ForkedWarmMatchesColdByteForByte) {
-  if (!runner::warm_fork_supported()) GTEST_SKIP() << "no fork on this platform";
-  scenario::ScenarioSpec proto;
-  proto.family.clear();
-  proto.device_override = core::nokia1();
-  scenario::VideoWorkloadSpec video;
-  video.duration_s = 8;
-  proto.workloads.emplace_back(std::move(video));
-  const std::vector<mem::PressureLevel> states = {mem::PressureLevel::Moderate};
-  const std::vector<int> fps = {30};
-  const std::vector<int> heights = {360, 480};
-  const int runs = 2;
-
-  const auto cold =
-      runner::run_sweep_grid_shared(proto, states, fps, heights, runs, 1, 99,
-                                    runner::SweepMode::Cold);
-  const auto warm =
-      runner::run_sweep_grid_shared(proto, states, fps, heights, runs, 1, 99,
-                                    runner::SweepMode::Warm);
-  ASSERT_EQ(cold.size(), warm.size());
-  for (std::size_t i = 0; i < cold.size(); ++i) {
-    EXPECT_EQ(cold[i].failures, 0u);
-    EXPECT_EQ(warm[i].failures, 0u);
-  }
-  EXPECT_EQ(runner::sweep_json("identity", cold, runs, 1, 99),
-            runner::sweep_json("identity", warm, runs, 1, 99));
-}
-
-TEST(WarmSweep, SeedSchemeIsCollisionFreeAcrossCoordinates) {
-  const std::uint64_t g1 = runner::sweep_group_seed(1, mem::PressureLevel::Normal, 0);
-  const std::uint64_t g2 = runner::sweep_group_seed(1, mem::PressureLevel::Moderate, 0);
-  const std::uint64_t g3 = runner::sweep_group_seed(1, mem::PressureLevel::Normal, 1);
-  EXPECT_NE(g1, g2);
-  EXPECT_NE(g1, g3);
-  EXPECT_NE(runner::sweep_video_seed(g1, 480, 30), runner::sweep_video_seed(g1, 480, 60));
-  EXPECT_NE(runner::sweep_video_seed(g1, 480, 30), runner::sweep_video_seed(g1, 720, 30));
-  EXPECT_NE(runner::sweep_video_seed(g1, 480, 30), runner::sweep_video_seed(g2, 480, 30));
 }
 
 }  // namespace

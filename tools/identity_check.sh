@@ -7,11 +7,11 @@
 # every example binary and each tool on a small fixed input (`tool_runs`)
 # of both build trees with MVQOE_JOBS=4, each tree writing into its own
 # directory, then compares stdout, exit status, every BENCH_*.json and
-# every written file byte for byte. Only host time is masked: fig16's
-# "cold Xs, warm Ys (Z% wall-clock saved)" and the fleet line's wall,
-# devices/s and peak-RSS figures. Use it to prove that a change claiming
-# no behaviour change leaves every paper and tool output as it was;
-# build both trees the same way (e.g. -DCMAKE_BUILD_TYPE=Release).
+# every written file byte for byte. Only host time is masked: the fleet
+# line's wall, devices/s and peak-RSS figures. Use it to prove that a
+# change claiming no behaviour change leaves every paper and tool output
+# as it was; build both trees the same way (e.g.
+# -DCMAKE_BUILD_TYPE=Release).
 #
 # Exit status: 0 identical, 1 any difference or failing binary (listed on
 # stdout), 2 usage.
@@ -69,8 +69,6 @@ run_tree() {  # run_tree BUILD OUT
     (cd "$2" && MVQOE_JOBS=4 MVQOE_JSON_DIR=json "$1/$rel" $args > "$name.stdout" 2> "$name.stderr")
     echo $? > "$2/$name.status"
   done
-  mask "$2/bench_fig16_framerate_sweep.stdout" \
-    's/cold [0-9.]*s, warm [0-9.]*s (-*[0-9.]*% wall-clock saved)/cold Xs, warm Ys (Z% wall-clock saved)/'
   mask "$2/tool_fleet.stdout" \
     's/ [0-9.]*s wall, [0-9]* devices\/sec, peak RSS [0-9.]* MB,/ Xs wall, Y devices\/sec, peak RSS Z MB,/'
 }

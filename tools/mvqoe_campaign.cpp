@@ -6,14 +6,14 @@
 //                        [--procs N] [--group-workers N] [--state FILE]
 //                        [--shard-size N] [--retries N] [--heartbeat-ms N]
 //                        [--backoff-ms N] [--out NAME]
-//       Run a warm-start sweep grid (states x fps x heights, `runs`
+//       Run a shared-seed sweep grid (states x fps x heights, `runs`
 //       repetitions per cell) as a supervised multi-process campaign
 //       (DESIGN.md §13). One campaign unit is one (state, run) group:
-//       the worker prepares the group's shared boot+pressure world once
-//       and forks each (fps, height) cell's video phase from it — the
-//       CoW warm-start machinery of runner/warm_sweep. Crashed or hung
-//       workers are SIGKILLed and retried with exponential backoff;
-//       with --state every completed group is checkpointed atomically.
+//       the worker runs the group's (fps, height) cells, each booting
+//       the group's world seed, --group-workers at a time on threads
+//       (runner/warm_sweep). Crashed or hung workers are SIGKILLed and
+//       retried with exponential backoff; with --state every completed
+//       group is checkpointed atomically.
 //       --out writes the grid as BENCH_<NAME>.json (the same payload
 //       runner::write_sweep_json produces, byte-identical to an
 //       in-process run of the same grid).

@@ -6,13 +6,13 @@
 //                        [--procs N] [--group-workers N] [--state FILE]
 //                        [--shard-size N] [--retries N] [--heartbeat-ms N]
 //                        [--backoff-ms N] [--out NAME] [--progress]
-//       Run the SAME warm-start sweep grid once per memory policy
+//       Run the SAME shared-seed sweep grid once per memory policy
 //       (DESIGN.md §16): every policy lane boots identically-seeded
 //       device worlds (the sweep_group_seed scheme is policy-blind) and
 //       differs only in how its reclaim/kill policy responds, so the
 //       per-lane QoE deltas are attributable to the policy alone. Runs
 //       as a supervised multi-process campaign; one campaign unit is one
-//       (policy, state, run) warm-sweep group. The summary digest is
+//       (policy, state, run) sweep group. The summary digest is
 //       invariant to --procs/--group-workers and to kill-and-resume.
 //       --out writes one BENCH_<NAME>_<policy>.json grid per lane.
 //
