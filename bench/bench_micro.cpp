@@ -3,9 +3,9 @@
 // selection, and an end-to-end per-simulated-second video cost.
 #include <benchmark/benchmark.h>
 
+#include "fleet/device_session.hpp"
 #include "scenario/driver.hpp"
 #include "stats/rng.hpp"
-#include "study/device_sim.hpp"
 
 namespace {
 
@@ -103,7 +103,7 @@ void BM_StudyDeviceHour(benchmark::State& state) {
   population[0].ram_mb = 2048;
   population[0].interactive_hours = 1.0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(study::simulate_device(population[0], 3));
+    benchmark::DoNotOptimize(fleet::simulate_study_device(population[0], 3));
   }
   state.SetLabel("one simulated interactive hour of the field study");
 }

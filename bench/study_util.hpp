@@ -8,8 +8,8 @@
 #pragma once
 
 #include <cstdlib>
-#include <utility>
 
+#include "fleet/device_session.hpp"
 #include "runner/batch.hpp"
 #include "study/analysis.hpp"
 
@@ -25,23 +25,14 @@ struct StudyData {
   std::vector<study::DeviceStudyResult> results;  // cleaned
 };
 
-/// Each device is simulated with its own per-device seed, so the
-/// population fans out across the batch runner; results keep population
-/// order regardless of worker count (jobs == 1 is the serial reference).
+/// The scaled population through fleet::run_study (session seed 1);
+/// results keep population order whatever the worker count.
 inline StudyData run_scaled_study(int devices = 80, std::uint64_t seed = 42, int jobs = 0) {
   StudyData data;
   data.population = study::generate_population(devices, seed);
   const double scale = study_scale();
   for (auto& device : data.population) device.interactive_hours *= scale;
-  auto batch = runner::run_batch(data.population.size(), jobs, [&data](std::size_t i) {
-    return study::simulate_device(data.population[i], 1);
-  });
-  std::vector<study::DeviceStudyResult> results;
-  results.reserve(batch.runs.size());
-  for (auto& slot : batch.runs) {
-    if (slot.ok) results.push_back(std::move(slot.value));
-  }
-  data.results = study::clean(std::move(results), 10.0 * scale);
+  data.results = study::clean(fleet::run_study(data.population, 1, jobs), 10.0 * scale);
   return data;
 }
 

@@ -4,14 +4,15 @@
 //
 //   $ ./examples/field_study [devices] [hours_scale] [--jobs N]
 //
-// Each device's observation window is an independent seeded simulation,
-// so the population fans out across the batch runner; the report prints
-// in population order whatever the worker count.
+// Each device's observation window is an independent seeded simulation
+// of the fleet's usage model, so the population fans out across the batch
+// runner; the report prints in population order whatever the worker count.
 #include <cstdio>
 #include <limits>
 #include <string_view>
 #include <vector>
 
+#include "fleet/device_session.hpp"
 #include "runner/batch.hpp"
 #include "study/analysis.hpp"
 
@@ -35,14 +36,7 @@ int main(int argc, char** argv) {
 
   std::printf("simulating %d devices (interactive hours scaled by %.2f, %d worker%s)...\n\n",
               devices, scale, jobs, jobs == 1 ? "" : "s");
-  const auto batch = runner::run_batch(population.size(), jobs, [&population](std::size_t i) {
-    return study::simulate_device(population[i], 1);
-  });
-  std::vector<study::DeviceStudyResult> results;
-  results.reserve(batch.runs.size());
-  for (const auto& slot : batch.runs) {
-    if (slot.ok) results.push_back(slot.value);
-  }
+  const auto results = fleet::run_study(population, 1, jobs);
 
   std::printf("%-4s %-10s %5s %7s %7s  %9s %9s %9s  %8s\n", "#", "vendor", "RAM", "hours",
               "util%", "mod/h", "low/h", "crit/h", "%pressed");

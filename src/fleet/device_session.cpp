@@ -8,8 +8,9 @@
 
 #include "net/link.hpp"
 #include "proc/app_catalog.hpp"
+#include "runner/batch.hpp"
 #include "stats/rng.hpp"
-#include "study/population.hpp"
+#include "stats/summary.hpp"
 
 namespace mvqoe::fleet {
 
@@ -18,78 +19,48 @@ FleetWorld::FleetWorld(const core::DeviceProfile& profile, const mem::MemPolicyS
 
 namespace {
 
-/// Streaming apps the fleet usage model can foreground; same footprints
-/// as the study's media set (study/device_sim) so fleet pressure
-/// dynamics stay comparable to the §3 results.
-const std::vector<proc::AppSpec>& media_apps() {
-  using mem::pages_from_mb;
-  static const std::vector<proc::AppSpec> apps = {
-      {"com.youtube", pages_from_mb(185), pages_from_mb(55), pages_from_mb(3), false},
-      {"com.netflix", pages_from_mb(170), pages_from_mb(50), pages_from_mb(2), false},
-      {"com.spotify.play", pages_from_mb(110), pages_from_mb(35), pages_from_mb(1) / 2, false},
-  };
-  return apps;
-}
-
 const study::FleetFamily& family_at(std::uint32_t family) {
   const auto& families = study::fleet_families();
   if (family >= families.size()) throw std::runtime_error("fleet: family index out of range");
   return families[family];
 }
 
-}  // namespace
-
-void prepare_world(FleetWorld& world, std::uint32_t family, std::uint32_t cohort,
-                   const FleetSpec& spec) {
-  const study::FleetFamily& fam = family_at(family);
-  const core::DeviceProfile profile = fam.profile();
+void boot(FleetWorld& world, const core::DeviceProfile& profile) {
   world.am.boot(profile.system_scale, profile.baseline_cached);
   world.am.enable_respawn(world.engine, profile.baseline_cached);
-
-  stats::Rng rng(fleet_world_seed(spec.seed, family, cohort));
-  const auto& pool = proc::top_free_apps();
-  const int preload = cohort_preload_apps(cohort, fam.ram_mb);
-  for (int i = 0; i < preload; ++i) {
-    proc::AppSpec app = pool[static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(pool.size()) - 1))];
-    app.name += ".preload" + std::to_string(i);
-    world.am.add_cached(app);
-  }
-  world.engine.run_until(world.engine.now() + sim::sec(spec.warmup_s));
 }
 
-DeviceObservations drive_session(FleetWorld& world, const FleetDevice& device,
-                                 const FleetSpec& spec) {
-  DeviceObservations obs;
-  obs.family = device.family;
-  obs.cohort = device.cohort;
-
+/// The usage model: `seconds` of one user's app launches, switches and
+/// closes on a booted world, drawn on `rng`. Each second it advances the
+/// engine, draws the user's action, grows the foreground app, counts the
+/// level's dwell and transitions into `obs`, then calls
+/// `sample(second, level)`, which may read memory state and draw on `rng`.
+template <class Sampler>
+void run_usage(FleetWorld& world, const study::UserProfile& user, std::int64_t seconds,
+               const net::NetSpec& net, stats::Rng& rng, DeviceObservations& obs,
+               Sampler&& sample) {
   sim::Engine& engine = world.engine;
   mem::MemoryManager& memory = world.memory;
   proc::ActivityManager& am = world.am;
 
-  stats::Rng rng(device.session_seed);
   memory.subscribe_trim([&obs](mem::PressureLevel level) {
     ++obs.signals[static_cast<std::size_t>(level)];
   });
 
   std::unordered_map<proc::ProcessId, proc::AppSpec> user_apps;
   std::vector<proc::ProcessId> open_order;
-
-  const study::UserProfile& user = device.user;
   const double action_prob = user.app_switches_per_minute / 60.0;
 
   auto pick_app = [&]() -> proc::AppSpec {
-    // Activity ratings weight the choice, video streaming first — the
-    // same mix as the study's per-device usage model.
+    // Activity ratings weight the choice: video streaming first.
     const double video_w = static_cast<double>(user.rating_video);
     const double music_w = static_cast<double>(user.rating_music) * 0.5;
     const double game_w = static_cast<double>(user.rating_games) * 0.4;
     const double social_w = 4.0;
     const std::size_t kind = rng.weighted_index({video_w, music_w, game_w, social_w});
     switch (kind) {
-      case 0: return media_apps()[static_cast<std::size_t>(rng.uniform_int(0, 1))];
-      case 1: return media_apps()[2];
+      case 0: return proc::media_apps()[static_cast<std::size_t>(rng.uniform_int(0, 1))];
+      case 1: return proc::media_apps()[2];
       case 2: {
         const auto& games = proc::game_apps();
         return games[static_cast<std::size_t>(
@@ -122,15 +93,15 @@ DeviceObservations drive_session(FleetWorld& world, const FleetDevice& device,
   std::unique_ptr<net::Link> link;
   net::TransferId net_fetch = net::kInvalidTransfer;
   bool net_fed = true;
-  if (!spec.net.is_default()) {
-    link = std::make_unique<net::Link>(engine, net::LinkConfig{}, spec.net);
+  if (!net.is_default()) {
+    link = std::make_unique<net::Link>(engine, net::LinkConfig{}, net);
     net_fed = false;
   }
 
   mem::PressureLevel previous_level = memory.level();
   sim::Time state_entered = engine.now();
 
-  for (int second = 0; second < spec.session_s; ++second) {
+  for (std::int64_t second = 0; second < seconds; ++second) {
     engine.run_until(engine.now() + sim::sec(1));
     cleanup_dead();
 
@@ -150,6 +121,7 @@ DeviceObservations drive_session(FleetWorld& world, const FleetDevice& device,
         user_apps.erase(open_order.front());
         open_order.erase(open_order.begin());
       }
+      // Multitasking cap: close the oldest background apps beyond it.
       while (static_cast<int>(open_order.size()) > user.max_open_apps) {
         am.close(open_order.front());
         user_apps.erase(open_order.front());
@@ -182,7 +154,6 @@ DeviceObservations drive_session(FleetWorld& world, const FleetDevice& device,
       }
     }
 
-    // Level dwell/transitions every second; heavyweight samples gated.
     const auto level = memory.level();
     const auto level_index = static_cast<std::size_t>(level);
     obs.seconds_in_level[level_index] += 1;
@@ -194,16 +165,115 @@ DeviceObservations drive_session(FleetWorld& world, const FleetDevice& device,
       previous_level = level;
       state_entered = engine.now();
     }
-    if (second % spec.sample_period_s == 0) {
-      obs.util_samples.push_back(memory.utilization());
-      obs.avail_samples.emplace_back(static_cast<std::uint8_t>(level),
-                                     mem::mb_from_pages(memory.available_pages()));
-    }
+    sample(second, level);
   }
   // The callback captures stack locals; make sure it can never fire
   // after this frame unwinds (the engine is done, but be explicit).
   if (link != nullptr && net_fetch != net::kInvalidTransfer) link->cancel(net_fetch);
+}
+
+/// Algorithm R: keep the first `capacity` of `seen` values, then replace
+/// a uniform slot with probability capacity / seen.
+void reservoir_add(std::vector<double>& sink, std::size_t capacity, std::uint64_t seen,
+                   double value, stats::Rng& rng) {
+  if (sink.size() < capacity) {
+    sink.push_back(value);
+    return;
+  }
+  const auto slot =
+      static_cast<std::uint64_t>(rng.uniform_int(0, static_cast<std::int64_t>(seen) - 1));
+  if (slot < capacity) sink[static_cast<std::size_t>(slot)] = value;
+}
+
+}  // namespace
+
+void prepare_world(FleetWorld& world, std::uint32_t family, std::uint32_t cohort,
+                   const FleetSpec& spec) {
+  const study::FleetFamily& fam = family_at(family);
+  boot(world, fam.profile());
+
+  stats::Rng rng(fleet_world_seed(spec.seed, family, cohort));
+  const auto& pool = proc::top_free_apps();
+  const int preload = cohort_preload_apps(cohort, fam.ram_mb);
+  for (int i = 0; i < preload; ++i) {
+    proc::AppSpec app = pool[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(pool.size()) - 1))];
+    app.name += ".preload" + std::to_string(i);
+    world.am.add_cached(app);
+  }
+  world.engine.run_until(world.engine.now() + sim::sec(spec.warmup_s));
+}
+
+DeviceObservations drive_session(FleetWorld& world, const FleetDevice& device,
+                                 const FleetSpec& spec) {
+  DeviceObservations obs;
+  obs.family = device.family;
+  obs.cohort = device.cohort;
+  stats::Rng rng(device.session_seed);
+  // Level dwell/transitions every second; heavyweight samples gated.
+  run_usage(world, device.user, spec.session_s, spec.net, rng, obs,
+            [&](std::int64_t second, mem::PressureLevel level) {
+              if (second % spec.sample_period_s != 0) return;
+              obs.util_samples.push_back(world.memory.utilization());
+              obs.avail_samples.emplace_back(static_cast<std::uint8_t>(level),
+                                             mem::mb_from_pages(world.memory.available_pages()));
+            });
   return obs;
+}
+
+study::DeviceStudyResult simulate_study_device(const study::StudyDevice& device,
+                                               std::uint64_t seed) {
+  study::DeviceStudyResult result;
+  result.device = device;
+  DeviceObservations obs;
+  const core::DeviceProfile profile = device.profile();
+  FleetWorld world(profile);
+  boot(world, profile);
+
+  // The paper's app logged every second; reservoirs keep the Fig 2 and
+  // Fig 5 samples bounded over a device's whole interactive time.
+  stats::Rng rng(stats::derive_seed(seed, static_cast<std::uint64_t>(device.index) + 7777));
+  const auto seconds = static_cast<std::int64_t>(device.interactive_hours * 3600.0);
+  run_usage(world, device.user, seconds, net::NetSpec{}, rng, obs,
+            [&](std::int64_t second, mem::PressureLevel level) {
+              const auto index = static_cast<std::size_t>(level);
+              reservoir_add(result.utilization_samples, 7200,
+                            static_cast<std::uint64_t>(second) + 1, world.memory.utilization(),
+                            rng);
+              reservoir_add(result.available_mb_by_state[index], 2000,
+                            obs.seconds_in_level[index],
+                            mem::mb_from_pages(world.memory.available_pages()), rng);
+            });
+
+  result.hours_logged = static_cast<double>(seconds) / 3600.0;
+  result.signals = obs.signals;
+  for (std::size_t from = 0; from < obs.seconds_in_level.size(); ++from) {
+    result.seconds_in_level[from] = obs.seconds_in_level[from];
+    std::copy(obs.transitions[from].begin(), obs.transitions[from].end(),
+              result.transitions[from].begin());
+  }
+  for (const auto& [from, dwell_s] : obs.dwell) result.dwell_seconds[from].push_back(dwell_s);
+  result.median_utilization = result.utilization_samples.empty()
+                                  ? 0.0
+                                  : stats::percentile(result.utilization_samples, 50.0);
+  return result;
+}
+
+std::vector<study::DeviceStudyResult> run_study(const std::vector<study::StudyDevice>& population,
+                                                std::uint64_t seed, int jobs) {
+  auto batch = runner::run_batch(population.size(), jobs, [&](std::size_t i) {
+    return simulate_study_device(population[i], seed);
+  });
+  std::vector<study::DeviceStudyResult> results;
+  results.reserve(batch.runs.size());
+  for (auto& slot : batch.runs) {
+    if (!slot.ok) {
+      throw std::runtime_error("study: device " + std::to_string(slot.index) + " failed: " +
+                               slot.error);
+    }
+    results.push_back(std::move(slot.value));
+  }
+  return results;
 }
 
 std::vector<DeviceObservations> run_shard_observations(const FleetSpec& spec,

@@ -1,5 +1,6 @@
 // One fleet device-session: world template preparation and the
-// per-second usage loop (DESIGN.md §15).
+// per-second usage loop (DESIGN.md §15). The same loop also runs the §3
+// field study, one device at a time (simulate_study_device).
 //
 // The session splits into a *template* phase — boot the family's device, preload the cohort's
 // organic apps, idle through warmup — that is identical for every
@@ -19,10 +20,11 @@
 #include "mem/memory_manager.hpp"
 #include "proc/activity_manager.hpp"
 #include "sim/engine.hpp"
+#include "study/analysis.hpp"
 
 namespace mvqoe::fleet {
 
-inline constexpr int kLevels = 4;  // Normal, Moderate, Low, Critical
+using study::kLevels;
 
 /// What one device-session observed — the SignalCapturer counterpart at
 /// fleet scale. Sample vectors are in capture (time) order so folding
@@ -67,6 +69,21 @@ void prepare_world(FleetWorld& world, std::uint32_t family, std::uint32_t cohort
 /// Consumes the world (the session mutates it).
 DeviceObservations drive_session(FleetWorld& world, const FleetDevice& device,
                                  const FleetSpec& spec);
+
+/// One §3 study device: its interactive hours of usage on a world booted
+/// from its own profile (no preload, no warmup), on the session stream
+/// derive_seed(seed, index + 7777). Every second feeds a 7200-slot
+/// utilization reservoir and a 2000-slot available-memory reservoir per
+/// level. Deterministic per (device, seed).
+study::DeviceStudyResult simulate_study_device(const study::StudyDevice& device,
+                                               std::uint64_t seed);
+
+/// simulate_study_device over `population` on `jobs` threads
+/// (runner::resolve_jobs), in population order whatever the worker count.
+/// Uncleaned: apply study::clean downstream, as the paper does. Throws if
+/// any device fails.
+std::vector<study::DeviceStudyResult> run_study(const std::vector<study::StudyDevice>& population,
+                                                std::uint64_t seed, int jobs);
 
 /// Observations for every device of shard `unit`, in ascending device
 /// order, each on its own freshly prepared world.

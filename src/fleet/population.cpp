@@ -1,7 +1,6 @@
 #include "fleet/population.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <vector>
 
 #include "stats/rng.hpp"
@@ -9,13 +8,6 @@
 namespace mvqoe::fleet {
 
 namespace {
-
-/// Same rating distribution as the study generator: mass concentrated
-/// around the mode, clamped to the 1-5 survey scale.
-int draw_rating(stats::Rng& rng, int mode) {
-  const double value = rng.normal(static_cast<double>(mode), 1.1);
-  return static_cast<int>(std::clamp(std::lround(value), 1L, 5L));
-}
 
 const std::vector<double>& family_weights() {
   static const std::vector<double> weights = [] {
@@ -37,16 +29,7 @@ FleetDevice sample_fleet_device(std::uint64_t index, std::uint64_t seed) {
   device.session_seed = stats::derive_seed(seed, index * 2 + 1);
   device.family = static_cast<std::uint32_t>(rng.weighted_index(family_weights()));
   device.cohort = static_cast<std::uint32_t>(rng.uniform_int(0, kCohorts - 1));
-
-  study::UserProfile& user = device.user;
-  // Fig 1 marginals: video streaming most frequent, then music, games.
-  user.rating_video = draw_rating(rng, 4);
-  user.rating_music = draw_rating(rng, 3);
-  user.rating_games = draw_rating(rng, 2);
-  user.rating_multitask_1 = draw_rating(rng, 4);
-  user.rating_multitask_2 = draw_rating(rng, 3);
-  user.app_switches_per_minute = rng.uniform(0.5, 2.0);
-  user.max_open_apps = 2 + user.rating_multitask_2;
+  device.user = study::sample_user(rng);
   return device;
 }
 

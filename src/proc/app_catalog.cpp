@@ -32,6 +32,15 @@ const std::vector<AppSpec>& game_apps() {
   return games;
 }
 
+const std::vector<AppSpec>& media_apps() {
+  static const std::vector<AppSpec> apps = {
+      {"com.youtube", pages_from_mb(185), pages_from_mb(55), pages_from_mb(3), false},
+      {"com.netflix", pages_from_mb(170), pages_from_mb(50), pages_from_mb(2), false},
+      {"com.spotify.play", pages_from_mb(110), pages_from_mb(35), pages_from_mb(1) / 2, false},
+  };
+  return apps;
+}
+
 std::vector<SystemProcessSpec> system_processes(double scale) {
   auto scaled = [scale](std::int64_t mb) {
     return pages_from_mb(static_cast<std::int64_t>(static_cast<double>(mb) * scale));

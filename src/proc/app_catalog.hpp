@@ -4,8 +4,8 @@
 //   * §4.3 "organic memory pressure": opening 8 background applications
 //     "selected from the top free applications available on Google Play
 //     Store" (no games) before starting the video.
-//   * §3 field study: the population simulator launches apps from this
-//     catalog according to each user's usage profile.
+//   * §3 field study and the fleet: the usage model (fleet/device_session)
+//     launches apps from this catalog according to each user's profile.
 // Footprints are representative PSS figures for popular Android apps on
 // low/mid-range devices (order tens to a couple hundred MB).
 #pragma once
@@ -31,8 +31,12 @@ struct AppSpec {
 /// matching the paper's organic-pressure selection).
 const std::vector<AppSpec>& top_free_apps();
 
-/// Games (heavier), used only by the field-study usage model.
+/// Games (heavier), used only by the usage model.
 const std::vector<AppSpec>& game_apps();
+
+/// Streaming apps the usage model foregrounds (two video, one music):
+/// heavier than the catalog average and growing while streaming.
+const std::vector<AppSpec>& media_apps();
 
 /// Always-running system processes: system_server, surfaceflinger, media
 /// services, IME, launcher... `scale` stretches footprints for larger-RAM

@@ -21,7 +21,6 @@
 
 #include "scenario/driver.hpp"
 #include "snapshot/blob.hpp"
-#include "snapshot/replay/scenario.hpp"
 
 namespace mvqoe::snapshot::replay {
 

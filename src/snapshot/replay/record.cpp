@@ -21,7 +21,7 @@ std::optional<std::string> first_digest_diff(
 
 }  // namespace
 
-Snapshot record_run(const ScenarioSpec& scen, const RecordOptions& options) {
+Snapshot record_run(const scenario::ScenarioSpec& scen, const RecordOptions& options) {
   if (options.interval <= 0 || options.interval % sim::sec(1) != 0) {
     throw std::invalid_argument("snapshot: checkpoint interval must be whole positive seconds");
   }
@@ -40,7 +40,7 @@ Snapshot record_run(const ScenarioSpec& scen, const RecordOptions& options) {
   Snapshot snap;
   {
     ByteWriter w;
-    save_scenario(w, scen);
+    scenario::save_scenario(w, scen);
     snap.put(kScenTag, std::move(w));
   }
   // Subsystem state sections at the final trail point — captured before
@@ -122,15 +122,15 @@ std::vector<std::pair<std::string, std::uint64_t>> load_subsystem_digests(const 
 
 namespace {
 
-ScenarioSpec load_blob_scenario(const Snapshot& blob) {
+scenario::ScenarioSpec load_blob_scenario(const Snapshot& blob) {
   ByteReader r(blob.require(kScenTag));
-  return load_scenario(r);
+  return scenario::load_scenario(r);
 }
 
 }  // namespace
 
 VerifyReport verify_replay(const Snapshot& blob, std::optional<sim::Time> perturb_at) {
-  const ScenarioSpec scen = load_blob_scenario(blob);
+  const scenario::ScenarioSpec scen = load_blob_scenario(blob);
   const std::vector<TrailEntry> trail = load_trail(blob);
 
   ReplayDriver driver(scen);
@@ -156,7 +156,7 @@ VerifyReport verify_replay(const Snapshot& blob, std::optional<sim::Time> pertur
 }
 
 DivergenceReport bisect_divergence(const Snapshot& blob, sim::Time perturb_at) {
-  const ScenarioSpec scen = load_blob_scenario(blob);
+  const scenario::ScenarioSpec scen = load_blob_scenario(blob);
   const std::vector<TrailEntry> trail = load_trail(blob);
 
   DivergenceReport report;

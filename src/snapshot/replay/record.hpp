@@ -17,9 +17,9 @@
 #include <string>
 #include <vector>
 
+#include "scenario/spec.hpp"
 #include "snapshot/blob.hpp"
 #include "snapshot/replay/driver.hpp"
-#include "snapshot/replay/scenario.hpp"
 
 namespace mvqoe::snapshot::replay {
 
@@ -59,7 +59,7 @@ struct ReplayMeta {
 };
 
 /// Run the scenario to completion, return the blob.
-Snapshot record_run(const ScenarioSpec& scen, const RecordOptions& options = {});
+Snapshot record_run(const scenario::ScenarioSpec& scen, const RecordOptions& options = {});
 
 ReplayMeta load_meta(const Snapshot& blob);
 std::vector<TrailEntry> load_trail(const Snapshot& blob);

@@ -4,6 +4,34 @@
 
 namespace mvqoe::study {
 
+double DeviceStudyResult::signals_per_hour(int level) const noexcept {
+  return hours_logged > 0.0
+             ? static_cast<double>(signals[static_cast<std::size_t>(level)]) / hours_logged
+             : 0.0;
+}
+
+double DeviceStudyResult::total_signals_per_hour() const noexcept {
+  return signals_per_hour(1) + signals_per_hour(2) + signals_per_hour(3);
+}
+
+double DeviceStudyResult::fraction_in_level(int level) const noexcept {
+  const double total = hours_logged * 3600.0;
+  return total > 0.0 ? seconds_in_level[static_cast<std::size_t>(level)] / total : 0.0;
+}
+
+double DeviceStudyResult::fraction_not_normal() const noexcept {
+  return fraction_in_level(1) + fraction_in_level(2) + fraction_in_level(3);
+}
+
+std::vector<DeviceStudyResult> clean(std::vector<DeviceStudyResult> results, double min_hours) {
+  results.erase(std::remove_if(results.begin(), results.end(),
+                               [min_hours](const DeviceStudyResult& result) {
+                                 return result.hours_logged <= min_hours;
+                               }),
+                results.end());
+  return results;
+}
+
 const char* UsageHeatmap::activity_name(int activity) noexcept {
   switch (activity) {
     case 0: return "playing games";

@@ -1,15 +1,54 @@
-// Cross-device aggregation of the field-study results: the queries behind
-// Figures 1-6 and the §3 rows of Table 1.
+// Field-study results and their cross-device aggregation: the queries
+// behind Figures 1-6 and the §3 rows of Table 1. The per-device results
+// come from the usage model (fleet::simulate_study_device), the
+// SignalCapturer counterpart: the same observations the paper's app
+// logged every second (available memory, current pressure state) plus
+// the statistics derived from them.
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "stats/summary.hpp"
-#include "study/device_sim.hpp"
+#include "study/population.hpp"
 
 namespace mvqoe::study {
+
+constexpr int kLevels = 4;  // Normal, Moderate, Low, Critical
+
+struct DeviceStudyResult {
+  StudyDevice device;
+  double hours_logged = 0.0;
+
+  /// Reservoir-sampled per-second RAM utilization (1 - available/total).
+  std::vector<double> utilization_samples;
+  double median_utilization = 0.0;
+
+  /// Trim signals received, by level (index 1..3 meaningful).
+  std::array<std::uint64_t, kLevels> signals{};
+  /// Seconds spent with each level as the current state.
+  std::array<double, kLevels> seconds_in_level{};
+
+  /// Fig 6: transitions[from][to] counts, and dwell-time samples (s) in
+  /// `from` before each transition.
+  std::array<std::array<std::uint64_t, kLevels>, kLevels> transitions{};
+  std::array<std::vector<double>, kLevels> dwell_seconds;
+
+  /// Fig 5: available memory (MB) sampled while in each state.
+  std::array<std::vector<double>, kLevels> available_mb_by_state;
+
+  double signals_per_hour(int level) const noexcept;
+  double total_signals_per_hour() const noexcept;
+  double fraction_in_level(int level) const noexcept;
+  double fraction_not_normal() const noexcept;
+};
+
+/// Data-cleaning rule (§3): keep devices with more than `min_hours` of
+/// interactive data.
+std::vector<DeviceStudyResult> clean(std::vector<DeviceStudyResult> results,
+                                     double min_hours = 10.0);
 
 /// Fig 1: per-activity histogram of 1-5 ratings across users.
 struct UsageHeatmap {

@@ -27,6 +27,18 @@ int draw_rating(stats::Rng& rng, int mode) {
 
 }  // namespace
 
+UserProfile sample_user(stats::Rng& rng) {
+  UserProfile user;
+  user.rating_video = draw_rating(rng, 4);
+  user.rating_music = draw_rating(rng, 3);
+  user.rating_games = draw_rating(rng, 2);
+  user.rating_multitask_1 = draw_rating(rng, 4);
+  user.rating_multitask_2 = draw_rating(rng, 3);
+  user.app_switches_per_minute = rng.uniform(0.5, 2.0);
+  user.max_open_apps = 2 + user.rating_multitask_2;
+  return user;
+}
+
 StudyDevice generate_study_device(int i, std::uint64_t seed) {
   // RAM mix: skewed to 2-4 GB as in the study (total device memory
   // "ranged from 1 GB to 8 GB").
@@ -53,16 +65,7 @@ StudyDevice generate_study_device(int i, std::uint64_t seed) {
   // Interactive hours: lognormal, median ~18 h, long tail; the paper's
   // cleaning rule (> 10 h) then keeps ~60% of devices.
   device.interactive_hours = std::clamp(rng.lognormal(2.9, 0.8), 1.0, 90.0);
-
-  UserProfile& user = device.user;
-  // Fig 1: video streaming most frequent, then music, then games.
-  user.rating_video = draw_rating(rng, 4);
-  user.rating_music = draw_rating(rng, 3);
-  user.rating_games = draw_rating(rng, 2);
-  user.rating_multitask_1 = draw_rating(rng, 4);
-  user.rating_multitask_2 = draw_rating(rng, 3);
-  user.app_switches_per_minute = rng.uniform(0.5, 2.0);
-  user.max_open_apps = 2 + user.rating_multitask_2;
+  device.user = sample_user(rng);
   return device;
 }
 

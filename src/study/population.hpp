@@ -47,6 +47,11 @@ struct StudyDevice {
   core::DeviceProfile profile() const;
 };
 
+/// Draw one user's survey ratings and behaviour knobs with the Fig 1
+/// marginals (video streaming most frequent, then music, then games).
+/// The study and the fleet populations both draw their users here.
+UserProfile sample_user(stats::Rng& rng);
+
 /// The 12 manufacturers represented in the study population.
 const std::vector<std::string>& manufacturers();
 

@@ -256,6 +256,36 @@ TEST(FleetLanes, ProgressReachesTotalMonotonically) {
   for (std::size_t i = 1; i < done.size(); ++i) EXPECT_GE(done[i], done[i - 1]);
 }
 
+// --- Pinned digests ---------------------------------------------------------
+// Serial digests of the usage model: the session loop, the app picker,
+// the dead-app cleanup and (on the cubic fleet) the link-gated growth
+// all feed them, so any behaviour change in the loop shows here.
+
+fleet::FleetSpec pinned_spec() {
+  fleet::FleetSpec spec;
+  spec.devices = 48;
+  spec.seed = 5;
+  spec.session_s = 40;
+  spec.sample_period_s = 4;
+  spec.warmup_s = 2;
+  spec.shard_size = 16;
+  return spec;
+}
+
+TEST(FleetPin, FifoSerialDigest) {
+  const fleet::FleetRunResult result = fleet::run_fleet(pinned_spec(), fast_options());
+  ASSERT_TRUE(result.complete);
+  EXPECT_EQ(result.digest, 0xac09b1a3b3993317ULL);
+}
+
+TEST(FleetPin, CubicSerialDigest) {
+  fleet::FleetSpec spec = pinned_spec();
+  spec.net.cc = "cubic";
+  const fleet::FleetRunResult result = fleet::run_fleet(spec, fast_options());
+  ASSERT_TRUE(result.complete);
+  EXPECT_EQ(result.digest, 0x1b01d48166ed954aULL);
+}
+
 #if MVQOE_TEST_FORK
 
 TEST(FleetLanes, ProcessLaneMatchesSerialByteForByte) {

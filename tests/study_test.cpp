@@ -1,9 +1,36 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+
+#include "fleet/device_session.hpp"
+#include "snapshot/digest.hpp"
 #include "study/analysis.hpp"
 
 namespace mvqoe::study {
 namespace {
+
+/// Every field of one device's study result, doubles by bit pattern and
+/// vectors length-prefixed, so any change to a sample or its order shows.
+void mix_result(snapshot::StateHash& hash, const DeviceStudyResult& result) {
+  const auto mix_double = [&hash](double value) { hash.mix(std::bit_cast<std::uint64_t>(value)); };
+  const auto mix_doubles = [&](const std::vector<double>& values) {
+    hash.mix(values.size());
+    for (const double value : values) mix_double(value);
+  };
+  hash.mix(static_cast<std::uint64_t>(result.device.index));
+  hash.mix(static_cast<std::uint64_t>(result.device.ram_mb));
+  mix_double(result.hours_logged);
+  mix_doubles(result.utilization_samples);
+  mix_double(result.median_utilization);
+  for (std::size_t level = 0; level < kLevels; ++level) {
+    hash.mix(result.signals[level]);
+    mix_double(result.seconds_in_level[level]);
+    for (const std::uint64_t count : result.transitions[level]) hash.mix(count);
+    mix_doubles(result.dwell_seconds[level]);
+    mix_doubles(result.available_mb_by_state[level]);
+  }
+}
 
 TEST(Population, GeneratesRequestedCount) {
   const auto population = generate_population(80, 42);
@@ -70,7 +97,7 @@ TEST(DeviceSim, ShortRunProducesSamples) {
   StudyDevice device = generate_population(1, 3)[0];
   device.ram_mb = 2048;
   device.interactive_hours = 0.5;
-  const auto result = simulate_device(device, 99);
+  const auto result = fleet::simulate_study_device(device, 99);
   EXPECT_NEAR(result.hours_logged, 0.5, 1e-9);
   EXPECT_FALSE(result.utilization_samples.empty());
   EXPECT_GT(result.median_utilization, 0.2);
@@ -89,7 +116,7 @@ TEST(DeviceSim, LowRamDeviceSeesPressureSignals) {
   device.user.rating_video = 5;
   device.user.app_switches_per_minute = 2.0;
   device.user.max_open_apps = 6;
-  const auto result = simulate_device(device, 11);
+  const auto result = fleet::simulate_study_device(device, 11);
   EXPECT_GT(result.signals[1] + result.signals[2] + result.signals[3], 0u);
   EXPECT_GT(result.fraction_not_normal(), 0.0);
 }
@@ -100,7 +127,7 @@ TEST(DeviceSim, HighRamDeviceMostlyNormal) {
   device.cores = 8;
   device.freq_ghz = 2.6;
   device.interactive_hours = 1.0;
-  const auto result = simulate_device(device, 12);
+  const auto result = fleet::simulate_study_device(device, 12);
   EXPECT_GT(result.fraction_in_level(0), 0.9);
 }
 
@@ -108,10 +135,31 @@ TEST(DeviceSim, DeterministicPerSeed) {
   StudyDevice device = generate_population(1, 3)[0];
   device.ram_mb = 1024;
   device.interactive_hours = 0.3;
-  const auto a = simulate_device(device, 5);
-  const auto b = simulate_device(device, 5);
+  const auto a = fleet::simulate_study_device(device, 5);
+  const auto b = fleet::simulate_study_device(device, 5);
   EXPECT_EQ(a.signals, b.signals);
   EXPECT_DOUBLE_EQ(a.median_utilization, b.median_utilization);
+}
+
+// Pins the whole per-device study output (Figs 2-6 read nothing else),
+// run on three threads: the value was recorded serially. At this scale
+// devices 0 and 4 log more than 7200 s and one level of each holds more
+// than 2000 s, so both reservoirs fill and start replacing samples on
+// the session RNG.
+TEST(DeviceSim, StudyResultsArePinned) {
+  auto population = generate_population(8, 42);
+  for (auto& device : population) device.interactive_hours *= 0.075;
+  snapshot::StateHash hash;
+  bool both_reservoirs_full = false;
+  for (const DeviceStudyResult& result : fleet::run_study(population, 1, 3)) {
+    mix_result(hash, result);
+    const bool level_full = std::any_of(result.seconds_in_level.begin(),
+                                        result.seconds_in_level.end(),
+                                        [](double seconds) { return seconds > 2000.0; });
+    both_reservoirs_full |= result.hours_logged * 3600.0 > 7200.0 && level_full;
+  }
+  EXPECT_TRUE(both_reservoirs_full);
+  EXPECT_EQ(hash.value(), 0x865ed38d568d9c89ULL);
 }
 
 TEST(DeviceSim, CleanDropsShortLogs) {

@@ -8,7 +8,7 @@
 # of both build trees with MVQOE_JOBS=4, each tree writing into its own
 # directory, then compares stdout, exit status, every BENCH_*.json and
 # every written file byte for byte. Only host time is masked: the fleet
-# line's wall, devices/s and peak-RSS figures. Use it to prove that a
+# lines' wall, devices/s and peak-RSS figures. Use it to prove that a
 # change claiming no behaviour change leaves every paper and tool output
 # as it was; build both trees the same way (e.g.
 # -DCMAKE_BUILD_TYPE=Release).
@@ -48,6 +48,7 @@ tool_fuzz tools/mvqoe_fuzz --seed 1 --runs 6 --out files
 tool_sweep tools/mvqoe_campaign sweep --duration 6 --states low --fps 30 --heights 360,480 --out sweep
 tool_compare tools/mvqoe_policy compare --duration 6 --seed 5 --out lab
 tool_fleet tools/mvqoe_fleet run --devices 256 --session-s 3 --sample-period 2 --report files/fleet.json
+tool_fleet_cc tools/mvqoe_fleet run --devices 128 --session-s 3 --sample-period 2 --cc cubic --report files/fleet_cc.json
 tool_record tools/mvqoe_replay record files/replay.mvqs --duration=6 --interval=2
 tool_info tools/mvqoe_replay info files/replay.mvqs"
 
@@ -69,8 +70,10 @@ run_tree() {  # run_tree BUILD OUT
     (cd "$2" && MVQOE_JOBS=4 MVQOE_JSON_DIR=json "$1/$rel" $args > "$name.stdout" 2> "$name.stderr")
     echo $? > "$2/$name.status"
   done
-  mask "$2/tool_fleet.stdout" \
-    's/ [0-9.]*s wall, [0-9]* devices\/sec, peak RSS [0-9.]* MB,/ Xs wall, Y devices\/sec, peak RSS Z MB,/'
+  for fleet in tool_fleet tool_fleet_cc; do
+    mask "$2/$fleet.stdout" \
+      's/ [0-9.]*s wall, [0-9]* devices\/sec, peak RSS [0-9.]* MB,/ Xs wall, Y devices\/sec, peak RSS Z MB,/'
+  done
 }
 
 echo "identity_check: running parent tree $parent"

@@ -53,7 +53,7 @@ int usage() {
                "       mvqoe_replay verify <blob> [--perturb-at=S]\n"
                "       mvqoe_replay bisect <blob> --perturb-at=S\n"
                "families:");
-  for (const std::string& family : scenario_families()) {
+  for (const std::string& family : mvqoe::scenario::scenario_families()) {
     std::fprintf(stderr, " %s", family.c_str());
   }
   std::fprintf(stderr, "\nstates: normal moderate low critical\n");
