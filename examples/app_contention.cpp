@@ -8,7 +8,6 @@
 #include <cstdio>
 
 #include "runner/batch.hpp"
-#include "runner/scenario_batch.hpp"
 #include "scenario/driver.hpp"
 
 int main(int argc, char** argv) {
@@ -34,7 +33,7 @@ int main(int argc, char** argv) {
     video.height = 480;
     video.fps = 30;
     video.duration_s = 30;
-    video.seed = runner::contention_session_seed(spec.seed, static_cast<std::size_t>(k));
+    video.seed = scenario::contention_session_seed(spec.seed, static_cast<std::size_t>(k));
     spec.workloads.emplace_back(std::move(video));
   }
 

@@ -1,6 +1,8 @@
 // Fault storm: drive one 60 s playback session through a scripted storm
 // — link outage, thermal throttle, lmkd-style kill with relaunch — and
-// print the QoE delta against a clean run of the same seed.
+// print the QoE delta against a clean run of the same seed. Both runs go
+// through the check suite (every oracle at every 1 s slice); the example
+// exits 1 if an oracle trips or the storm's frame identity does not close.
 //
 //   $ ./examples/fault_storm [height] [fps]
 //
@@ -11,12 +13,13 @@
 //            cold after 2.5 s and resumes at the next segment boundary
 #include <cstdio>
 
+#include "check/harness.hpp"
 #include "runner/batch.hpp"
 #include "scenario/driver.hpp"
 
 namespace {
 
-mvqoe::scenario::ScenarioResult run(int height, int fps, bool storm) {
+mvqoe::check::RunReport run(int height, int fps, bool storm) {
   using namespace mvqoe;
   fault::FaultPlan plan;
   if (storm) {
@@ -27,13 +30,12 @@ mvqoe::scenario::ScenarioResult run(int height, int fps, bool storm) {
   // "fig11" is the paper's Nexus 5 + Firefox setup.
   auto spec = scenario::single_video("fig11", height, fps, /*duration_s=*/60,
                                      mem::PressureLevel::Normal, /*seed=*/7, std::move(plan));
-  spec.run_watchdog = true;
   if (storm) {
     video::RecoveryConfig recovery;
     recovery.relaunch_on_kill = true;
     scenario::video_spec(spec).recovery = recovery;
   }
-  return scenario::run_scenario(spec);
+  return check::check_scenario(spec, {.meta_determinism = false});
 }
 
 void print_run(const char* label, const mvqoe::core::VideoRunResult& r) {
@@ -57,13 +59,23 @@ int main(int argc, char** argv) {
   std::printf("fault storm vs clean run: Nexus 5, %dp%d, 60 s\n", height, fps);
   std::printf("storm: outage 8-13 s, thermal 18-26 s @ 0.55x, kill at 30 s (relaunch on)\n\n");
 
-  const core::VideoRunResult clean = run(height, fps, false).sessions.at(0).result;
-  const scenario::ScenarioResult storm_run = run(height, fps, true);
-  const core::VideoRunResult& storm = storm_run.sessions.at(0).result;
+  const check::RunReport clean_run = run(height, fps, false);
+  const check::RunReport storm_run = run(height, fps, true);
+  for (const check::RunReport* report : {&clean_run, &storm_run}) {
+    if (report->ok) continue;
+    const check::Violation& v = *report->violation;
+    std::printf("oracle %s tripped in the %s run at +%.0fs: %s\n", v.oracle.c_str(),
+                report == &clean_run ? "clean" : "storm", sim::to_seconds(v.offset),
+                v.detail.c_str());
+    return 1;
+  }
+  const core::VideoRunResult& clean = clean_run.result.sessions.at(0).result;
+  const core::VideoRunResult& storm = storm_run.result.sessions.at(0).result;
 
   print_run("clean:", clean);
   print_run("storm:", storm);
 
+  const int asset_frames = 60 * fps;
   const std::int64_t total = storm.metrics.frames_presented + storm.metrics.frames_dropped +
                              storm.metrics.frames_lost_to_kill;
   std::printf("\nframe identity (storm): %lld presented + %lld dropped + %lld lost = %lld"
@@ -71,12 +83,12 @@ int main(int argc, char** argv) {
               static_cast<long long>(storm.metrics.frames_presented),
               static_cast<long long>(storm.metrics.frames_dropped),
               static_cast<long long>(storm.metrics.frames_lost_to_kill),
-              static_cast<long long>(total), 60 * fps);
+              static_cast<long long>(total), asset_frames);
   std::printf("QoE delta: drop rate %+.1f pp, %d kill(s) absorbed, %.2f s of downtime,\n"
-              "           %d watchdog violation(s)\n",
+              "           %zu oracles clean at every 1 s slice of both runs\n",
               100.0 * (storm.outcome.drop_rate - clean.outcome.drop_rate),
               storm.metrics.relaunches, storm.outcome.relaunch_downtime_s,
-              static_cast<int>(storm_run.watchdog_violations.size()));
+              check::oracle_names().size());
 
   std::printf("\nper-second rendered FPS through the storm:\n");
   const auto& series = storm.metrics.presented_per_second;
@@ -87,5 +99,5 @@ int main(int argc, char** argv) {
     else if (second >= 30 && second < 36) marker = "  <- kill/relaunch window";
     std::printf("  t=%3zus  %3d fps%s\n", second, series[second], marker);
   }
-  return 0;
+  return total == asset_frames ? 0 : 1;
 }

@@ -1,7 +1,6 @@
 #include "check/harness.hpp"
 
 #include <mutex>
-#include <sstream>
 #include <stdexcept>
 
 #include "runner/batch.hpp"
@@ -50,8 +49,7 @@ RunReport check_scenario(const scenario::ScenarioSpec& scen, const CheckOptions&
     if (!sample(false)) return report;
   }
   report.final_digest = report.trail.back().digest;
-  const scenario::ScenarioResult result = drv.finalize();
-  report.status = result.status;
+  report.result = drv.finalize();
   if (!sample(true)) return report;
 
   if (!opts.meta_determinism) return report;
@@ -59,19 +57,13 @@ RunReport check_scenario(const scenario::ScenarioSpec& scen, const CheckOptions&
   // Run-twice identity: a clean re-execution must hit every slice
   // digest of the primary run. A perturbed primary run fails here —
   // that is the manufactured meta-determinism violation.
-  snapshot::replay::ReplayDriver rerun(scen);
-  rerun.start();
-  for (const snapshot::replay::TrailEntry& entry : report.trail) {
-    if (entry.offset > rerun.offset()) rerun.advance_to_offset(entry.offset);
-    if (rerun.offset() != entry.offset || rerun.digest() != entry.digest) {
-      std::ostringstream why;
-      why << "re-run digest diverged at offset " << entry.offset << "us: recorded " << std::hex
-          << entry.digest << ", re-run " << rerun.digest() << std::dec << " (re-run offset "
-          << rerun.offset() << "us)";
-      report.ok = false;
-      report.violation = meta_violation("meta-determinism", why.str(), entry.offset);
-      return report;
-    }
+  const snapshot::replay::VerifyReport rerun = snapshot::replay::verify_trail(scen, report.trail);
+  if (!rerun.ok) {
+    report.ok = false;
+    report.violation = meta_violation(
+        "meta-determinism", "re-run " + snapshot::replay::format_report(rerun),
+        rerun.mismatch_offset);
+    return report;
   }
 
   // Checkpoint/restore identity: replay a fresh world to one
@@ -82,15 +74,13 @@ RunReport check_scenario(const scenario::ScenarioSpec& scen, const CheckOptions&
     const std::size_t index =
         1 + static_cast<std::size_t>(pick % (report.trail.size() - 2));
     const snapshot::replay::TrailEntry& entry = report.trail[index];
-    snapshot::replay::ReplayDriver restore(scen);
-    restore.start();
-    restore.advance_to_offset(entry.offset);
-    if (restore.offset() != entry.offset || restore.digest() != entry.digest) {
-      std::ostringstream why;
-      why << "checkpoint restore to offset " << entry.offset << "us digested " << std::hex
-          << restore.digest() << ", trail recorded " << entry.digest << std::dec;
+    const snapshot::replay::VerifyReport restore =
+        snapshot::replay::verify_trail(scen, {entry});
+    if (!restore.ok) {
       report.ok = false;
-      report.violation = meta_violation("checkpoint-restore", why.str(), entry.offset);
+      report.violation = meta_violation(
+          "checkpoint-restore", "restore " + snapshot::replay::format_report(restore),
+          entry.offset);
       return report;
     }
   }

@@ -25,7 +25,7 @@ struct CheckOptions {
   bool meta_determinism = true;
   /// Test/demo hook: flip one SystemActivity RNG bit at this offset in
   /// the primary run — manufactures a real meta-determinism failure.
-  std::optional<sim::Time> perturb_at;
+  std::optional<sim::Time> perturb_at{};
   /// Engine livelock tripwire threshold (0 = disabled).
   std::uint64_t livelock_limit = 500000;
 };
@@ -38,7 +38,9 @@ struct RunReport {
   std::vector<snapshot::replay::TrailEntry> trail;
   std::uint64_t final_digest = 0;
   int slices = 0;
-  core::RunStatus status = core::RunStatus::Completed;
+  /// The finalized run; empty (no sessions) when an oracle tripped
+  /// before the last slice.
+  scenario::ScenarioResult result;
 };
 
 RunReport check_scenario(const scenario::ScenarioSpec& scen, const CheckOptions& opts = {});

@@ -15,6 +15,7 @@ WorldObservation WorldObserver::observe(const scenario::ScenarioDriver& driver, 
 
   obs.engine.invariants_ok = bed.engine.check_invariants();
   obs.engine.livelock_trips = bed.engine.livelock_trips();
+  obs.engine.pending_events = bed.engine.pending_events();
 
   const mem::MemoryConfig& mc = memory.config();
   obs.mem.total = mc.total;

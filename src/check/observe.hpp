@@ -68,6 +68,7 @@ struct MemObs {
 struct EngineObs {
   bool invariants_ok = true;
   std::uint64_t livelock_trips = 0;
+  std::size_t pending_events = 0;
 };
 
 struct NetFlowObs {

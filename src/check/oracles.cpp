@@ -271,6 +271,12 @@ std::optional<Violation> EngineOracle::check(const WorldObservation& obs) {
     why << "livelock tripwire fired " << obs.engine.livelock_trips << " time(s)";
     return make(obs, name(), why.str());
   }
+  if (obs.engine.pending_events > kMaxPendingEvents) {
+    std::ostringstream why;
+    why << "pending-event leak: " << obs.engine.pending_events << " events queued (limit "
+        << kMaxPendingEvents << ")";
+    return make(obs, name(), why.str());
+  }
   return std::nullopt;
 }
 

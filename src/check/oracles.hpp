@@ -134,10 +134,13 @@ class VideoFrameOracle final : public Oracle {
   std::map<std::string, Prev> prev_;
 };
 
-/// Engine health: event-queue bookkeeping audit plus the livelock
-/// tripwire (armed by the harness).
+/// Engine health: the event-queue bookkeeping audit, the livelock
+/// tripwire (armed by the harness) and a bound on queued events — a
+/// queue past it is a leak (something scheduling without ever firing).
 class EngineOracle final : public Oracle {
  public:
+  static constexpr std::size_t kMaxPendingEvents = 1 << 20;
+
   std::string name() const override { return "engine"; }
   std::optional<Violation> check(const WorldObservation& obs) override;
 };

@@ -138,7 +138,7 @@ class MemoryManager {
   /// non-Normal level). Listeners must outlive the manager or the run.
   void subscribe_trim(TrimListener listener);
 
-  /// Page-accounting conservation audit (invariant watchdog hook): the
+  /// Page-accounting conservation audit (the mem-conservation oracle): the
   /// per-process registry totals must equal the global pools, every pool
   /// must be non-negative, and in-flight writeback bounded by the dirty
   /// pool. `detail` names the first violated invariant.

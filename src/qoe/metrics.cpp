@@ -77,24 +77,6 @@ double RunAggregate::max_peak_pss_mb() const {
   return best;
 }
 
-void SessionBreakdown::add(const std::string& label, const RunOutcome& outcome) {
-  for (auto& [name, aggregate] : entries_) {
-    if (name == label) {
-      aggregate.add(outcome);
-      return;
-    }
-  }
-  entries_.emplace_back(label, RunAggregate{});
-  entries_.back().second.add(outcome);
-}
-
-const RunAggregate* SessionBreakdown::find(const std::string& label) const noexcept {
-  for (const auto& [name, aggregate] : entries_) {
-    if (name == label) return &aggregate;
-  }
-  return nullptr;
-}
-
 std::string format_mean_ci(const stats::MeanCi& value, int decimals) {
   char buffer[64];
   std::snprintf(buffer, sizeof buffer, "%.*f +- %.*f", decimals, value.mean, decimals,

@@ -56,23 +56,6 @@ class RunAggregate {
   std::vector<RunOutcome> outcomes_;
 };
 
-/// Per-session QoE attribution for multi-session scenarios (DESIGN.md
-/// §11): aggregate run outcomes keyed by the session workload's label,
-/// preserving first-seen label order so reductions stay deterministic
-/// regardless of worker count.
-class SessionBreakdown {
- public:
-  void add(const std::string& label, const RunOutcome& outcome);
-  /// Aggregate for `label`, or null if no run reported it.
-  const RunAggregate* find(const std::string& label) const noexcept;
-  const std::vector<std::pair<std::string, RunAggregate>>& entries() const noexcept {
-    return entries_;
-  }
-
- private:
-  std::vector<std::pair<std::string, RunAggregate>> entries_;
-};
-
 /// Format "12.3 ± 1.1" for bench table cells.
 std::string format_mean_ci(const stats::MeanCi& value, int decimals = 1);
 

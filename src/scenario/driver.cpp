@@ -95,12 +95,6 @@ void ScenarioDriver::start() {
 
   start_level_ = std::max(start_level_, tb.memory.level());
 
-  if (spec_.run_watchdog) {
-    watchdog_ = std::make_unique<fault::InvariantWatchdog>(tb.engine, fault::WatchdogConfig{},
-                                                           &tb.memory, &tb.tracer);
-    watchdog_->start();
-  }
-
   // Every session starts at this one instant: start() hooks must not
   // advance the engine (the Workload contract), so engine.now() is
   // constant across the loop.
@@ -141,11 +135,6 @@ ScenarioResult ScenarioDriver::finalize() {
   result.start_level = start_level_;
   for (auto& workload : tb.workloads()) {
     workload->finalize(tb);
-  }
-  if (watchdog_ != nullptr) {
-    watchdog_->check_now();
-    watchdog_->stop();
-    result.watchdog_violations = watchdog_->violations();
   }
   tb.tracer.finalize(tb.engine.now());
 

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "core/testbed.hpp"
-#include "fault/watchdog.hpp"
 #include "scenario/spec.hpp"
 #include "scenario/workloads.hpp"
 
@@ -37,8 +36,6 @@ struct ScenarioResult {
   mem::PressureLevel start_level = mem::PressureLevel::Normal;
   /// One report per video workload, in spec order.
   std::vector<SessionReport> sessions;
-  /// Populated when spec.run_watchdog was set.
-  std::vector<fault::WatchdogViolation> watchdog_violations;
 };
 
 class ScenarioDriver {
@@ -58,7 +55,7 @@ class ScenarioDriver {
   /// prepared world can play any (height, fps) cell with its own video
   /// seed. With `world_seed` set, that equals a from-boot run of the cell.
   void set_cell(int height, int fps, std::uint64_t video_seed);
-  /// Phase 2: arm faults/watchdog and start every session at one
+  /// Phase 2: arm faults and start every session at one
   /// simulated instant. Playback deadlines begin here.
   void start();
   /// Phase 3: advance all workloads by one 1-second slice (the exact
@@ -97,7 +94,6 @@ class ScenarioDriver {
  private:
   ScenarioSpec spec_;
   std::unique_ptr<core::Testbed> testbed_;
-  std::unique_ptr<fault::InvariantWatchdog> watchdog_;
   /// Views into testbed_->workloads(), in spec order.
   std::vector<VideoSessionWorkload*> videos_;
 

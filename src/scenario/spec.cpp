@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "stats/rng.hpp"
+
 namespace mvqoe::scenario {
 
 namespace {
@@ -70,6 +72,11 @@ ScenarioSpec single_video(std::string family, int height, int fps, int duration_
   return scen;
 }
 
+std::uint64_t contention_session_seed(std::uint64_t run_seed, std::size_t session) noexcept {
+  std::uint64_t seed = stats::derive_seed(run_seed, 0x53455353ULL /* "SESS" */);
+  return stats::derive_seed(seed, static_cast<std::uint64_t>(session) + 1);
+}
+
 VideoWorkloadSpec& video_spec(ScenarioSpec& scen, std::size_t index) {
   std::size_t seen = 0;
   for (WorkloadSpec& workload : scen.workloads) {
@@ -132,7 +139,7 @@ void save_scenario(snapshot::ByteWriter& w, const ScenarioSpec& scen) {
   w.u64(scen.seed);
   w.b(scen.world_seed.has_value());
   if (scen.world_seed.has_value()) w.u64(*scen.world_seed);
-  w.b(scen.run_watchdog);
+  w.b(false);  // the retired watchdog flag
   w.u64(scen.workloads.size());
   for (const WorkloadSpec& workload : scen.workloads) {
     if (const auto* video = std::get_if<VideoWorkloadSpec>(&workload)) {
@@ -196,7 +203,13 @@ ScenarioSpec load_scenario(snapshot::ByteReader& r) {
   scen.organic_background_apps = r.i32();
   scen.seed = r.u64();
   if (r.b()) scen.world_seed = r.u64();
-  scen.run_watchdog = r.b();
+  // A blob that set the retired watchdog flag recorded the watchdog's
+  // periodic engine events in its digest trail; no run schedules them
+  // any more, so such a trail could never verify.
+  if (r.b()) {
+    throw std::runtime_error("snapshot: SCEN sets the retired watchdog flag; its digest trail "
+                             "holds watchdog engine events that no run schedules any more");
+  }
   const std::uint64_t count = r.u64();
   for (std::uint64_t i = 0; i < count; ++i) {
     const std::uint8_t kind = r.u8();

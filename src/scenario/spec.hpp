@@ -107,7 +107,6 @@ struct ScenarioSpec {
   /// shared-seed sweep's groups: one world stream, a video stream per
   /// cell).
   std::optional<std::uint64_t> world_seed;
-  bool run_watchdog = false;
   /// Memory reclaim/kill policy the world runs (mem/policy.hpp). The
   /// default (baseline) serializes as SCEN v2, byte-identical to
   /// pre-policy blobs; anything else bumps the section to v3.
@@ -135,6 +134,10 @@ ScenarioSpec single_video(std::string family, int height, int fps, int duration_
                           mem::PressureLevel state, std::uint64_t seed,
                           fault::FaultPlan fault_plan = {});
 
+/// Video stream for session k of a multi-session (contention) scenario
+/// seeded with `run_seed`.
+std::uint64_t contention_session_seed(std::uint64_t run_seed, std::size_t session) noexcept;
+
 /// The i-th video workload (throws if out of range) — convenience for
 /// retargeting cells and asserting on loaded specs.
 VideoWorkloadSpec& video_spec(ScenarioSpec& scen, std::size_t index = 0);
@@ -145,6 +148,8 @@ std::size_t video_count(const ScenarioSpec& scen);
 /// load_scenario accepts both v2 and the legacy v1 single-video layout.
 /// save_scenario throws std::invalid_argument for specs that carry
 /// non-serializable runtime hooks (abr, overrides, device_override).
+/// The v2+ header keeps the byte of the retired watchdog flag: it is
+/// written as 0, and load_scenario throws when it reads 1.
 void save_scenario(snapshot::ByteWriter& w, const ScenarioSpec& scen);
 ScenarioSpec load_scenario(snapshot::ByteReader& r);
 

@@ -124,7 +124,7 @@ class Engine {
   /// equal both live_count_ and the number of occupied slots, every live
   /// entry's cached time must match its slot, and the free list must
   /// thread exactly through the unoccupied slots without cycles. Cheap
-  /// enough for test/watchdog use.
+  /// enough to run at every slice (check::EngineOracle).
   bool check_invariants() const noexcept;
 
   /// The seq number of a live event, or 0 if `id` is not live. The seq is

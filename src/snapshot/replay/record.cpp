@@ -129,30 +129,33 @@ scenario::ScenarioSpec load_blob_scenario(const Snapshot& blob) {
 
 }  // namespace
 
-VerifyReport verify_replay(const Snapshot& blob, std::optional<sim::Time> perturb_at) {
-  const scenario::ScenarioSpec scen = load_blob_scenario(blob);
-  const std::vector<TrailEntry> trail = load_trail(blob);
-
+VerifyReport verify_trail(const scenario::ScenarioSpec& scen, const std::vector<TrailEntry>& trail,
+                          std::optional<sim::Time> perturb_at) {
   ReplayDriver driver(scen);
   if (perturb_at.has_value()) driver.set_perturb_at(*perturb_at);
   driver.start();
 
   VerifyReport report;
   for (std::size_t i = 0; i < trail.size(); ++i) {
-    if (i > 0) driver.advance_to_offset(trail[i].offset);
+    const TrailEntry& entry = trail[i];
+    if (entry.offset > driver.offset()) driver.advance_to_offset(entry.offset);
     ++report.checked;
     const std::uint64_t actual = driver.digest();
-    if (actual != trail[i].digest) {
-      report.ok = false;
+    if (driver.offset() != entry.offset || actual != entry.digest) {
       report.mismatch_index = i;
-      report.mismatch_offset = trail[i].offset;
-      report.expected = trail[i].digest;
+      report.mismatch_offset = entry.offset;
+      report.reached_offset = driver.offset();
+      report.expected = entry.digest;
       report.actual = actual;
       return report;
     }
   }
   report.ok = true;
   return report;
+}
+
+VerifyReport verify_replay(const Snapshot& blob, std::optional<sim::Time> perturb_at) {
+  return verify_trail(load_blob_scenario(blob), load_trail(blob), perturb_at);
 }
 
 DivergenceReport bisect_divergence(const Snapshot& blob, sim::Time perturb_at) {
@@ -164,11 +167,7 @@ DivergenceReport bisect_divergence(const Snapshot& blob, sim::Time perturb_at) {
   // applied at its scripted offset, advanced to one trail boundary.
   const auto probe_matches = [&](std::size_t m) {
     ++report.probes;
-    ReplayDriver probe(scen);
-    probe.set_perturb_at(perturb_at);
-    probe.start();
-    if (m > 0) probe.advance_to_offset(trail[m].offset);
-    return probe.digest() == trail[m].digest;
+    return verify_trail(scen, {trail[m]}, perturb_at).ok;
   };
 
   // Divergence is monotone (a perturbed state never re-converges with
@@ -236,6 +235,10 @@ std::string format_report(const VerifyReport& report) {
   std::ostringstream out;
   if (report.ok) {
     out << "OK: " << report.checked << " checkpoints replayed digest-identical";
+  } else if (report.reached_offset != report.mismatch_offset) {
+    out << "MISMATCH at checkpoint " << report.mismatch_index << " (t=+"
+        << sim::to_seconds(report.mismatch_offset) << "s): the replay reached t=+"
+        << sim::to_seconds(report.reached_offset) << "s instead";
   } else {
     out << "MISMATCH at checkpoint " << report.mismatch_index << " (t=+"
         << sim::to_seconds(report.mismatch_offset) << "s): expected " << std::hex

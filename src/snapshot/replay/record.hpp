@@ -2,8 +2,10 @@
 //
 // record_run() executes a scenario once, sampling the full-state digest
 // at every checkpoint interval, and packs scenario + digest trail +
-// final per-subsystem state into a blob. verify_replay() re-runs the
-// scenario from the blob and compares the trail digest-by-digest.
+// final per-subsystem state into a blob. verify_trail() re-runs a
+// scenario and compares a trail entry by entry — the one trail walker,
+// shared by verify_replay() (a blob's own trail), bisection probes and
+// the fuzz harness's run-twice and checkpoint-restore checks.
 // bisect_divergence() localizes a mismatch: binary search over the trail
 // (each probe is a fresh deterministic replay) finds the first bad
 // interval, then two lockstep drivers — one clean, one perturbed — step
@@ -70,14 +72,21 @@ struct VerifyReport {
   std::size_t checked = 0;  // trail entries compared (including mismatch)
   /// Valid when !ok:
   std::size_t mismatch_index = 0;
-  sim::Time mismatch_offset = 0;
+  sim::Time mismatch_offset = 0;  // the trail entry's offset
+  sim::Time reached_offset = 0;   // where the replay stood instead
   std::uint64_t expected = 0;
   std::uint64_t actual = 0;
 };
 
-/// Re-run the blob's scenario and compare every trail digest.
-/// `perturb_at` injects the one-bit RNG corruption into the re-run (test
-/// and demo hook — a clean verify leaves it unset).
+/// Re-run `scen` and, for each trail entry in order, advance to its
+/// offset and require both that offset and its digest — so a trail
+/// running past the end of the replay fails instead of matching the
+/// final state again. `perturb_at` injects the one-bit RNG corruption
+/// into the re-run (test and demo hook — a clean verify leaves it unset).
+VerifyReport verify_trail(const scenario::ScenarioSpec& scen, const std::vector<TrailEntry>& trail,
+                          std::optional<sim::Time> perturb_at = {});
+
+/// verify_trail over the blob's scenario and trail.
 VerifyReport verify_replay(const Snapshot& blob, std::optional<sim::Time> perturb_at = {});
 
 struct DivergenceReport {

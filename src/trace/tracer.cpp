@@ -37,7 +37,6 @@ const char* to_string(InstantKind kind) noexcept {
     case InstantKind::SegmentRetry: return "SegmentRetry";
     case InstantKind::DownloadTimeout: return "DownloadTimeout";
     case InstantKind::SessionRelaunch: return "SessionRelaunch";
-    case InstantKind::WatchdogViolation: return "WatchdogViolation";
   }
   return "?";
 }

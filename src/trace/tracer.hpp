@@ -89,7 +89,6 @@ enum class InstantKind : std::uint8_t {
   SegmentRetry,      // value = segment index being retried
   DownloadTimeout,   // value = segment index whose transfer timed out
   SessionRelaunch,   // value = relaunch ordinal (1 = first relaunch)
-  WatchdogViolation, // value = violation ordinal
 };
 
 const char* to_string(InstantKind kind) noexcept;

@@ -15,6 +15,7 @@
 #include "check/harness.hpp"
 #include "check/oracles.hpp"
 #include "check/shrink.hpp"
+#include "scenario/driver.hpp"
 #include "scenario/spec.hpp"
 
 namespace mvqoe {
@@ -374,6 +375,35 @@ TEST(OracleCorruption, LivelockTripwireTripsOnlyEngine) {
   check::OracleSuite suite;
   WorldObservation obs = clean_observation();
   obs.engine.livelock_trips = 1;
+  expect_only(suite, obs, "engine");
+}
+
+TEST(OracleCorruption, PendingEventLeakTripsOnlyEngine) {
+  check::OracleSuite suite;
+  WorldObservation obs = clean_observation();
+  obs.engine.pending_events = check::EngineOracle::kMaxPendingEvents;
+  EXPECT_TRUE(suite.check_all(obs).empty());  // the bound itself is legal
+  obs.engine.pending_events = check::EngineOracle::kMaxPendingEvents + 1;
+  expect_only(suite, obs, "engine");
+}
+
+// The same bound through WorldObserver on a real world: a started fig16
+// session whose engine also holds kMaxPendingEvents + 1 far-future no-op
+// events trips the engine oracle and nothing else.
+TEST(OracleObservation, PendingEventLeakInLiveWorldTripsOnlyEngine) {
+  scenario::ScenarioDriver driver(
+      scenario::single_video("fig16", 240, 30, 4, mem::PressureLevel::Normal, 1));
+  driver.prepare();
+  driver.start();
+  sim::Engine& engine = driver.testbed().engine;
+  const std::size_t own = engine.pending_events();
+  for (std::size_t i = 0; i <= check::EngineOracle::kMaxPendingEvents; ++i) {
+    engine.schedule_flat_at(sim::hours(1000), [](void*, std::uint64_t) {}, nullptr);
+  }
+  check::WorldObserver observer;
+  const WorldObservation obs = observer.observe(driver);
+  EXPECT_EQ(obs.engine.pending_events, own + check::EngineOracle::kMaxPendingEvents + 1);
+  check::OracleSuite suite;
   expect_only(suite, obs, "engine");
 }
 

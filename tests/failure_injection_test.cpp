@@ -3,6 +3,7 @@
 // downstream user will hit the day they change a default.
 #include <gtest/gtest.h>
 
+#include "check/harness.hpp"
 #include "proc/activity_manager.hpp"
 #include "scenario/driver.hpp"
 #include "trace/analysis.hpp"
@@ -165,10 +166,12 @@ TEST(FailureInjection, StartupUnderCriticalEitherPlaysOrCrashesCleanly) {
 }
 
 // ---------------------------------------------------------------------------
-// Table-driven fault scenarios: every scenario runs a real session on a
-// booted Nexus 5 with a FaultPlan armed against it, and must end with the
-// frame identity intact — presented + dropped + lost_to_kill equals the
-// asset's frame count — with no crash, no abort, no watchdog violation.
+// Fault scenarios: every scenario runs a real session with a FaultPlan
+// armed against it, and must end with the frame identity intact —
+// presented + dropped + lost_to_kill equals the asset's frame count —
+// with no crash, no abort and no invariant violation. Driver runs get
+// their verdict from the check suite (check::check_scenario); the
+// hand-wired table below audits the engine and page accounting itself.
 // ---------------------------------------------------------------------------
 
 struct FaultScenario {
@@ -217,9 +220,21 @@ TEST(FaultScenarios, TableDrivenRecoveryKeepsFrameAccountingExact) {
     if (sc.outage_at >= 0) plan.link_outages.push_back({sc.outage_at, sc.outage_duration});
     if (sc.kill_at >= 0) plan.kills.push_back({sc.kill_at, 0});
 
-    fault::InvariantWatchdog watchdog(fx.testbed.engine, fault::WatchdogConfig{},
-                                      &fx.testbed.memory, &fx.testbed.tracer);
-    watchdog.start();
+    // No driver here, so no oracle suite: audit the engine queue, page
+    // conservation and the livelock tripwire every 250 ms instead.
+    fx.testbed.engine.set_livelock_limit(check::CheckOptions{}.livelock_limit);
+    std::string audit_failure;
+    const auto audit = [&fx, &audit_failure] {
+      if (!audit_failure.empty()) return;
+      const sim::Time at = fx.testbed.engine.now();
+      if (!fx.testbed.engine.check_invariants()) {
+        audit_failure = "engine event-queue bookkeeping at " + std::to_string(at);
+      } else if (fx.testbed.engine.livelock_trips() > 0) {
+        audit_failure = "engine livelock tripwire at " + std::to_string(at);
+      } else if (const auto pages = fx.testbed.memory.check_conservation(); !pages.ok) {
+        audit_failure = "page accounting at " + std::to_string(at) + ": " + pages.detail;
+      }
+    };
 
     video::VideoSession session(fx.testbed.engine, fx.testbed.scheduler, fx.testbed.memory,
                                 fx.testbed.link, fx.testbed.tracer, config);
@@ -239,11 +254,11 @@ TEST(FaultScenarios, TableDrivenRecoveryKeepsFrameAccountingExact) {
     session.start(fx.testbed.am.next_pid(), [&finished] { finished = true; });
     const sim::Time horizon = fx.testbed.engine.now() + sec(240);
     while (!finished && fx.testbed.engine.now() < horizon) {
-      fx.testbed.engine.run_until(fx.testbed.engine.now() + sec(1));
+      fx.testbed.engine.run_until(fx.testbed.engine.now() + sim::msec(250));
+      audit();
     }
     injector.disarm();
-    watchdog.check_now();
-    watchdog.stop();
+    audit();
 
     const auto& metrics = session.metrics();
     ASSERT_TRUE(finished);
@@ -257,7 +272,7 @@ TEST(FaultScenarios, TableDrivenRecoveryKeepsFrameAccountingExact) {
         << "frame identity broken: presented=" << metrics.frames_presented
         << " dropped=" << metrics.frames_dropped
         << " lost_to_kill=" << metrics.frames_lost_to_kill;
-    EXPECT_TRUE(watchdog.ok()) << (watchdog.ok() ? "" : watchdog.violations().front().what);
+    EXPECT_TRUE(audit_failure.empty()) << audit_failure;
     if (sc.kill_at >= 0) {
       EXPECT_EQ(injector.kills_injected(), 1u);
       EXPECT_GT(metrics.relaunch_downtime, 0);
@@ -272,14 +287,14 @@ TEST(FaultScenarios, StorageErrorWindowDuringPressureDegradesButCompletes) {
   // path must absorb every error; the run must still classify cleanly.
   fault::FaultPlan plan;
   plan.storage_degradations.push_back({sec(2), sec(12), 6.0, 0.4});
-  auto spec =
+  const auto spec =
       scenario::single_video("fig11", 480, 30, 16, PressureLevel::Moderate, 1, std::move(plan));
-  spec.run_watchdog = true;
+  const check::RunReport report = check::check_scenario(spec, {.meta_determinism = false});
+  ASSERT_TRUE(report.ok) << report.violation->oracle << ": " << report.violation->detail;
+  EXPECT_NE(report.result.sessions.at(0).result.status, core::RunStatus::TimedOut);
+  // The storage counters live in the testbed: read them off a plain run.
   scenario::ScenarioDriver driver(spec);
-  const auto scen = driver.run();
-  const auto& result = scen.sessions.at(0).result;
-  EXPECT_NE(result.status, core::RunStatus::TimedOut);
-  EXPECT_TRUE(scen.watchdog_violations.empty());
+  driver.run();
   const auto& counters = driver.testbed().storage.counters();
   EXPECT_GT(counters.io_errors, 0u);
   EXPECT_GE(counters.io_retries, counters.io_errors);
@@ -303,12 +318,13 @@ TEST(FaultScenarios, AcceptanceOutagePlusKillRelaunchesOnceDeterministically) {
     video::RecoveryConfig recovery;
     recovery.relaunch_on_kill = true;
     scenario::video_spec(spec).recovery = recovery;
-    spec.run_watchdog = true;
-    return scenario::run_scenario(spec);
+    return check::check_scenario(spec, {.meta_determinism = false});
   };
 
-  const auto first_run = run_once();
-  const auto& first = first_run.sessions.at(0).result;
+  const check::RunReport first_run = run_once();
+  ASSERT_TRUE(first_run.ok) << first_run.violation->oracle << ": "
+                            << first_run.violation->detail;
+  const auto& first = first_run.result.sessions.at(0).result;
   EXPECT_EQ(first.status, core::RunStatus::Completed) << first.failure_reason;
   EXPECT_FALSE(first.metrics.crashed);
   EXPECT_EQ(first.metrics.relaunches, 1);
@@ -317,10 +333,10 @@ TEST(FaultScenarios, AcceptanceOutagePlusKillRelaunchesOnceDeterministically) {
   EXPECT_EQ(first.metrics.frames_presented + first.metrics.frames_dropped +
                 first.metrics.frames_lost_to_kill,
             60 * 30);
-  EXPECT_TRUE(first_run.watchdog_violations.empty());
 
-  const auto second_run = run_once();
-  const auto& second = second_run.sessions.at(0).result;
+  const check::RunReport second_run = run_once();
+  ASSERT_TRUE(second_run.ok);
+  const auto& second = second_run.result.sessions.at(0).result;
   EXPECT_EQ(second.metrics.frames_presented, first.metrics.frames_presented);
   EXPECT_EQ(second.metrics.frames_dropped, first.metrics.frames_dropped);
   EXPECT_EQ(second.metrics.frames_lost_to_kill, first.metrics.frames_lost_to_kill);

@@ -1,12 +1,10 @@
-// FaultInjector + InvariantWatchdog unit tests: scripted windows apply
-// and restore, kills route through the resolver, the Gilbert-Elliott
-// model replays byte-identically per seed, and the watchdog catches the
-// invariant classes it exists for.
+// FaultInjector unit tests: scripted windows apply and restore, kills
+// route through the resolver, and the Gilbert-Elliott model replays
+// byte-identically per seed.
 #include <gtest/gtest.h>
 
 #include "core/testbed.hpp"
 #include "fault/fault_injector.hpp"
-#include "fault/watchdog.hpp"
 #include "scenario/spec.hpp"
 #include "snapshot/replay/driver.hpp"
 
@@ -296,50 +294,6 @@ TEST(FaultInjector, CheckpointMidOutageRestoresRemainingSchedule) {
   EXPECT_EQ(inj_a->open_outages(), 0);
   EXPECT_EQ(inj_a->log().size(), inj_b->log().size());
   EXPECT_EQ(a.digest(), b.digest());
-}
-
-TEST(InvariantWatchdog, CleanRunReportsNoViolations) {
-  core::Testbed tb(core::nexus5(), 5);
-  tb.boot();
-  InvariantWatchdog watchdog(tb.engine, WatchdogConfig{}, &tb.memory, &tb.tracer);
-  watchdog.start();
-  tb.engine.run_until(tb.engine.now() + sec(5));
-  EXPECT_TRUE(watchdog.check_now());
-  watchdog.stop();
-  EXPECT_GT(watchdog.ticks(), 10u);
-  EXPECT_TRUE(watchdog.ok());
-  EXPECT_FALSE(watchdog.running());
-}
-
-TEST(InvariantWatchdog, FlagsPendingEventLeak) {
-  sim::Engine engine;
-  WatchdogConfig config;
-  config.max_pending_events = 8;
-  InvariantWatchdog watchdog(engine, config);
-  for (int i = 0; i < 20; ++i) engine.schedule_at(sim::hours(1), [] {});
-  EXPECT_FALSE(watchdog.check_now());
-  ASSERT_FALSE(watchdog.violations().empty());
-  EXPECT_NE(watchdog.violations().front().what.find("pending"), std::string::npos);
-}
-
-TEST(InvariantWatchdog, CatchesZeroDelayLivelockLoop) {
-  sim::Engine engine;
-  WatchdogConfig config;
-  config.livelock_limit = 100;
-  InvariantWatchdog watchdog(engine, config);
-  watchdog.start();  // arms the engine tripwire
-  // A bounded zero-delay reschedule loop: 500 same-timestamp events.
-  auto counter = std::make_shared<int>(0);
-  std::function<void()> spin = [&engine, counter, &spin] {
-    if (++*counter < 500) engine.schedule(0, spin);
-  };
-  engine.schedule_at(msec(10), spin);
-  engine.run_until(sec(1));
-  EXPECT_GE(engine.livelock_trips(), 1u);
-  watchdog.check_now();
-  watchdog.stop();
-  ASSERT_FALSE(watchdog.ok());
-  EXPECT_NE(watchdog.violations().front().what.find("livelock"), std::string::npos);
 }
 
 }  // namespace

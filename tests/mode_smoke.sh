@@ -94,10 +94,12 @@ check_modes() {
 case "$CASE" in
   fuzz)
     check_cli --runs --runs 2x
+    check_cli --jobs --procs 1 --jobs 8
     check_modes fuzz 2 "--seed 5 --runs 200" "--resume" "--no-meta --out ." "" no
     ;;
   fleet)
     check_cli --devices run --devices 1e6
+    check_cli --jobs run --devices 256 --procs 1 --jobs 4
     check_modes fleet 1 \
       "run --devices 1500 --seed 5 --session-s 3 --sample-period 2 --warmup-s 1 --shard-size 128" \
       "resume" "--report report.json --save fleet.mvqs" "report.json fleet.mvqs" no

@@ -1,12 +1,11 @@
 // Scenario/workload model tests (DESIGN.md §11): the declarative spec
-// round-trips through the SCEN section (v2, with v1 back-compat),
-// multi-session contention scenarios replay deterministically with
-// per-session QoE attribution, the contention grid is --jobs invariant,
+// round-trips through the SCEN section (v2, with v1 back-compat, and the
+// retired watchdog byte refused when set), multi-session contention
+// scenarios replay deterministically with per-session QoE attribution,
 // and the component registry rejects section-tag collisions.
 #include <gtest/gtest.h>
 
 #include "core/registry.hpp"
-#include "runner/scenario_batch.hpp"
 #include "scenario/driver.hpp"
 #include "scenario/spec.hpp"
 #include "snapshot/replay/record.hpp"
@@ -21,7 +20,7 @@ ScenarioSpec two_session_spec(int duration_s = 8, std::uint64_t seed = 31) {
                                    mem::PressureLevel::Moderate, seed);
   VideoWorkloadSpec second = video_spec(scen, 0);
   second.label = "video1";
-  second.seed = runner::contention_session_seed(seed, 1);
+  second.seed = contention_session_seed(seed, 1);
   scen.workloads.emplace_back(std::move(second));
   return scen;
 }
@@ -42,7 +41,6 @@ TEST(ScenarioSpec, SingleVideoMapsLegacyTupleOntoOneWorkload) {
 TEST(ScenarioSpec, ScenSectionV2RoundTripsWorkloadLists) {
   ScenarioSpec scen = two_session_spec(12, 77);
   scen.organic_background_apps = 4;
-  scen.run_watchdog = true;
   scen.world_seed = 123;
   PressureWorkloadSpec hog;
   hog.label = "hog";
@@ -61,7 +59,6 @@ TEST(ScenarioSpec, ScenSectionV2RoundTripsWorkloadLists) {
   EXPECT_TRUE(r.done());
   EXPECT_EQ(loaded.family, scen.family);
   EXPECT_EQ(loaded.organic_background_apps, 4);
-  EXPECT_TRUE(loaded.run_watchdog);
   ASSERT_TRUE(loaded.world_seed.has_value());
   EXPECT_EQ(*loaded.world_seed, 123u);
   ASSERT_EQ(loaded.workloads.size(), 4u);
@@ -73,6 +70,40 @@ TEST(ScenarioSpec, ScenSectionV2RoundTripsWorkloadLists) {
   EXPECT_EQ(loaded_hog.target, mem::PressureLevel::Critical);
   const auto& loaded_apps = std::get<BackgroundAppsWorkloadSpec>(loaded.workloads[3]);
   EXPECT_EQ(loaded_apps.count, 3);
+}
+
+// The v2 header still carries the byte of the retired watchdog flag:
+// save writes 0 there, and a blob with 1 there fails to load by name —
+// its trail would hold watchdog engine events no run schedules any more.
+TEST(ScenarioSpec, RetiredWatchdogByteSetFailsToLoad) {
+  const ScenarioSpec scen = single_video("fig16", 480, 30, 8, mem::PressureLevel::Low, 5);
+  snapshot::ByteWriter prefix;  // version, family, state, organic, seed, world-seed flag
+  prefix.u32(2);
+  prefix.str(scen.family);
+  prefix.u8(static_cast<std::uint8_t>(scen.state));
+  prefix.i32(scen.organic_background_apps);
+  prefix.u64(scen.seed);
+  prefix.b(false);
+  const std::size_t flag_at = std::move(prefix).take().size();
+
+  snapshot::ByteWriter w;
+  save_scenario(w, scen);
+  std::string bytes = std::move(w).take();
+  ASSERT_GT(bytes.size(), flag_at);
+  EXPECT_EQ(bytes[flag_at], 0);
+  {
+    snapshot::ByteReader r(bytes);
+    EXPECT_EQ(video_count(load_scenario(r)), 1u);
+  }
+
+  bytes[flag_at] = 1;
+  snapshot::ByteReader r(bytes);
+  try {
+    load_scenario(r);
+    FAIL() << "a SCEN with the retired watchdog flag set loaded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("watchdog flag"), std::string::npos) << e.what();
+  }
 }
 
 // Back-compat: a v1 SCEN section (the legacy single-video tuple, as
@@ -173,45 +204,11 @@ TEST(Contention, TwoSessionBlobRecordsAndVerifies) {
   EXPECT_TRUE(report.ok) << snapshot::replay::format_report(report);
 }
 
-// --jobs invariance for the contention grid: parallel equals serial
-// byte-for-byte on the JSON payload (per-session aggregates included).
-TEST(Contention, GridParallelMatchesSerialByteForByte) {
-  ScenarioSpec proto = single_video("fig16", 360, 30, 6,
-                                    mem::PressureLevel::Normal, 1);
-  const std::vector<int> session_counts = {1, 2};
-  const std::vector<mem::PressureLevel> states = {mem::PressureLevel::Normal,
-                                                  mem::PressureLevel::Moderate};
-  const int runs = 2;
-  const std::uint64_t base_seed = 400;
-
-  const auto serial =
-      runner::run_contention_grid(proto, session_counts, states, runs, 1, base_seed);
-  const auto parallel =
-      runner::run_contention_grid(proto, session_counts, states, runs, 4, base_seed);
-  ASSERT_EQ(serial.size(), 4u);
-  for (const auto& cell : serial) EXPECT_EQ(cell.failures, 0u);
-  EXPECT_EQ(runner::contention_json("identity", serial, runs, 1, base_seed),
-            runner::contention_json("identity", parallel, runs, 1, base_seed));
-
-  // Per-session attribution: the 2-session cells report video0 and
-  // video1 separately, each with `runs` outcomes.
-  const auto& two = serial.back();
-  ASSERT_EQ(two.sessions, 2);
-  ASSERT_EQ(two.breakdown.entries().size(), 2u);
-  EXPECT_EQ(two.breakdown.entries()[0].first, "video0");
-  EXPECT_EQ(two.breakdown.entries()[1].first, "video1");
-  EXPECT_NE(two.breakdown.find("video1"), nullptr);
-  EXPECT_EQ(two.breakdown.entries()[0].second.runs(), static_cast<std::size_t>(runs));
-}
-
 TEST(Contention, SeedSchemeIsCollisionFreeAcrossSessionsAndCells) {
-  const auto c1 = runner::contention_cell_seed(7, 1, mem::PressureLevel::Normal);
-  const auto c2 = runner::contention_cell_seed(7, 2, mem::PressureLevel::Normal);
-  const auto c3 = runner::contention_cell_seed(7, 1, mem::PressureLevel::Moderate);
-  EXPECT_NE(c1, c2);
-  EXPECT_NE(c1, c3);
-  EXPECT_NE(runner::contention_session_seed(c1, 0), runner::contention_session_seed(c1, 1));
-  EXPECT_NE(runner::contention_session_seed(c1, 0), runner::contention_session_seed(c2, 0));
+  // Sessions of one run get distinct streams, and so does one session
+  // index across runs with different seeds.
+  EXPECT_NE(contention_session_seed(7, 0), contention_session_seed(7, 1));
+  EXPECT_NE(contention_session_seed(7, 0), contention_session_seed(8, 0));
 }
 
 TEST(Registry, DuplicateSectionTagFailsLoudly) {

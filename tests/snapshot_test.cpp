@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "scenario/spec.hpp"
 #include "snapshot/blob.hpp"
@@ -120,6 +121,51 @@ TEST(Replay, VerifyPassesCleanAndCatchesPerturbation) {
   ASSERT_FALSE(dirty.ok);
   EXPECT_EQ(dirty.mismatch_offset, sec(8));
   EXPECT_NE(dirty.expected, dirty.actual);
+}
+
+// A trail doctored to run past the end of the replay — the final digest
+// repeated 10 s after the run ended — must fail: verify_trail requires
+// the replay to reach each entry's offset, not only its digest.
+TEST(Replay, TrailPastTheReplayEndFailsVerify) {
+  const ScenarioSpec scen =
+      single_video("fig16", 1080, 30, 4, mem::PressureLevel::Normal, 1);
+  const Snapshot blob = replay::record_run(scen, {sec(1), std::nullopt});
+  std::vector<replay::TrailEntry> trail = replay::load_trail(blob);
+  const replay::TrailEntry last = trail.back();
+  trail.push_back({last.offset + sec(10), last.digest});
+
+  const replay::VerifyReport report = replay::verify_trail(scen, trail);
+  ASSERT_FALSE(report.ok);
+  EXPECT_EQ(report.checked, trail.size());
+  EXPECT_EQ(report.mismatch_index, trail.size() - 1);
+  EXPECT_EQ(report.mismatch_offset, last.offset + sec(10));
+  EXPECT_EQ(report.reached_offset, last.offset);
+  EXPECT_EQ(report.actual, report.expected);  // the digest alone would pass
+  const std::string message = replay::format_report(report);
+  const auto seconds = [](sim::Time t) {
+    return "t=+" + std::to_string(static_cast<long>(sim::to_seconds(t))) + "s";
+  };
+  EXPECT_NE(message.find(seconds(last.offset + sec(10))), std::string::npos) << message;
+  EXPECT_NE(message.find(seconds(last.offset)), std::string::npos) << message;
+
+  // The same trail inside a blob fails verify_replay (mvqoe_replay verify).
+  Snapshot doctored;
+  for (const Snapshot::Section& section : blob.sections()) {
+    if (section.tag != replay::kTrailTag) {
+      doctored.put(section.tag, section.bytes);
+      continue;
+    }
+    ByteWriter w;
+    w.u32(1);  // TRAL section version
+    w.u64(trail.size());
+    for (const replay::TrailEntry& entry : trail) {
+      w.i64(entry.offset);
+      w.u64(entry.digest);
+    }
+    doctored.put(replay::kTrailTag, std::move(w));
+  }
+  EXPECT_TRUE(replay::verify_replay(blob).ok);
+  EXPECT_FALSE(replay::verify_replay(doctored).ok);
 }
 
 TEST(Replay, BisectPinpointsInjectedPerturbation) {

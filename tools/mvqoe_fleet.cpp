@@ -10,11 +10,12 @@
 //       shard by shard into one streaming FleetAggregate — peak memory
 //       is O(shard), not O(fleet). The report digest is byte-identical
 //       across serial, --jobs N threads, --procs N supervised worker
-//       processes and kill-and-resume. --save bundles (config,
+//       processes and kill-and-resume (--jobs is for in-process runs:
+//       with --procs or --state it exits 2). --save bundles (config,
 //       aggregate) as an MVQS blob; --report writes the Figs 2-6
 //       report JSON.
 //
-//   mvqoe_fleet resume FILE [--procs N] [--jobs N]
+//   mvqoe_fleet resume FILE [--procs N]
 //                   [--save FILE] [--report FILE] [--progress]
 //       Resume a killed run from its campaign checkpoint. The fleet
 //       config is reconstructed from the blob (a checkpoint recorded
@@ -29,6 +30,7 @@
 // exhausted its retry budget), 128+signo interrupted with the checkpoint
 // flushed.
 #include <cstdio>
+#include <optional>
 #include <string>
 
 #include "campaign/cli.hpp"
@@ -48,7 +50,7 @@ int usage() {
                "                       [--jobs N] [--procs N] [--state FILE]\n"
                "                       [--retries N] [--heartbeat-ms N]\n"
                "                       [--save FILE] [--report FILE] [--progress]\n"
-               "       mvqoe_fleet resume FILE [--procs N] [--jobs N]\n"
+               "       mvqoe_fleet resume FILE [--procs N]\n"
                "                       [--save FILE] [--report FILE] [--progress]\n"
                "       mvqoe_fleet report FILE [--out FILE]\n"
                "--progress paints a devices done/total + devices/sec + ETA line on stderr\n");
@@ -57,7 +59,8 @@ int usage() {
 
 struct Args {
   fleet::FleetSpec spec;
-  int jobs = 1;
+  /// Unset = 1; an in-process knob, refused under the coordinator.
+  std::optional<int> jobs;
   cli::CampaignFlags campaign{.procs = 0};  // in process unless --procs/--state
   std::string blob_path;  // the FILE operand of resume and report
   std::string save_path;
@@ -82,17 +85,22 @@ Args parse_args(int argc, char** argv, const std::string& command) {
       .number("--sample-period", args.spec.sample_period_s, 1)
       .number("--warmup-s", args.spec.warmup_s, 0)
       .number("--shard-size", args.spec.shard_size, std::uint64_t{1})
-      .number("--jobs", args.jobs, 1)
+      .value("--jobs",
+             [&args](std::string_view v) { args.jobs = runner::parse_number<int>(v, "--jobs", 1); })
       .text("--save", args.save_path)
       .text("--report", args.report_path)
       .text("--out", args.out_path);
   args.campaign.add_to(table, /*sharded=*/false);
   table.parse(argc, argv, first);
+  if (command == "resume") args.campaign.resume_path = args.blob_path;
+  // The coordinator owns parallelism: its runs never read --jobs.
+  if (args.campaign.coordinated() && args.jobs) {
+    throw cli::UsageError("--jobs cannot be combined with --procs, --state or resume");
+  }
   return args;
 }
 
 int run_or_resume(Args args, bool resume) {
-  if (resume) args.campaign.resume_path = args.blob_path;
   cli::CampaignRun run(args.campaign, "devices");
   if (resume) {
     args.spec = fleet::load_fleet_resume_spec(args.blob_path);
@@ -101,7 +109,7 @@ int run_or_resume(Args args, bool resume) {
                 static_cast<unsigned long long>(args.spec.shard_size));
   }
   fleet::FleetRunOptions opts;
-  opts.jobs = args.jobs;
+  opts.jobs = args.jobs.value_or(1);
   opts.procs = args.campaign.procs;
   opts.state_path = run.options.state_path;
   opts.resume = run.options.resume;

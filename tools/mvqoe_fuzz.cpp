@@ -26,7 +26,8 @@
 //       worker is SIGKILLed and its shard retried with exponential
 //       backoff, and with --state every completed shard is checkpointed
 //       atomically. SIGINT/SIGTERM flush the checkpoint and exit with
-//       128+signo. The digest matches --jobs runs exactly.
+//       128+signo. The digest matches --jobs runs exactly; --jobs and
+//       --minutes themselves are refused here (exit 2).
 //
 //   mvqoe_fuzz --resume FILE [--procs N]
 //       Resume a killed campaign from its checkpoint: the fuzz
@@ -80,7 +81,8 @@ int usage() {
 struct Args {
   std::uint64_t seed = 1;
   int runs = 100;
-  int jobs = 1;
+  /// Unset = 1; an in-process knob, refused in campaign mode.
+  std::optional<int> jobs;
   int minutes = 0;
   std::string out_dir = ".";
   std::string repro_path;
@@ -104,7 +106,8 @@ Args parse_args(int argc, char** argv) {
   cli::Flags table;
   table.number("--seed", args.seed, std::uint64_t{0})
       .number("--runs", args.runs, 1)
-      .number("--jobs", args.jobs, 1)
+      .value("--jobs",
+             [&args](std::string_view v) { args.jobs = runner::parse_number<int>(v, "--jobs", 1); })
       .number("--minutes", args.minutes, 0)
       .text("--out", args.out_dir)
       .text("--repro", args.repro_path)
@@ -119,9 +122,14 @@ Args parse_args(int argc, char** argv) {
   args.campaign.add_to(table, /*sharded=*/true);
   table.parse(argc, argv, 1);
   // A --minutes soak reseeds per batch — one checkpoint cannot describe
-  // it, and the coordinator owns parallelism in campaign mode.
-  if (args.campaign.coordinated() && args.minutes > 0) {
-    throw cli::UsageError("--minutes cannot be combined with --procs, --state or --resume");
+  // it — and the coordinator owns parallelism in campaign mode.
+  if (args.campaign.coordinated()) {
+    if (args.minutes > 0) {
+      throw cli::UsageError("--minutes cannot be combined with --procs, --state or --resume");
+    }
+    if (args.jobs) {
+      throw cli::UsageError("--jobs cannot be combined with --procs, --state or --resume");
+    }
   }
   return args;
 }
@@ -130,7 +138,7 @@ check::FuzzOptions fuzz_options(const Args& args, std::uint64_t seed) {
   check::FuzzOptions opts;
   opts.seed = seed;
   opts.runs = args.runs;
-  opts.jobs = args.jobs;
+  opts.jobs = args.jobs.value_or(1);
   opts.generator.max_videos = args.max_videos;
   opts.generator.max_duration_s = args.max_duration;
   opts.generator.policies = args.policies;

@@ -34,7 +34,6 @@
 #include <string>
 
 #include "campaign/cli.hpp"
-#include "runner/scenario_batch.hpp"
 #include "snapshot/replay/record.hpp"
 
 namespace {
@@ -94,7 +93,7 @@ int cmd_record(const std::string& path, int argc, char** argv) {
   for (int k = 1; k < videos; ++k) {
     auto video = mvqoe::scenario::video_spec(scen, 0);  // copy of session 0
     video.label = "video" + std::to_string(k);
-    video.seed = runner::contention_session_seed(seed, static_cast<std::size_t>(k));
+    video.seed = mvqoe::scenario::contention_session_seed(seed, static_cast<std::size_t>(k));
     scen.workloads.emplace_back(std::move(video));
   }
   // Ctrl-C / SIGTERM stop the recording at the next checkpoint boundary;
