@@ -71,12 +71,7 @@ CheckpointState load_checkpoint(const snapshot::Snapshot& blob) {
     shard.first_unit = r.u64();
     shard.unit_count = r.u64();
     shard.attempts = r.i32();
-    const std::uint8_t status = r.u8();
-    if (status > static_cast<std::uint8_t>(ShardStatus::Failed)) {
-      throw std::runtime_error("campaign: checkpoint shard status byte " +
-                               std::to_string(status) + " is not a ShardStatus");
-    }
-    shard.status = static_cast<ShardStatus>(status);
+    shard.status = r.enum8("campaign: checkpoint shard status", ShardStatus::Failed);
     shard.error = r.str();
     state.shards.push_back(std::move(shard));
   }

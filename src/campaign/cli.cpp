@@ -87,18 +87,30 @@ const char* state_name(mem::PressureLevel state) {
 }
 
 void CampaignFlags::add_to(Flags& flags, bool sharded) {
-  flags.number("--procs", procs, procs)
-      .text("--state", state_path)
-      .number("--retries", retries, 1)
-      .number("--heartbeat-ms", heartbeat_ms, 1)
-      .number("--kill-after-checkpoints", kill_after_checkpoints, 0)
-      .number("--abort-unit", abort_unit, std::int64_t{0})
-      .number("--abort-attempts", abort_attempts, 0)
-      .toggle("--progress", progress);
+  // Flags only the coordinator reads: the first one given is remembered
+  // so an in-process run can refuse it.
+  const auto coordinator_number = [this, &flags](const char* name, auto& out, auto lo) {
+    flags.value(name, [this, name, &out, lo](std::string_view v) {
+      out = runner::parse_number<decltype(lo)>(v, name, lo);
+      if (coordinator_flag.empty()) coordinator_flag = name;
+    });
+  };
+  flags.number("--procs", procs, procs).text("--state", state_path).toggle("--progress", progress);
+  coordinator_number("--retries", retries, 1);
+  coordinator_number("--heartbeat-ms", heartbeat_ms, 1);
+  coordinator_number("--kill-after-checkpoints", kill_after_checkpoints, 0);
+  coordinator_number("--abort-unit", abort_unit, std::int64_t{0});
+  coordinator_number("--abort-attempts", abort_attempts, 0);
   if (sharded) {
-    flags.number("--shard-size", shard_size, std::size_t{1})
-        .number("--backoff-ms", backoff_ms, 0)
-        .text("--resume", resume_path);
+    coordinator_number("--shard-size", shard_size, std::size_t{1});
+    coordinator_number("--backoff-ms", backoff_ms, 0);
+    flags.text("--resume", resume_path);
+  }
+}
+
+void CampaignFlags::require_coordinator(const char* starters) const {
+  if (!coordinated() && !coordinator_flag.empty()) {
+    throw UsageError(coordinator_flag + " only applies under the coordinator: add " + starters);
   }
 }
 

@@ -83,12 +83,18 @@ struct CampaignFlags {
   std::int64_t abort_unit = -1;
   int abort_attempts = 1;
   bool progress = false;
+  /// The first flag given that only the coordinator reads (all but
+  /// --procs --state --resume --progress); empty when none was.
+  std::string coordinator_flag{};
 
   /// Register --procs --state --retries --heartbeat-ms
   /// --kill-after-checkpoints --abort-unit --abort-attempts --progress,
   /// and with `sharded` also --shard-size --backoff-ms --resume.
   void add_to(Flags& flags, bool sharded);
   bool coordinated() const { return procs > 0 || !state_path.empty() || !resume_path.empty(); }
+  /// Throws a UsageError naming `coordinator_flag` when the coordinator
+  /// will not run; `starters` names what would start it.
+  void require_coordinator(const char* starters) const;
 };
 
 /// One coordinator run: the CampaignOptions the block describes, wired

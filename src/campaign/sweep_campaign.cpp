@@ -50,12 +50,8 @@ SweepCampaignSpec decode_sweep_config(const std::string& bytes) {
   spec.states.clear();
   const std::uint32_t state_count = r.u32();
   for (std::uint32_t i = 0; i < state_count; ++i) {
-    const std::uint8_t state = r.u8();
-    if (state > static_cast<std::uint8_t>(mem::PressureLevel::Critical)) {
-      throw std::runtime_error("campaign: sweep config pressure state byte " +
-                               std::to_string(state) + " is not a PressureLevel");
-    }
-    spec.states.push_back(static_cast<mem::PressureLevel>(state));
+    spec.states.push_back(
+        r.enum8("campaign: sweep config pressure state", mem::PressureLevel::Critical));
   }
   spec.fps.clear();
   const std::uint32_t fps_count = r.u32();

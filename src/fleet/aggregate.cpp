@@ -31,12 +31,9 @@ void encode_histogram(snapshot::ByteWriter& w, const stats::Histogram& h) {
 stats::Histogram decode_histogram(snapshot::ByteReader& r) {
   const double lo = r.f64();
   const double hi = r.f64();
-  const std::uint8_t policy = r.u8();
-  if (policy > static_cast<std::uint8_t>(stats::Overflow::Track)) {
-    throw std::runtime_error("fleet: histogram overflow-policy byte out of range");
-  }
+  const auto policy = r.enum8("fleet: histogram overflow policy", stats::Overflow::Track);
   const std::uint32_t bins = r.u32();
-  stats::Histogram h(lo, hi, bins, static_cast<stats::Overflow>(policy));
+  stats::Histogram h(lo, hi, bins, policy);
   for (std::uint32_t b = 0; b < bins; ++b) {
     const std::uint64_t count = r.u64();
     if (count > 0) h.add_count(b, static_cast<std::size_t>(count));

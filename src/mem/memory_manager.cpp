@@ -194,7 +194,7 @@ void MemoryManager::direct_reclaim(Pages pages, ProcessId pid, sched::ThreadId t
     return;
   }
 
-  const ReclaimOutcome outcome = run_reclaim_batch(/*kswapd=*/false);
+  const ReclaimOutcome outcome = run_reclaim_batch();
   vmstat_.pgscan_direct += static_cast<std::uint64_t>(outcome.scanned);
   vmstat_.pgsteal_direct += static_cast<std::uint64_t>(outcome.freed_now + outcome.writeback);
   record_pressure(outcome);
@@ -537,14 +537,13 @@ void MemoryManager::fault_file_pages(ProcessId pid, sched::ThreadId tid, Pages r
 
 // --- Reclaim ----------------------------------------------------------------
 
-MemoryManager::ReclaimOutcome MemoryManager::run_reclaim_batch(bool kswapd) {
+MemoryManager::ReclaimOutcome MemoryManager::run_reclaim_batch() {
   // The policy plans the batch against a read-only pool view; the
   // mechanism applies the plan so page accounting (and its conservation
   // audit) stays in one place. What a batch takes — which processes,
   // which pool, which zRAM tier, at what CPU cost — is entirely the
   // policy's call (DESIGN.md §16).
-  ReclaimView view{registry_, available_pages(), zram_stored_,
-                   file_dirty_, dirty_in_flight_,  kswapd};
+  ReclaimView view{registry_, available_pages(), zram_stored_, file_dirty_, dirty_in_flight_};
   const ReclaimPlan plan = policy_->reclaim().plan_batch(view);
 
   ReclaimOutcome outcome;
@@ -656,7 +655,7 @@ void MemoryManager::kswapd_step() {
     kswapd_sleep();
     return;
   }
-  const ReclaimOutcome outcome = run_reclaim_batch(/*kswapd=*/true);
+  const ReclaimOutcome outcome = run_reclaim_batch();
   vmstat_.pgscan_kswapd += static_cast<std::uint64_t>(outcome.scanned);
   vmstat_.pgsteal_kswapd += static_cast<std::uint64_t>(outcome.freed_now + outcome.writeback);
   record_pressure(outcome);
@@ -688,7 +687,7 @@ void MemoryManager::kswapd_sleep() {
 void MemoryManager::immediate_reclaim_to_high() {
   int idle_rounds = 0;
   while (free_pages() < config_.watermark_high && idle_rounds < 2) {
-    const ReclaimOutcome outcome = run_reclaim_batch(/*kswapd=*/true);
+    const ReclaimOutcome outcome = run_reclaim_batch();
     vmstat_.pgscan_kswapd += static_cast<std::uint64_t>(outcome.scanned);
     vmstat_.pgsteal_kswapd += static_cast<std::uint64_t>(outcome.freed_now + outcome.writeback);
     record_pressure(outcome);

@@ -198,7 +198,7 @@ class MemoryManager {
 
   /// Ask the policy what one scan batch reclaims, apply the plan's
   /// instantly-free part, and submit writeback I/O.
-  ReclaimOutcome run_reclaim_batch(bool kswapd);
+  ReclaimOutcome run_reclaim_batch();
   void record_pressure(const ReclaimOutcome& outcome);
   /// Recompute the cached zRAM physical footprint from the policy.
   /// Called after every zram_stored_ mutation so free_pages() stays a

@@ -1,11 +1,10 @@
-// The registered reclaim/kill policy variants (DESIGN.md §16).
-//
-// `baseline` is the pre-refactor MemoryManager logic moved verbatim: the
-// plan it produces and the cpu_refus expression are arithmetic-for-
-// arithmetic identical, which is what keeps golden blobs and every
-// BENCH_fig* JSON byte-identical. `swam`, `ariadne` and `partitioned`
-// implement the published alternatives described in mem/policy.hpp.
+// The registered reclaim/kill policy variants (DESIGN.md §16). Every
+// policy plans its batches through one planner, plan_reclaim(). The
+// baseline plan and its cpu_refus expression are arithmetic-for-
+// arithmetic those of the pre-policy MemoryManager, which keeps golden
+// blobs and every BENCH_fig* JSON byte-identical.
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <map>
 #include <stdexcept>
@@ -18,16 +17,37 @@ namespace mvqoe::mem {
 
 namespace {
 
-// --- shared single-tier planner ---------------------------------------------
+// --- the planner -------------------------------------------------------------
 
-/// One scan batch against a single-tier zRAM store, with a per-process
-/// swap-admission predicate. With admit-everything this IS the baseline
-/// batch: same walks, same expressions, same rounding.
-template <typename AdmitCompress>
-ReclaimPlan plan_single_tier(const MemoryConfig& config, ReclaimView& view,
-                             AdmitCompress admit) {
+/// Clean file pages a batch may drop. The active file list is protected
+/// (workingset detection): roughly half of a process's file working set
+/// survives eviction until the system is desperate.
+Pages droppable_file(const ProcessMem& process, bool desperate) noexcept {
+  const Pages protected_file =
+      desperate ? 0 : std::min(process.file_resident, process.file_working_set / 2);
+  return process.file_resident - protected_file;
+}
+
+/// Anonymous pages a batch may compress: only pages outside the owner's
+/// hot working set.
+Pages cold_anon(const ProcessMem& process) noexcept {
+  return std::max<Pages>(0, process.anon_resident - process.hot_pages);
+}
+
+/// One scan batch, for every policy. A policy supplies only its batch
+/// size when calm and when desperate (below the service minfree level,
+/// where working-set protection lifts), `admit(process)` (swap
+/// admission), `compress_order()` (asked for only when a batch reaches
+/// that step), `tier_of(process)` and the CPU cost per compressed page of
+/// each tier.
+template <typename Admit, typename CompressOrder, typename TierOf>
+ReclaimPlan plan_reclaim(const MemoryConfig& config, ReclaimView& view,
+                         const std::array<Pages, 2>& calm_desperate_budget, Admit admit,
+                         CompressOrder compress_order, TierOf tier_of,
+                         const std::array<double, 2>& tier_cpu_refus) {
+  const bool desperate = view.available < config.minfree_service;
+  const Pages budget = calm_desperate_budget[desperate];
   ReclaimPlan plan;
-  const Pages budget = config.kswapd_batch;
   plan.scanned = budget;
 
   // Scan efficiency: the reclaimer walks `budget` LRU candidates; only
@@ -36,7 +56,6 @@ ReclaimPlan plan_single_tier(const MemoryConfig& config, ReclaimView& view,
   // frees little — this ratio IS the paper's pressure metric
   // P = (1 - reclaimed/scanned) * 100 (§2), and it is why reclaim slows
   // to a crawl (and direct-reclaim stalls stretch) under real pressure.
-  const bool desperate = view.available < config.minfree_service;
   Pages candidates = 0;
   Pages reclaimable = 0;
   const Pages zram_headroom = config.zram_capacity - view.zram_stored;
@@ -44,12 +63,8 @@ ReclaimPlan plan_single_tier(const MemoryConfig& config, ReclaimView& view,
   for (ProcessMem* process : view.registry.reclaim_order()) {
     if (process->unevictable) continue;  // pinned: not on the LRU at all
     candidates += process->anon_resident + process->file_resident;
-    const Pages protected_file =
-        desperate ? 0 : std::min(process->file_resident, process->file_working_set / 2);
-    reclaimable += process->file_resident - protected_file;
-    if (admit(*process)) {
-      compressible_total += std::max<Pages>(0, process->anon_resident - process->hot_pages);
-    }
+    reclaimable += droppable_file(*process, desperate);
+    if (admit(*process)) compressible_total += cold_anon(*process);
   }
   reclaimable += std::min(compressible_total, zram_headroom);
   reclaimable += view.file_dirty - view.dirty_in_flight;
@@ -60,36 +75,29 @@ ReclaimPlan plan_single_tier(const MemoryConfig& config, ReclaimView& view,
       std::ceil(static_cast<double>(budget) * std::min(1.0, efficiency)));
 
   // 1. Drop clean file pages, coldest/lowest-priority processes first.
-  // The active file list is protected (workingset detection): roughly
-  // half of a process's file working set survives eviction until the
-  // system is desperate (below the service minfree level).
   for (ProcessMem* process : view.registry.reclaim_order()) {
     if (remaining <= 0) break;
     if (process->unevictable) continue;
-    const Pages protected_file =
-        desperate ? 0 : std::min(process->file_resident, process->file_working_set / 2);
-    const Pages take = std::min(process->file_resident - protected_file, remaining);
+    const Pages take = std::min(droppable_file(*process, desperate), remaining);
     if (take <= 0) continue;
     plan.file_drops.push_back({process, take});
     remaining -= take;
   }
 
-  // 2. Compress admitted anonymous pages into zRAM (CPU work). Only
-  // pages outside the owners' hot working sets are takeable.
-  Pages compressed = 0;
+  // 2. Compress admitted anonymous pages into zRAM (CPU work).
+  std::array<Pages, 2> tier_pages = {0, 0};
   if (remaining > 0) {
-    Pages zram_space = config.zram_capacity - view.zram_stored;
-    for (ProcessMem* process : view.registry.reclaim_order()) {
+    Pages zram_space = zram_headroom;
+    for (ProcessMem* process : compress_order()) {
       if (remaining <= 0 || zram_space <= 0) break;
-      if (process->unevictable) continue;
-      if (!admit(*process)) continue;
-      const Pages cold = std::max<Pages>(0, process->anon_resident - process->hot_pages);
-      const Pages take = std::min({cold, remaining, zram_space});
+      if (process->unevictable || !admit(*process)) continue;
+      const Pages take = std::min({cold_anon(*process), remaining, zram_space});
       if (take <= 0) continue;
-      plan.compress.push_back({process, take, 0});
+      const int tier = tier_of(*process);
+      plan.compress.push_back({process, take, tier});
+      tier_pages[tier] += take;
       remaining -= take;
       zram_space -= take;
-      compressed += take;
     }
   }
 
@@ -101,37 +109,40 @@ ReclaimPlan plan_single_tier(const MemoryConfig& config, ReclaimView& view,
   }
 
   plan.cpu_refus = static_cast<double>(plan.scanned) * config.scan_cpu_refus +
-                   static_cast<double>(compressed) * config.compress_cpu_refus;
+                   static_cast<double>(tier_pages[0]) * tier_cpu_refus[0] +
+                   static_cast<double>(tier_pages[1]) * tier_cpu_refus[1];
   return plan;
 }
 
-// --- baseline ----------------------------------------------------------------
+// --- baseline, swam and partitioned ------------------------------------------
 
-class BaselineReclaim final : public ReclaimPolicy {
+/// A single-tier store planned in reclaim order. The three policies
+/// differ only in `admit`, their swap admission; as a callable type it
+/// costs the baseline's admit-everything nothing per process.
+template <typename Admit>
+class SingleTierReclaim final : public ReclaimPolicy {
  public:
-  explicit BaselineReclaim(const MemoryConfig& config) : ReclaimPolicy(config) {}
+  SingleTierReclaim(const MemoryConfig& config, Admit admit)
+      : ReclaimPolicy(config), admit_(admit) {}
 
   ReclaimPlan plan_batch(ReclaimView& view) override {
-    return plan_single_tier(config_, view, [](const ProcessMem&) { return true; });
+    return plan_reclaim(
+        config_, view, {config_.kswapd_batch, config_.kswapd_batch}, admit_,
+        [&view]() -> const std::vector<ProcessMem*>& { return view.registry.reclaim_order(); },
+        [](const ProcessMem&) { return 0; },
+        {config_.compress_cpu_refus, config_.compress_cpu_refus});
   }
+
+ private:
+  Admit admit_;
 };
+
+template <typename Admit>
+std::unique_ptr<ReclaimPolicy> single_tier(const MemoryConfig& config, Admit admit) {
+  return std::make_unique<SingleTierReclaim<Admit>>(config, admit);
+}
 
 // --- swam (arXiv 2306.08345) -------------------------------------------------
-
-/// Swap admission: cached apps are kill-fodder — compressing them wastes
-/// zRAM space and CPU on pages a cheap relaunch would regenerate, so
-/// they are excluded from the store (the charter's swap_full_kill_fraction
-/// handles the other half of the joint decision).
-class SwamReclaim final : public ReclaimPolicy {
- public:
-  explicit SwamReclaim(const MemoryConfig& config) : ReclaimPolicy(config) {}
-
-  ReclaimPlan plan_batch(ReclaimView& view) override {
-    return plan_single_tier(config_, view, [](const ProcessMem& process) {
-      return process.oom_adj < OomAdj::kCached;
-    });
-  }
-};
 
 /// Victim selection by relaunch cost: among eligible processes, kill the
 /// one freeing the most pages per unit of relaunch pain (cached apps
@@ -192,85 +203,15 @@ class AriadneReclaim final : public ReclaimPolicy {
 
   ReclaimPlan plan_batch(ReclaimView& view) override {
     sample_hotness();
-    ReclaimPlan plan;
-    const bool desperate = view.available < config_.minfree_service;
-    // Size-adaptive batching: scan twice as hard once the system is
-    // below the service minfree level.
-    const Pages budget = desperate ? config_.kswapd_batch * 2 : config_.kswapd_batch;
-    plan.scanned = budget;
-
-    Pages candidates = 0;
-    Pages reclaimable = 0;
-    const Pages zram_headroom = config_.zram_capacity - view.zram_stored;
-    Pages compressible_total = 0;
-    for (ProcessMem* process : view.registry.reclaim_order()) {
-      if (process->unevictable) continue;
-      candidates += process->anon_resident + process->file_resident;
-      const Pages protected_file =
-          desperate ? 0 : std::min(process->file_resident, process->file_working_set / 2);
-      reclaimable += process->file_resident - protected_file;
-      compressible_total += std::max<Pages>(0, process->anon_resident - process->hot_pages);
-    }
-    reclaimable += std::min(compressible_total, zram_headroom);
-    reclaimable += view.file_dirty - view.dirty_in_flight;
-    candidates += view.file_dirty;
-    const double efficiency =
-        candidates > 0 ? static_cast<double>(reclaimable) / static_cast<double>(candidates)
-                       : 0.0;
-    Pages remaining = static_cast<Pages>(
-        std::ceil(static_cast<double>(budget) * std::min(1.0, efficiency)));
-
-    // File drops: baseline order (adj desc, LRU cold-first).
-    for (ProcessMem* process : view.registry.reclaim_order()) {
-      if (remaining <= 0) break;
-      if (process->unevictable) continue;
-      const Pages protected_file =
-          desperate ? 0 : std::min(process->file_resident, process->file_working_set / 2);
-      const Pages take = std::min(process->file_resident - protected_file, remaining);
-      if (take <= 0) continue;
-      plan.file_drops.push_back({process, take});
-      remaining -= take;
-    }
-
-    // Compression: coldest process first (hotness asc, unique lru_seq
-    // breaks ties → deterministic total order), tier by hotness cut.
-    Pages cold_pages = 0;
-    Pages warm_pages = 0;
-    if (remaining > 0) {
-      std::vector<ProcessMem*> order;
-      for (ProcessMem* process : view.registry.reclaim_order()) {
-        if (!process->unevictable) order.push_back(process);
-      }
-      std::sort(order.begin(), order.end(), [this](const ProcessMem* a, const ProcessMem* b) {
-        const double ha = hotness_of(a->pid);
-        const double hb = hotness_of(b->pid);
-        if (ha != hb) return ha < hb;
-        return a->lru_seq < b->lru_seq;
-      });
-      Pages zram_space = config_.zram_capacity - view.zram_stored;
-      for (ProcessMem* process : order) {
-        if (remaining <= 0 || zram_space <= 0) break;
-        const Pages cold = std::max<Pages>(0, process->anon_resident - process->hot_pages);
-        const Pages take = std::min({cold, remaining, zram_space});
-        if (take <= 0) continue;
-        const bool cold_tier = hotness_of(process->pid) <= hot_cut_refus_;
-        plan.compress.push_back({process, take, cold_tier ? 0 : 1});
-        (cold_tier ? cold_pages : warm_pages) += take;
-        remaining -= take;
-        zram_space -= take;
-      }
-    }
-
-    if (remaining > 0) {
-      const Pages dirty_available = view.file_dirty - view.dirty_in_flight;
-      const Pages writeback = std::min(remaining, dirty_available);
-      if (writeback > 0) plan.writeback = writeback;
-    }
-
-    plan.cpu_refus = static_cast<double>(plan.scanned) * config_.scan_cpu_refus +
-                     static_cast<double>(cold_pages) * cold_cpu_refus_ +
-                     static_cast<double>(warm_pages) * warm_cpu_refus_;
-    return plan;
+    // Size-adaptive batching: scan twice as hard when desperate.
+    return plan_reclaim(
+        config_, view, {config_.kswapd_batch, config_.kswapd_batch * 2},
+        [](const ProcessMem&) { return true; },
+        [&] { return coldest_first(view.registry); },
+        [this](const ProcessMem& process) {
+          return hotness_of(process.pid) <= hot_cut_refus_ ? 0 : 1;
+        },
+        {cold_cpu_refus_, warm_cpu_refus_});
   }
 
   Pages zram_physical(Pages stored) const noexcept override {
@@ -342,6 +283,22 @@ class AriadneReclaim final : public ReclaimPolicy {
     return it == hotness_.end() ? 0.0 : it->second;
   }
 
+  /// Compression order: coldest process first (hotness asc, unique
+  /// lru_seq breaks ties → deterministic total order).
+  std::vector<ProcessMem*> coldest_first(ProcessRegistry& registry) const {
+    std::vector<ProcessMem*> order;
+    for (ProcessMem* process : registry.reclaim_order()) {
+      if (!process->unevictable) order.push_back(process);
+    }
+    std::sort(order.begin(), order.end(), [this](const ProcessMem* a, const ProcessMem* b) {
+      const double ha = hotness_of(a->pid);
+      const double hb = hotness_of(b->pid);
+      if (ha != hb) return ha < hb;
+      return a->lru_seq < b->lru_seq;
+    });
+    return order;
+  }
+
   /// Fold the scheduler's cumulative per-thread CPU counters into a
   /// per-process hotness EMA (one sample per batch). Ascending-tid
   /// iteration makes the per-process fold deterministic; terminated
@@ -379,24 +336,6 @@ class AriadneReclaim final : public ReclaimPolicy {
   std::map<ProcessId, TierCount> stored_;
   std::map<ProcessId, double> hotness_;
   std::map<ProcessId, double> prev_cpu_;
-};
-
-// --- partitioned (arXiv 2101.10707) ------------------------------------------
-
-/// Reserved foreground partition: the foreground/visible/perceptible set
-/// is never compressed to zRAM (its pages stay resident, so the user-
-/// facing app never pays decompression stalls), and the kill charter
-/// carves `reserve_pages` out of the background minfree ladder so
-/// background kills fire early enough to keep the partition whole.
-class PartitionedReclaim final : public ReclaimPolicy {
- public:
-  explicit PartitionedReclaim(const MemoryConfig& config) : ReclaimPolicy(config) {}
-
-  ReclaimPlan plan_batch(ReclaimView& view) override {
-    return plan_single_tier(config_, view, [](const ProcessMem& process) {
-      return process.oom_adj > OomAdj::kPerceptible;
-    });
-  }
 };
 
 // --- factory -----------------------------------------------------------------
@@ -453,8 +392,9 @@ std::unique_ptr<MemPolicy> make_mem_policy(const MemPolicySpec& spec,
   KillCharter charter = base_charter(spec, config);
   if (spec.name == "baseline") {
     require_params(spec, {});
-    return std::make_unique<MemPolicy>(spec, std::make_unique<BaselineReclaim>(config),
-                                       std::make_unique<KillPolicy>(std::move(charter)));
+    return std::make_unique<MemPolicy>(
+        spec, single_tier(config, [](const ProcessMem&) { return true; }),
+        std::make_unique<KillPolicy>(std::move(charter)));
   }
   if (spec.name == "swam") {
     require_params(spec, {"swap_full_fraction", "kill_cooldown_ms"});
@@ -469,7 +409,12 @@ std::unique_ptr<MemPolicy> make_mem_policy(const MemPolicySpec& spec,
       throw std::invalid_argument("mem policy 'swam': kill_cooldown_ms must be >= 0");
     }
     charter.kill_cooldown = sim::msec(static_cast<std::int64_t>(std::llround(cooldown_ms)));
-    return std::make_unique<MemPolicy>(spec, std::make_unique<SwamReclaim>(config),
+    // Swap admission: cached apps are kill-fodder — compressing them
+    // wastes zRAM space and CPU on pages a cheap relaunch would
+    // regenerate (swap_full_kill_fraction is the other half of the joint
+    // decision).
+    const auto below_cached = [](const ProcessMem& p) { return p.oom_adj < OomAdj::kCached; };
+    return std::make_unique<MemPolicy>(spec, single_tier(config, below_cached),
                                        std::make_unique<SwamKill>(std::move(charter)));
   }
   if (spec.name == "ariadne") {
@@ -503,7 +448,12 @@ std::unique_ptr<MemPolicy> make_mem_policy(const MemPolicySpec& spec,
       }
       charter.reserve_pages = pages_from_mb(static_cast<std::int64_t>(std::llround(reserve_mb)));
     }
-    return std::make_unique<MemPolicy>(spec, std::make_unique<PartitionedReclaim>(config),
+    // The foreground/visible/perceptible partition is never compressed,
+    // so the user-facing app never pays decompression stalls.
+    const auto above_perceptible = [](const ProcessMem& p) {
+      return p.oom_adj > OomAdj::kPerceptible;
+    };
+    return std::make_unique<MemPolicy>(spec, single_tier(config, above_perceptible),
                                        std::make_unique<KillPolicy>(std::move(charter)));
   }
   throw std::invalid_argument("unknown mem policy '" + spec.name +

@@ -142,14 +142,13 @@ struct ReclaimView {
   Pages zram_stored = 0;
   Pages file_dirty = 0;
   Pages dirty_in_flight = 0;
-  bool kswapd = false;
 };
 
 /// What one scan batch takes. The mechanism applies the plan in order:
 /// file drops, then compressions (charging zRAM physical growth against
 /// the freed total per take), then writeback submission. `cpu_refus` is
-/// the policy-computed total CPU cost of the batch — one double, so the
-/// baseline's scan+compress expression stays bit-exact.
+/// the batch's total CPU cost (scan, then tier 0, then tier 1) — one
+/// double, so the baseline's scan+compress expression stays bit-exact.
 struct ReclaimPlan {
   struct FileTake {
     ProcessMem* process = nullptr;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace mvqoe::net {
 namespace {
@@ -216,7 +217,21 @@ const std::vector<std::string>& cc_names() {
 }
 
 void validate_net_spec(const NetSpec& spec) {
-  (void)make_congestion_controller(spec);
+  (void)make_congestion_controller(spec);  // an unknown name throws
+  for (const auto& [key, value] : spec.params) {
+    // fifo reads no parameter; the flow engine reads mss and queue_kb,
+    // and c4 also reads its delay target.
+    const bool read = spec.cc != "fifo" && (key == "mss" || key == "queue_kb" ||
+                                             (spec.cc == "c4" && key == "c4_delay_target_us"));
+    if (!read) {
+      throw std::invalid_argument("net: congestion controller '" + spec.cc +
+                                  "' reads no parameter '" + key + "'");
+    }
+    if (!std::isfinite(value) || value <= 0.0) {
+      throw std::invalid_argument("net: parameter '" + key + "' must be > 0, got " +
+                                  std::to_string(value));
+    }
+  }
 }
 
 double net_param_or(const NetSpec& spec, const std::string& key, double fallback) {

@@ -50,8 +50,10 @@ NetSpec load_net_spec(snapshot::ByteReader& r);
 /// Registered controller names, fifo first.
 const std::vector<std::string>& cc_names();
 
-/// Throws std::runtime_error when the spec names an unknown controller
-/// or carries malformed parameters (validated by construction).
+/// Throws std::invalid_argument naming an unknown controller, a parameter
+/// the named controller never reads (fifo reads none; cubic and bbr read
+/// mss and queue_kb; c4 also c4_delay_target_us) or a value that is not
+/// a finite number > 0.
 void validate_net_spec(const NetSpec& spec);
 
 /// First parameter named `key`, or `fallback` when absent.

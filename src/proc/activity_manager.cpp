@@ -93,8 +93,6 @@ void ActivityManager::enable_respawn(sim::Engine& engine, int target, sim::Time 
   respawner_->start();
 }
 
-void ActivityManager::disable_respawn() { respawner_.reset(); }
-
 void ActivityManager::respawn_one() {
   if (memory_.registry().cached_count() >= respawn_target_) return;
   // Don't restart processes into a memory hole: wait until reclaim has at

@@ -52,7 +52,6 @@ class ActivityManager {
   /// sustainable oscillating state (paper Fig 6) and produces the
   /// repeated kills of Fig 15 rather than a one-shot massacre.
   void enable_respawn(sim::Engine& engine, int target, sim::Time period = sim::sec(8));
-  void disable_respawn();
   std::uint64_t respawn_count() const noexcept { return respawns_; }
 
   ProcessId foreground() const noexcept { return foreground_; }

@@ -12,11 +12,6 @@ double MosModel::annoyance(double drop_rate) const noexcept {
   return std::clamp((raw - floor) / (1.0 - floor), 0.0, 1.0);
 }
 
-int MosModel::absolute_score(double drop_rate, stats::Rng& rng) const noexcept {
-  const double score = 5.0 - 4.0 * annoyance(drop_rate) + rng.normal(0.0, rater_sigma);
-  return static_cast<int>(std::clamp(std::lround(score), 1L, 5L));
-}
-
 int MosModel::differential_score(double reference_drop_rate, double degraded_drop_rate,
                                  stats::Rng& rng) const noexcept {
   const double difference =

@@ -29,8 +29,6 @@ struct MosModel {
 
   /// Annoyance in [0,1] for a given frame-drop fraction.
   double annoyance(double drop_rate) const noexcept;
-  /// Absolute MOS (1..5) a single rater gives a clip with `drop_rate`.
-  int absolute_score(double drop_rate, stats::Rng& rng) const noexcept;
   /// Differential MOS: rate clip B relative to reference clip A.
   int differential_score(double reference_drop_rate, double degraded_drop_rate,
                          stats::Rng& rng) const noexcept;

@@ -189,7 +189,7 @@ ScenarioSpec load_scenario(snapshot::ByteReader& r) {
     const int height = r.i32();
     const int fps = r.i32();
     const int duration_s = r.i32();
-    scen.state = static_cast<mem::PressureLevel>(r.u8());
+    scen.state = r.enum8("snapshot: SCEN pressure state", mem::PressureLevel::Critical);
     scen.seed = r.u64();
     fault::FaultPlan plan = load_fault_plan(r);
     find_family(scen.family);  // validate eagerly, before any sim is built
@@ -199,7 +199,7 @@ ScenarioSpec load_scenario(snapshot::ByteReader& r) {
   if (version < 2 || version > 4) throw std::runtime_error("snapshot: unsupported SCEN version");
   ScenarioSpec scen;
   scen.family = r.str();
-  scen.state = static_cast<mem::PressureLevel>(r.u8());
+  scen.state = r.enum8("snapshot: SCEN pressure state", mem::PressureLevel::Critical);
   scen.organic_background_apps = r.i32();
   scen.seed = r.u64();
   if (r.b()) scen.world_seed = r.u64();
@@ -219,7 +219,9 @@ ScenarioSpec load_scenario(snapshot::ByteReader& r) {
       video.height = r.i32();
       video.fps = r.i32();
       video.duration_s = r.i32();
-      if (r.b()) video.platform = static_cast<video::PlayerPlatform>(r.u8());
+      if (r.b()) {
+        video.platform = r.enum8("snapshot: SCEN video platform", video::PlayerPlatform::ExoPlayer);
+      }
       video.seed = r.u64();
       video.fault_plan = load_fault_plan(r);
       scen.workloads.emplace_back(std::move(video));
@@ -231,7 +233,7 @@ ScenarioSpec load_scenario(snapshot::ByteReader& r) {
     } else if (kind == 2) {
       PressureWorkloadSpec pressure;
       pressure.label = r.str();
-      pressure.target = static_cast<mem::PressureLevel>(r.u8());
+      pressure.target = r.enum8("snapshot: SCEN pressure target", mem::PressureLevel::Critical);
       scen.workloads.emplace_back(std::move(pressure));
     } else if (kind == 3 && version >= 4) {
       CrossTrafficWorkloadSpec cross;

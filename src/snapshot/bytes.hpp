@@ -61,6 +61,17 @@ class ByteReader {
     const std::string_view s = take(n);
     return std::string(s);
   }
+  /// A one-byte enum whose values run from 0 to `last`; a byte past
+  /// `last` throws naming `field` and the byte.
+  template <typename Enum>
+  Enum enum8(std::string_view field, Enum last) {
+    const std::uint8_t byte = u8();
+    if (byte > static_cast<std::uint8_t>(last)) {
+      throw std::runtime_error(std::string(field) + " byte " + std::to_string(byte) +
+                               " is out of range");
+    }
+    return static_cast<Enum>(byte);
+  }
   /// Bounds-checked view of the next n raw bytes.
   std::string_view raw(std::size_t n) { return take(n); }
 

@@ -69,9 +69,9 @@ std::vector<StudyDevice> generate_population(int n, std::uint64_t seed);
 
 /// A concrete pinned device model for fleet simulation (DESIGN.md §15).
 /// Unlike StudyDevice — which samples per-device hardware, making every
-/// world unique — a family pins ram/cores/freq exactly, so one prepared
-/// world template can be shared (and CoW-forked) across every device of
-/// the family.
+/// world unique — a family pins ram/cores/freq exactly, so one world
+/// template recipe serves every device of the family (each device
+/// rebuilds the template in process from its (family, cohort) stream).
 struct FleetFamily {
   std::string name;
   std::int64_t ram_mb = 2048;

@@ -1,12 +1,17 @@
 // Differential tests for the pluggable reclaim/kill policy layer
 // (DESIGN.md §16): the factory registry, the KillCharter contract the
-// oracles replay against, scenario/campaign serialization of the policy
+// oracles replay against, every policy's batch plan from the one
+// planner, scenario/campaign serialization of the policy
 // axis, and — the load-bearing part — that the four registered policies
 // are deterministic individually and pairwise distinct on a reference
 // scenario, while the baseline stays byte-identical to the pre-policy
 // encoder (SCEN v2, no config-tail bytes).
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <cstdint>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -17,6 +22,7 @@
 #include "fleet/spec.hpp"
 #include "mem/policy.hpp"
 #include "runner/video_batch.hpp"
+#include "sched/scheduler.hpp"
 #include "scenario/driver.hpp"
 #include "scenario/spec.hpp"
 #include "snapshot/bytes.hpp"
@@ -154,6 +160,86 @@ TEST(KillCharter, PartitionedReserveFiresBackgroundLevelsEarly) {
                                                       config);
   EXPECT_EQ(flat.reserve_pages, 0);
   EXPECT_EQ(mem::replay_kill_floor(flat, 0.0, above_cached, 0, zcap), mem::kNoKillFloor);
+}
+
+// --- the batch planner -------------------------------------------------------
+
+// One plan rendered whole: "scanned | file drops pid:pages | compressions
+// pid:pages/tier | writeback | cpu_refus bits".
+std::string render_plan(const mem::ReclaimPlan& plan) {
+  std::ostringstream out;
+  out << plan.scanned << " |";
+  for (const auto& take : plan.file_drops) out << ' ' << take.process->pid << ':' << take.pages;
+  out << " |";
+  for (const auto& take : plan.compress) {
+    out << ' ' << take.process->pid << ':' << take.pages << '/' << take.tier;
+  }
+  out << " | " << plan.writeback << " | " << std::hex
+      << std::bit_cast<std::uint64_t>(plan.cpu_refus);
+  return out.str();
+}
+
+// Pins every policy's plan for one calm and one desperate batch over a
+// hand-built registry: one process per oom_adj band, each with hot pages
+// and a file working set, plus an unevictable pressure app and dirty
+// pages. The foreground's and the service's threads have consumed CPU
+// on either side of ariadne's hot cut, so its plans use both tiers.
+TEST(ReclaimPlanner, PinsEveryPolicysCalmAndDesperatePlans) {
+  const mem::MemoryConfig config;
+  mem::ProcessRegistry registry;
+  const auto add = [&](mem::ProcessId pid, int adj, mem::Pages anon, mem::Pages hot,
+                       mem::Pages file, mem::Pages working_set) {
+    mem::ProcessMem& process = registry.add(pid, "p" + std::to_string(pid), adj);
+    process.anon_resident = anon;
+    process.hot_pages = hot;
+    process.file_resident = file;
+    process.file_working_set = working_set;
+    return &process;
+  };
+  add(1, mem::OomAdj::kForeground, 90, 50, 16, 20);
+  add(2, mem::OomAdj::kPerceptible, 40, 24, 10, 8);
+  add(3, mem::OomAdj::kService, 30, 6, 10, 12);
+  add(4, mem::OomAdj::kCached, 24, 4, 12, 6);
+  add(5, mem::OomAdj::kCached, 16, 2, 6, 14);
+  add(6, mem::OomAdj::kPerceptible, 900, 0, 60, 0)->unevictable = true;
+  registry.touch(3);
+
+  sim::Engine engine;
+  trace::Tracer tracer;
+  sched::Scheduler scheduler(engine, tracer, {.cores = {sched::CoreConfig{}}});
+  const auto burn = [&](sched::ProcessId pid, double refus) {
+    sched::ThreadSpec spec;
+    spec.pid = pid;
+    scheduler.run_work(scheduler.create_thread(spec), refus, [] {});
+  };
+  burn(1, 4000.0);  // hotness 2000 > hot_cut 500: warm tier
+  burn(3, 600.0);   // hotness 300 <= 500: cold tier
+  engine.run();
+
+  const auto plan = [&](const std::string& name, mem::Pages available) {
+    const auto policy = mem::make_mem_policy({name, {}}, config);
+    policy->reclaim().attach_scheduler(&scheduler);
+    mem::ReclaimView view{registry, available, 1000, 36, 8};
+    return render_plan(policy->reclaim().plan_batch(view));
+  };
+  // Per policy: the calm plan, then the desperate one.
+  const std::vector<std::array<std::string, 3>> expected = {
+      {"baseline",
+       "192 | 4:9 3:4 2:6 1:6 | 4:20/0 5:14/0 3:24/0 2:16/0 1:12/0 | 0 | 40a1c80000000000",
+       "192 | 4:12 5:6 3:10 2:10 1:16 | 4:20/0 5:14/0 3:24/0 2:16/0 1:2/0 | 0 | 40a0100000000000"},
+      {"swam", "192 | 4:9 3:4 2:6 1:6 | 3:24/0 2:16/0 1:24/0 | 0 | 409c000000000000",
+       "192 | 4:12 5:6 3:10 2:10 1:16 | 3:24/0 2:16/0 1:14/0 | 0 | 4098900000000000"},
+      {"ariadne",
+       "192 | 4:9 3:4 2:6 1:6 | 2:16/0 4:20/0 5:14/0 3:24/0 1:12/1 | 0 | 40a7f80000000000",
+       "384 | 4:12 5:6 3:10 2:10 1:16 | 2:16/0 4:20/0 5:14/0 3:24/0 1:40/1 | 28 | "
+       "40ae080000000000"},
+      {"partitioned", "192 | 4:9 3:4 2:6 1:6 | 4:20/0 5:14/0 3:15/0 | 0 | 4096d80000000000",
+       "192 | 4:12 5:6 3:10 2:10 1:16 | 4:20/0 5:14/0 3:5/0 | 0 | 4093680000000000"},
+  };
+  for (const auto& [name, calm_plan, desperate_plan] : expected) {
+    EXPECT_EQ(plan(name, config.minfree_service + 1), calm_plan) << name << " calm";
+    EXPECT_EQ(plan(name, config.minfree_service - 1), desperate_plan) << name << " desperate";
+  }
 }
 
 // --- serialization of the policy axis ---------------------------------------

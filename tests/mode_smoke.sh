@@ -3,7 +3,8 @@
 # run executed serially, under --procs 4, and SIGKILLed after N progress
 # checkpoints (--kill-after-checkpoints) then resumed from its --state
 # file must print the same digest and write byte-identical files. Each
-# tool also gets a command-line check: a malformed flag exits 2 naming it.
+# tool also gets a command-line check: a malformed flag exits 2 naming it,
+# and so does a coordinator-only flag on an in-process fuzz or fleet run.
 #
 #   tests/mode_smoke.sh fuzz   MVQOE_FUZZ       # 200 fuzz runs
 #   tests/mode_smoke.sh fleet  MVQOE_FLEET      # + the `report` round trip
@@ -95,11 +96,18 @@ case "$CASE" in
   fuzz)
     check_cli --runs --runs 2x
     check_cli --jobs --procs 1 --jobs 8
+    for flag in --retries --heartbeat-ms --shard-size --backoff-ms --abort-unit --abort-attempts \
+      --kill-after-checkpoints; do
+      check_cli "$flag" --runs 1 "$flag" 3
+    done
     check_modes fuzz 2 "--seed 5 --runs 200" "--resume" "--no-meta --out ." "" no
     ;;
   fleet)
     check_cli --devices run --devices 1e6
     check_cli --jobs run --devices 256 --procs 1 --jobs 4
+    for flag in --retries --heartbeat-ms --abort-unit --abort-attempts --kill-after-checkpoints; do
+      check_cli "$flag" run --devices 8 "$flag" 1
+    done
     check_modes fleet 1 \
       "run --devices 1500 --seed 5 --session-s 3 --sample-period 2 --warmup-s 1 --shard-size 128" \
       "resume" "--report report.json --save fleet.mvqs" "report.json fleet.mvqs" no

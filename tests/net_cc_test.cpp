@@ -8,6 +8,7 @@
 
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/harness.hpp"
@@ -42,6 +43,26 @@ TEST(NetSpec, FactoryKnowsAllFourControllers) {
     EXPECT_EQ(cc->name(), name);
   }
   EXPECT_THROW(net::validate_net_spec(NetSpec{"reno", {}}), std::invalid_argument);
+  // Specs arrive from SCEN blobs and checkpoint configs: a key the named
+  // controller never reads, or a value that is not > 0, fails by name.
+  for (const auto& [spec, key] : std::vector<std::pair<NetSpec, std::string>>{
+           {{"cubic", {{"queue_kbb", 8.0}}}, "queue_kbb"},
+           {{"fifo", {{"mss", 1200.0}}}, "mss"},
+           {{"bbr", {{"c4_delay_target_us", 5000.0}}}, "c4_delay_target_us"},
+           {{"c4", {{"mss", -5.0}}}, "mss"},
+           {{"cubic", {{"queue_kb", 0.0}}}, "queue_kb"}}) {
+    try {
+      net::validate_net_spec(spec);
+      ADD_FAILURE() << spec.cc << " accepted " << key;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + key + "'"), std::string::npos) << e.what();
+    }
+  }
+  for (const std::string name : {"cubic", "bbr", "c4"}) {
+    NetSpec spec{name, {{"mss", 1200.0}, {"queue_kb", 32.0}}};
+    if (name == "c4") spec.params.emplace_back("c4_delay_target_us", 5000.0);
+    EXPECT_NO_THROW(net::validate_net_spec(spec)) << name;
+  }
 }
 
 TEST(NetSpec, DefaultSpecIsDefaultAndTunedSpecIsNot) {

@@ -1,9 +1,13 @@
 // Scenario/workload model tests (DESIGN.md §11): the declarative spec
 // round-trips through the SCEN section (v2, with v1 back-compat, and the
-// retired watchdog byte refused when set), multi-session contention
-// scenarios replay deterministically with per-session QoE attribution,
-// and the component registry rejects section-tag collisions.
+// retired watchdog byte and out-of-range enum bytes refused),
+// multi-session contention scenarios replay deterministically with
+// per-session QoE attribution, and the component registry rejects
+// section-tag collisions.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "core/registry.hpp"
 #include "scenario/driver.hpp"
@@ -72,6 +76,37 @@ TEST(ScenarioSpec, ScenSectionV2RoundTripsWorkloadLists) {
   EXPECT_EQ(loaded_apps.count, 3);
 }
 
+std::string saved(const ScenarioSpec& scen) {
+  snapshot::ByteWriter w;
+  save_scenario(w, scen);
+  return std::move(w).take();
+}
+
+// A v1 SCEN section: the legacy (family, height, fps, duration, state,
+// seed, plan) tuple of pre-v2 blobs like tests/data/golden_fig16.blob.
+std::string v1_section(std::uint8_t state, const fault::FaultPlan& plan = {}) {
+  snapshot::ByteWriter w;
+  w.u32(1);
+  w.str("fig11");
+  w.i32(360);
+  w.i32(30);
+  w.i32(16);
+  w.u8(state);
+  w.u64(41);
+  save_fault_plan(w, plan);
+  return std::move(w).take();
+}
+
+void expect_load_fails(const std::string& bytes, const std::string& reason) {
+  snapshot::ByteReader r(bytes);
+  try {
+    load_scenario(r);
+    FAIL() << "a SCEN with " << reason << " loaded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(reason), std::string::npos) << e.what();
+  }
+}
+
 // The v2 header still carries the byte of the retired watchdog flag:
 // save writes 0 there, and a blob with 1 there fails to load by name —
 // its trail would hold watchdog engine events no run schedules any more.
@@ -86,43 +121,60 @@ TEST(ScenarioSpec, RetiredWatchdogByteSetFailsToLoad) {
   prefix.b(false);
   const std::size_t flag_at = std::move(prefix).take().size();
 
-  snapshot::ByteWriter w;
-  save_scenario(w, scen);
-  std::string bytes = std::move(w).take();
+  std::string bytes = saved(scen);
   ASSERT_GT(bytes.size(), flag_at);
   EXPECT_EQ(bytes[flag_at], 0);
   {
     snapshot::ByteReader r(bytes);
     EXPECT_EQ(video_count(load_scenario(r)), 1u);
   }
-
   bytes[flag_at] = 1;
-  snapshot::ByteReader r(bytes);
-  try {
-    load_scenario(r);
-    FAIL() << "a SCEN with the retired watchdog flag set loaded";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("watchdog flag"), std::string::npos) << e.what();
-  }
+  expect_load_fails(bytes, "watchdog flag");
 }
 
-// Back-compat: a v1 SCEN section (the legacy single-video tuple, as
-// found in pre-v2 blobs like tests/data/golden_fig16.blob) must load
-// into the equivalent one-workload scenario.
+// Every enum byte of a SCEN section is range-checked on load: a doctored
+// byte fails by field name instead of running a pressure state, player
+// platform or pressure target that does not exist. A field's byte is the
+// one position where a save with another value of that field differs.
+TEST(ScenarioSpec, OutOfRangeEnumBytesFailToLoad) {
+  ScenarioSpec scen = single_video("fig16", 480, 30, 4, mem::PressureLevel::Low, 5);
+  std::get<VideoWorkloadSpec>(scen.workloads[0]).platform = video::PlayerPlatform::Chrome;
+  scen.workloads.emplace_back(PressureWorkloadSpec{"hog", mem::PressureLevel::Moderate});
+  const std::string base = saved(scen);
+  const auto doctor = [&base](const ScenarioSpec& other, const std::string& field,
+                              std::uint8_t byte) {
+    const std::string changed = saved(other);
+    ASSERT_EQ(changed.size(), base.size()) << field;
+    std::vector<std::size_t> at;
+    for (std::size_t i = 0; i < base.size(); ++i) {
+      if (base[i] != changed[i]) at.push_back(i);
+    }
+    ASSERT_EQ(at.size(), 1u) << field;
+    std::string bytes = base;
+    bytes[at[0]] = static_cast<char>(byte);
+    expect_load_fails(bytes, field + " byte " + std::to_string(byte));
+  };
+  ScenarioSpec other = scen;
+  other.state = mem::PressureLevel::Critical;
+  doctor(other, "pressure state", 7);
+  other = scen;
+  std::get<VideoWorkloadSpec>(other.workloads[0]).platform = video::PlayerPlatform::ExoPlayer;
+  doctor(other, "video platform", 9);
+  other = scen;
+  std::get<PressureWorkloadSpec>(other.workloads[1]).target = mem::PressureLevel::Critical;
+  doctor(other, "pressure target", 4);
+  expect_load_fails(v1_section(7), "pressure state byte 7");
+  snapshot::ByteReader r(base);
+  EXPECT_EQ(load_scenario(r).workloads.size(), 2u);
+}
+
+// Back-compat: a v1 SCEN section must load into the equivalent
+// one-workload scenario.
 TEST(ScenarioSpec, ScenSectionV1StillLoads) {
-  snapshot::ByteWriter w;
-  w.u32(1);  // legacy section version
-  w.str("fig11");
-  w.i32(360);
-  w.i32(30);
-  w.i32(16);
-  w.u8(static_cast<std::uint8_t>(mem::PressureLevel::Moderate));
-  w.u64(41);
   fault::FaultPlan plan;
   plan.link_outages.push_back({sec(2), sec(1)});
-  save_fault_plan(w, plan);
-
-  const std::string bytes = std::move(w).take();
+  const std::string bytes =
+      v1_section(static_cast<std::uint8_t>(mem::PressureLevel::Moderate), plan);
   snapshot::ByteReader r(bytes);
   const ScenarioSpec loaded = load_scenario(r);
   EXPECT_TRUE(r.done());

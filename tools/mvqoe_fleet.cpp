@@ -11,9 +11,9 @@
 //       is O(shard), not O(fleet). The report digest is byte-identical
 //       across serial, --jobs N threads, --procs N supervised worker
 //       processes and kill-and-resume (--jobs is for in-process runs:
-//       with --procs or --state it exits 2). --save bundles (config,
-//       aggregate) as an MVQS blob; --report writes the Figs 2-6
-//       report JSON.
+//       with --procs or --state it exits 2, and without them so do the
+//       coordinator's own flags). --save bundles (config, aggregate) as
+//       an MVQS blob; --report writes the Figs 2-6 report JSON.
 //
 //   mvqoe_fleet resume FILE [--procs N]
 //                   [--save FILE] [--report FILE] [--progress]
@@ -97,6 +97,7 @@ Args parse_args(int argc, char** argv, const std::string& command) {
   if (args.campaign.coordinated() && args.jobs) {
     throw cli::UsageError("--jobs cannot be combined with --procs, --state or resume");
   }
+  args.campaign.require_coordinator("--procs, --state or resume");
   return args;
 }
 

@@ -27,7 +27,9 @@
 //       backoff, and with --state every completed shard is checkpointed
 //       atomically. SIGINT/SIGTERM flush the checkpoint and exit with
 //       128+signo. The digest matches --jobs runs exactly; --jobs and
-//       --minutes themselves are refused here (exit 2).
+//       --minutes themselves are refused here (exit 2), and the
+//       coordinator's own flags are refused without --procs, --state or
+//       --resume.
 //
 //   mvqoe_fuzz --resume FILE [--procs N]
 //       Resume a killed campaign from its checkpoint: the fuzz
@@ -131,6 +133,7 @@ Args parse_args(int argc, char** argv) {
       throw cli::UsageError("--jobs cannot be combined with --procs, --state or --resume");
     }
   }
+  args.campaign.require_coordinator("--procs, --state or --resume");
   return args;
 }
 
