@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "snapshot/digest.hpp"
 
@@ -214,11 +215,7 @@ void Scheduler::enqueue(ThreadId tid, std::size_t core_idx, bool preempt_check) 
 
   if (core.running == trace::kNoThread) {
     if (t.spec.sched_class == SchedClass::Realtime) {
-      core.rt_queue.push_back(tid);
-      std::stable_sort(core.rt_queue.begin(), core.rt_queue.end(),
-                       [this](ThreadId a, ThreadId b) {
-                         return thread(a).spec.priority > thread(b).spec.priority;
-                       });
+      queue_rt(core, tid);
     } else {
       core.fair_queue.push_back(tid);
     }
@@ -239,16 +236,23 @@ void Scheduler::enqueue(ThreadId tid, std::size_t core_idx, bool preempt_check) 
   }
 
   if (t.spec.sched_class == SchedClass::Realtime) {
-    core.rt_queue.push_back(tid);
-    std::stable_sort(core.rt_queue.begin(), core.rt_queue.end(), [this](ThreadId a, ThreadId b) {
-      return thread(a).spec.priority > thread(b).spec.priority;
-    });
+    queue_rt(core, tid);
   } else {
     core.fair_queue.push_back(tid);
     // A fair thread is now waiting behind the running thread: make sure a
     // timeslice boundary is armed so it gets its turn.
     arm_core_event(core_idx);
   }
+}
+
+void Scheduler::queue_rt(Core& core, ThreadId tid) {
+  // The queue is sorted at every insert (a preemptor's push_front is popped
+  // at once; a steal fills an empty queue), so inserting before the first
+  // lower-priority thread keeps it sorted and FIFO within a priority level.
+  const int priority = thread(tid).spec.priority;
+  core.rt_queue.insert(std::find_if(core.rt_queue.begin(), core.rt_queue.end(),
+                                    [&](ThreadId q) { return thread(q).spec.priority < priority; }),
+                       tid);
 }
 
 void Scheduler::arm_core_event(std::size_t core_idx) {
@@ -374,11 +378,7 @@ void Scheduler::deschedule(std::size_t core_idx, trace::ThreadState next_state,
     // The victim remains runnable: requeue on this core (no preempt check
     // — it just lost the CPU).
     if (t.spec.sched_class == SchedClass::Realtime) {
-      core.rt_queue.push_back(tid);
-      std::stable_sort(core.rt_queue.begin(), core.rt_queue.end(),
-                       [this](ThreadId a, ThreadId b) {
-                         return thread(a).spec.priority > thread(b).spec.priority;
-                       });
+      queue_rt(core, tid);
     } else {
       core.fair_queue.push_back(tid);
     }
@@ -403,20 +403,29 @@ void Scheduler::complete(std::size_t core_idx) {
   t.state = trace::ThreadState::Sleeping;
   tracer_.state_change(tid, engine_.now(), trace::ThreadState::Sleeping);
 
-  // Run the completion callback at top level (fresh event, same time) so
-  // it can freely call back into the scheduler — and dispatch the core
-  // *after* the callback, so a thread that immediately resubmits work
-  // competes on vruntime with the waiters instead of silently yielding
-  // its turn (CFS keeps such a thread on the runqueue continuously).
+  // Run the completion callback at top level (a fresh flat event at the
+  // same time; the callback waits in `parked`) so it can freely call back
+  // into the scheduler — and dispatch the core *after* the callback, so a
+  // thread that immediately resubmits work competes on vruntime with the
+  // waiters instead of silently yielding its turn (CFS keeps such a
+  // thread on the runqueue continuously). The thread's next completion is
+  // at least 1 µs later, so the slot is free again by then.
   if (t.on_complete) {
-    engine_.schedule(0, [this, core_idx, tid, fn = std::move(t.on_complete)] {
-      if (exists(tid)) fn();
-      dispatch(core_idx);
-    });
-    t.on_complete = nullptr;
+    assert(!t.parked);
+    t.parked = std::exchange(t.on_complete, nullptr);
+    engine_.schedule_flat(0, &Scheduler::on_hand_off, this,
+                          (static_cast<std::uint64_t>(core_idx) << 32) | tid);
   } else {
     dispatch(core_idx);
   }
+}
+
+void Scheduler::on_hand_off(void* ctx, std::uint64_t arg) {
+  auto* self = static_cast<Scheduler*>(ctx);
+  const auto tid = static_cast<ThreadId>(arg);
+  const std::function<void()> fn = std::exchange(self->thread(tid).parked, nullptr);
+  if (self->exists(tid)) fn();
+  self->dispatch(static_cast<std::size_t>(arg >> 32));
 }
 
 void Scheduler::slice_expired(std::size_t core_idx) {

@@ -156,6 +156,9 @@ class Scheduler {
     trace::ThreadState state = trace::ThreadState::Created;
     double remaining_work = 0.0;  // reference-µs
     std::function<void()> on_complete;
+    // The finished burst's callback until its hand-off event runs it; apart
+    // from on_complete, which a same-instant resubmit may refill first.
+    std::function<void()> parked;
     double vruntime = 0.0;  // weighted, in reference-µs
     double weight = 1.0;
     int core = -1;           // core currently running on, -1 otherwise
@@ -191,6 +194,8 @@ class Scheduler {
   std::size_t place_thread(const Thread& t) const;
   /// Put a runnable thread on a core's queue and trigger preemption checks.
   void enqueue(ThreadId tid, std::size_t core, bool preempt_check);
+  /// Insert an RT thread after every queued thread of equal or higher priority.
+  void queue_rt(Core& core, ThreadId tid);
   /// Choose and dispatch the next thread on `core` (assumes core idle).
   void dispatch(std::size_t core);
   /// Stop the thread currently running on `core`, charging consumed work.
@@ -205,6 +210,9 @@ class Scheduler {
   void arm_core_event(std::size_t core);
   /// Flat-event trampoline for core timers (arg = core_idx << 1 | is_slice).
   static void on_core_event(void* ctx, std::uint64_t arg);
+  /// Flat event after a burst completes (arg = core_idx << 32 | tid): runs
+  /// the parked callback if the thread still exists, then dispatches.
+  static void on_hand_off(void* ctx, std::uint64_t arg);
   double min_vruntime(const Core& core) const;
 
   void open_preemption(ThreadId victim, ThreadId preemptor);

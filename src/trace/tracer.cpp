@@ -49,6 +49,7 @@ const ThreadMeta* Tracer::thread(ThreadId tid) const noexcept {
 }
 
 void Tracer::state_change(ThreadId tid, sim::Time at, ThreadState next, ThreadId preemptor) {
+  if (tid >= open_.size()) open_.resize(tid + 1);
   auto& open = open_[tid];
   if (open.open && at > open.begin) {
     intervals_.push_back(StateInterval{tid, open.begin, at, open.state, open.preemptor});
@@ -70,20 +71,13 @@ void Tracer::counter(const std::string& name, sim::Time at, double value) {
 }
 
 void Tracer::finalize(sim::Time at) {
-  for (auto& [tid, open] : open_) {
+  for (ThreadId tid = 0; tid < open_.size(); ++tid) {
+    OpenInterval& open = open_[tid];
     if (open.open && at > open.begin) {
       intervals_.push_back(StateInterval{tid, open.begin, at, open.state, open.preemptor});
       open.begin = at;
     }
   }
-}
-
-void Tracer::clear_events() {
-  intervals_.clear();
-  preemptions_.clear();
-  instants_.clear();
-  counters_.clear();
-  open_.clear();
 }
 
 }  // namespace mvqoe::trace

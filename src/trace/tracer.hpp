@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -123,19 +124,17 @@ class Tracer {
                std::int64_t value = 0);
   void counter(const std::string& name, sim::Time at, double value);
 
-  /// Close all open intervals at `at` (call once at end of run before
-  /// analysis; idempotent for already-terminated threads).
+  /// Close all open intervals at `at`, in ascending tid order (call once
+  /// at end of run before analysis; idempotent for already-terminated
+  /// threads).
   void finalize(sim::Time at);
 
-  const std::vector<StateInterval>& intervals() const noexcept { return intervals_; }
+  /// Closed intervals in the order they closed. A deque: appending never
+  /// copies the intervals already recorded.
+  const std::deque<StateInterval>& intervals() const noexcept { return intervals_; }
   const std::vector<PreemptionRecord>& preemptions() const noexcept { return preemptions_; }
   const std::vector<InstantEvent>& instants() const noexcept { return instants_; }
   const std::vector<CounterSample>& counters() const noexcept { return counters_; }
-  const std::unordered_map<ThreadId, ThreadMeta>& threads() const noexcept { return threads_; }
-
-  /// Discard all recorded data but keep thread registrations; used between
-  /// repeated runs that share a simulator.
-  void clear_events();
 
  private:
   struct OpenInterval {
@@ -146,8 +145,8 @@ class Tracer {
   };
 
   std::unordered_map<ThreadId, ThreadMeta> threads_;
-  std::unordered_map<ThreadId, OpenInterval> open_;
-  std::vector<StateInterval> intervals_;
+  std::vector<OpenInterval> open_;  // index = tid (the scheduler's dense ids)
+  std::deque<StateInterval> intervals_;
   std::vector<PreemptionRecord> preemptions_;
   std::vector<InstantEvent> instants_;
   std::vector<CounterSample> counters_;

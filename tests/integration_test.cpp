@@ -3,7 +3,12 @@
 // than any single module's behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
+#include <vector>
+
 #include "runner/video_batch.hpp"
+#include "snapshot/digest.hpp"
 #include "trace/analysis.hpp"
 #include "video/abr_policy.hpp"
 
@@ -213,6 +218,49 @@ TEST(Integration, TrimSignalsReachSubscribersDuringExperiments) {
   driver.run();
   const auto& vm = driver.testbed().memory.vmstat();
   EXPECT_GT(vm.trim_signals[1] + vm.trim_signals[2] + vm.trim_signals[3], 0u);
+}
+
+// Pins the trace content a run feeds Table 4/5 and Fig 13: a 10 s
+// Critical-state fig16 world in which mmcqd preempts the video threads.
+// Intervals are hashed in (tid, begin) order, so the order in which the
+// tracer records them (and finalize closes them) does not enter the pin;
+// preemption records and instants are hashed in recorded order.
+TEST(Integration, CriticalWorldTraceContentIsPinned) {
+  scenario::ScenarioDriver driver(
+      scenario::single_video("fig16", 480, 30, 10, PressureLevel::Critical, 1));
+  driver.run();  // ends with tracer.finalize(now)
+  const auto& tracer = driver.testbed().tracer;
+
+  std::vector<trace::StateInterval> intervals(tracer.intervals().begin(),
+                                              tracer.intervals().end());
+  std::sort(intervals.begin(), intervals.end(), [](const auto& a, const auto& b) {
+    return std::tie(a.tid, a.begin) < std::tie(b.tid, b.begin);
+  });
+  snapshot::StateHash h;
+  for (const auto& iv : intervals) {
+    h.mix(iv.tid);
+    h.mix(static_cast<std::uint64_t>(iv.begin));
+    h.mix(static_cast<std::uint64_t>(iv.end));
+    h.mix(static_cast<std::uint64_t>(iv.state));
+    h.mix(iv.preemptor);
+  }
+  for (const auto& rec : tracer.preemptions()) {
+    h.mix(rec.victim);
+    h.mix(rec.preemptor);
+    h.mix(static_cast<std::uint64_t>(rec.at));
+    h.mix(static_cast<std::uint64_t>(rec.preemptor_run));
+    h.mix(static_cast<std::uint64_t>(rec.victim_wait));
+  }
+  for (const auto& ev : tracer.instants()) {
+    h.mix(static_cast<std::uint64_t>(ev.kind));
+    h.mix(static_cast<std::uint64_t>(ev.at));
+    h.mix(ev.tid);
+    h.mix(static_cast<std::uint64_t>(ev.value));
+  }
+
+  ASSERT_GT(tracer.preemptions().size(), 0u);
+  EXPECT_EQ(intervals.size(), 33985u);
+  EXPECT_EQ(h.value(), 0xcebe6de15ab584c1ULL);
 }
 
 }  // namespace

@@ -1,6 +1,10 @@
 // Scheduler edge cases: RT work stealing, affinity interactions,
-// termination while queued, heterogeneous cores, and accounting totals.
+// termination while queued, heterogeneous cores, RT queue order, the
+// burst-completion hand-off, and accounting totals.
 #include <gtest/gtest.h>
+
+#include <utility>
+#include <vector>
 
 #include "sched/scheduler.hpp"
 #include "trace/analysis.hpp"
@@ -153,6 +157,118 @@ TEST(SchedEdge, ZeroWorkBurstCompletesImmediately) {
   fx.engine.run();
   EXPECT_TRUE(done);
   EXPECT_LE(fx.engine.now(), msec(1));
+}
+
+// RT queue order: strict priority, FIFO within a priority level, so a
+// thread queues after every queued thread of equal or higher priority.
+TEST(SchedEdge, RtQueueOrdersByPriorityThenArrival) {
+  Fixture fx;
+  Scheduler sched(fx.engine, fx.tracer, cores({1.0}));
+  const auto hog = sched.create_thread(rt("hog", 90));
+  const auto p10 = sched.create_thread(rt("p10", 10));
+  const auto p50a = sched.create_thread(rt("p50a", 50));
+  const auto p50b = sched.create_thread(rt("p50b", 50));
+  const auto p30 = sched.create_thread(rt("p30", 30));
+  std::vector<std::pair<ThreadId, sim::Time>> finished;
+  auto record = [&](ThreadId tid) {
+    return [&finished, &fx, tid] { finished.emplace_back(tid, fx.engine.now()); };
+  };
+  sched.run_work(hog, 10000.0, record(hog));
+  fx.engine.schedule(msec(1), [&] {
+    for (const auto tid : {p10, p50a, p50b, p30}) sched.run_work(tid, 1000.0, record(tid));
+  });
+  fx.engine.run();
+  const std::vector<std::pair<ThreadId, sim::Time>> expected = {
+      {hog, msec(10)}, {p50a, msec(11)}, {p50b, msec(12)}, {p30, msec(13)}, {p10, msec(14)}};
+  EXPECT_EQ(finished, expected);
+  EXPECT_TRUE(fx.tracer.preemptions().empty());
+}
+
+// A preempted RT victim requeues behind the waiters of its own priority.
+TEST(SchedEdge, PreemptedRtVictimQueuesBehindEqualPriorityWaiter) {
+  Fixture fx;
+  Scheduler sched(fx.engine, fx.tracer, cores({1.0}));
+  const auto victim = sched.create_thread(rt("rt10", 10));
+  const auto waiter = sched.create_thread(rt("rt10b", 10));
+  const auto high = sched.create_thread(rt("rt90", 90));
+  sim::Time victim_done = -1;
+  sim::Time waiter_done = -1;
+  sim::Time high_done = -1;
+  sched.run_work(victim, 10000.0, [&] { victim_done = fx.engine.now(); });
+  sched.run_work(waiter, 1000.0, [&] { waiter_done = fx.engine.now(); });
+  fx.engine.schedule(msec(2), [&] {
+    sched.run_work(high, 1000.0, [&] { high_done = fx.engine.now(); });
+  });
+  fx.engine.run();
+  EXPECT_EQ(high_done, msec(3));
+  EXPECT_EQ(waiter_done, msec(4));
+  EXPECT_EQ(victim_done, msec(12));
+  EXPECT_EQ(sched.counters(victim).preemptions_suffered, 1u);
+}
+
+// An event already queued for the completion instant resubmits the
+// thread before the finished burst's callback has run: the new burst's
+// callback must not displace the old one.
+TEST(SchedEdge, SameInstantResubmitKeepsBothCallbacks) {
+  Fixture fx;
+  Scheduler sched(fx.engine, fx.tracer, cores({1.0}));
+  const auto tid = sched.create_thread(fair("t"));
+  std::vector<sim::Time> first;
+  std::vector<sim::Time> second;
+  sched.run_work(tid, 10000.0, [&] { first.push_back(fx.engine.now()); });
+  fx.engine.schedule(msec(10), [&] {
+    ASSERT_TRUE(sched.is_idle(tid));
+    sched.run_work(tid, 2000.0, [&] { second.push_back(fx.engine.now()); });
+  });
+  fx.engine.run();
+  EXPECT_EQ(first, std::vector<sim::Time>{msec(10)});
+  EXPECT_EQ(second, std::vector<sim::Time>{msec(12)});
+}
+
+// Terminated after its burst completed but before the callback ran: the
+// callback is abandoned and the core goes straight to the next waiter.
+TEST(SchedEdge, TerminateBeforeCallbackDropsItAndRunsWaiter) {
+  Fixture fx;
+  Scheduler sched(fx.engine, fx.tracer, cores({1.0}));
+  const auto doomed = sched.create_thread(rt("doomed", 50));
+  const auto waiter = sched.create_thread(rt("waiter", 50));
+  bool fired = false;
+  sim::Time waiter_done = -1;
+  sched.run_work(doomed, 10000.0, [&] { fired = true; });
+  sched.run_work(waiter, 1000.0, [&] { waiter_done = fx.engine.now(); });
+  fx.engine.schedule(msec(10), [&] {
+    ASSERT_TRUE(sched.is_idle(doomed));
+    sched.terminate(doomed);
+  });
+  fx.engine.run();
+  EXPECT_FALSE(fired);
+  EXPECT_FALSE(sched.exists(doomed));
+  EXPECT_EQ(waiter_done, msec(11));
+}
+
+// The completion callback runs before the core picks its next thread, so
+// a higher-priority thread it wakes takes the free core without
+// preempting the waiter that would otherwise have been dispatched.
+TEST(SchedEdge, CompletionCallbackRunsBeforeCoreRedispatch) {
+  Fixture fx;
+  Scheduler sched(fx.engine, fx.tracer, cores({1.0}));
+  const auto first = sched.create_thread(rt("first", 50));
+  const auto waiter = sched.create_thread(rt("waiter", 50));
+  const auto high = sched.create_thread(rt("high", 90));
+  trace::ThreadState waiter_state_in_callback = trace::ThreadState::Created;
+  sim::Time waiter_done = -1;
+  sim::Time high_done = -1;
+  sched.run_work(first, 10000.0, [&] {
+    waiter_state_in_callback = sched.state(waiter);
+    sched.run_work(high, 1000.0, [&] { high_done = fx.engine.now(); });
+  });
+  sched.run_work(waiter, 1000.0, [&] { waiter_done = fx.engine.now(); });
+  fx.engine.run();
+  EXPECT_EQ(waiter_state_in_callback, trace::ThreadState::Runnable);
+  EXPECT_EQ(high_done, msec(11));
+  EXPECT_EQ(waiter_done, msec(12));
+  EXPECT_EQ(sched.counters(waiter).preemptions_suffered, 0u);
+  EXPECT_TRUE(fx.tracer.preemptions().empty());
 }
 
 TEST(SchedEdge, ManyThreadsOnManyCoresAccountingCloses) {

@@ -1,10 +1,44 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
 #include <functional>
+#include <new>
 #include <vector>
 
 #include "sched/scheduler.hpp"
 #include "trace/analysis.hpp"
+
+// Every plain operator new in this binary is counted, so a test can
+// bound the heap allocations of a stretch of simulation. All non-aligned
+// forms are replaced together so each allocation is freed by its own
+// family (sanitizer builds check that pairing).
+namespace {
+std::uint64_t g_heap_allocations = 0;
+
+void* counted_alloc(std::size_t size) {
+  ++g_heap_allocations;
+  return std::malloc(size == 0 ? 1 : size);
+}
+// Out of line so the compiler does not see free() paired with new.
+[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (void* p = counted_alloc(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept { return counted_alloc(size); }
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size);
+}
+void operator delete(void* p) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete[](void* p, std::size_t) noexcept { release(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { release(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { release(p); }
 
 namespace mvqoe::sched {
 namespace {
@@ -366,6 +400,58 @@ TEST(Scheduler, RunnableStateRecordedWhileWaiting) {
   fx.tracer.finalize(fx.engine.now());
   const auto times = trace::state_times(fx.tracer, {waiter});
   EXPECT_GT(times.runnable, 0.0);
+}
+
+/// A thread that resubmits a fixed burst from its own completion callback
+/// forever. The callback captures one pointer, so std::function stores it
+/// inline and run_work itself never allocates.
+struct BurstLoop {
+  Scheduler* sched = nullptr;
+  ThreadId tid = trace::kNoThread;
+  double work_refus = 0.0;
+  std::uint64_t bursts = 0;
+
+  void submit() {
+    sched->run_work(tid, work_refus, [this] {
+      ++bursts;
+      submit();
+    });
+  }
+};
+
+// The scheduler's counterpart of bench_engine's per-event allocation
+// gate: a steady stream of CPU bursts must not heap-allocate per burst.
+// Fair threads share core 0 with bursts shorter than a timeslice and
+// equal-priority RT threads share core 1, so nothing is preempted
+// (preemption records allocate).
+TEST(Scheduler, SteadyBurstLoopAllocatesLessThanOncePerFourBursts) {
+  Fixture fx;
+  Scheduler sched(fx.engine, fx.tracer, quad_core(1.0));
+  std::vector<BurstLoop> loops(4);
+  for (std::size_t i = 0; i < loops.size(); ++i) {
+    const bool realtime = i >= 2;
+    ThreadSpec spec = realtime ? rt_spec("rt" + std::to_string(i), 50)
+                               : fair_spec("fair" + std::to_string(i));
+    spec.affinity = realtime ? 0b10 : 0b01;
+    loops[i] = BurstLoop{&sched, sched.create_thread(spec), realtime ? 150.0 : 200.0};
+  }
+  for (BurstLoop& loop : loops) loop.submit();
+
+  auto total_bursts = [&] {
+    std::uint64_t n = 0;
+    for (const BurstLoop& loop : loops) n += loop.bursts;
+    return n;
+  };
+  fx.engine.run_until(sec(1));  // warm-up: buffers reach their working size
+  const std::uint64_t bursts_before = total_bursts();
+  const std::uint64_t allocations_before = g_heap_allocations;
+  fx.engine.run_until(sec(2));
+  const std::uint64_t allocations = g_heap_allocations - allocations_before;
+  const std::uint64_t bursts = total_bursts() - bursts_before;
+
+  ASSERT_GE(bursts, 10000u);
+  EXPECT_TRUE(fx.tracer.preemptions().empty());
+  EXPECT_LT(allocations * 4, bursts) << allocations << " allocations over " << bursts << " bursts";
 }
 
 }  // namespace

@@ -58,18 +58,6 @@ TEST(Tracer, TerminatedClosesForGood) {
   EXPECT_EQ(tracer.intervals()[0].end, sec(1));
 }
 
-TEST(Tracer, ClearEventsKeepsThreadRegistry) {
-  Tracer tracer;
-  tracer.register_thread(meta(1, "t"));
-  tracer.state_change(1, 0, ThreadState::Running);
-  tracer.instant(InstantKind::FrameDropped, sec(1), 1, 7);
-  tracer.finalize(sec(2));
-  tracer.clear_events();
-  EXPECT_TRUE(tracer.intervals().empty());
-  EXPECT_TRUE(tracer.instants().empty());
-  EXPECT_NE(tracer.thread(1), nullptr);
-}
-
 TEST(Analysis, StateTimesSumPerState) {
   Tracer tracer;
   tracer.register_thread(meta(1, "a"));
