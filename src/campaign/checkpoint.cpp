@@ -94,4 +94,15 @@ CheckpointState read_checkpoint_file(const std::string& path) {
   }
 }
 
+void save_spec_tail(snapshot::ByteWriter& w, const mem::MemPolicySpec& policy,
+                    const net::NetSpec& net) {
+  if (!policy.is_baseline() || !net.is_default()) mem::save_policy_spec(w, policy);
+  if (!net.is_default()) net::save_net_spec(w, net);
+}
+
+void load_spec_tail(snapshot::ByteReader& r, mem::MemPolicySpec& policy, net::NetSpec& net) {
+  if (!r.done()) policy = mem::load_policy_spec(r);
+  if (!r.done()) net = net::load_net_spec(r);
+}
+
 }  // namespace mvqoe::campaign

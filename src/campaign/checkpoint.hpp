@@ -3,7 +3,7 @@
 // A campaign is a set of independently executable units (fuzz runs,
 // sweep groups) whose per-unit result payloads are pure functions of the
 // unit index and the campaign configuration. The checkpoint stores the
-// configuration (opaque bytes + fingerprint), every completed unit's
+// configuration (opaque bytes + their digest), every completed unit's
 // payload, and the cumulative shard supervision history — everything a
 // later process needs to resume exactly where a killed campaign stopped
 // and still produce the same campaign digest as an uninterrupted run
@@ -15,10 +15,14 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "mem/policy.hpp"
+#include "net/cc.hpp"
 #include "snapshot/blob.hpp"
 
 namespace mvqoe::campaign {
@@ -46,7 +50,7 @@ struct ShardOutcome {
 const char* to_string(ShardStatus status) noexcept;
 
 struct CheckpointState {
-  /// Guards resume compatibility: derived from the config bytes, so a
+  /// Guards resume compatibility: the digest of the config bytes, so a
   /// checkpoint can never silently resume under different parameters.
   std::uint64_t fingerprint = 0;
   /// Opaque application configuration (e.g. the encoded FuzzOptions) —
@@ -67,5 +71,27 @@ CheckpointState load_checkpoint(const snapshot::Snapshot& blob);
 /// the path and a parse-level reason on truncated or garbage input.
 bool write_checkpoint_file(const std::string& path, const CheckpointState& state);
 CheckpointState read_checkpoint_file(const std::string& path);
+
+/// The config a checkpoint was recorded under, decoded by the tool's own
+/// `decode` (--resume without repeating the original flags). Throws with
+/// the path on a missing, corrupt or undecodable checkpoint.
+template <class Config>
+Config load_resume_config(const std::string& path, Config (*decode)(const std::string&)) {
+  const CheckpointState state = read_checkpoint_file(path);
+  try {
+    return decode(state.config);
+  } catch (const std::exception& e) {
+    throw std::runtime_error("campaign: " + path + ": " + e.what());
+  }
+}
+
+/// The optional world tail of the sweep and fleet configs: nothing at
+/// baseline + fifo (so older checkpoints keep their bytes), else the
+/// policy spec, then the link spec unless it is fifo. A non-fifo link
+/// therefore forces the policy spec out even at baseline: the reader
+/// takes them in order, each only while bytes remain.
+void save_spec_tail(snapshot::ByteWriter& w, const mem::MemPolicySpec& policy,
+                    const net::NetSpec& net);
+void load_spec_tail(snapshot::ByteReader& r, mem::MemPolicySpec& policy, net::NetSpec& net);
 
 }  // namespace mvqoe::campaign

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "runner/batch.hpp"
+#include "snapshot/digest.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <cerrno>
@@ -106,12 +107,13 @@ CampaignResult run_campaign(std::uint64_t total_units, const UnitFn& fn,
   result.payloads.resize(total_units);
   result.completed.assign(total_units, false);
 
+  const std::uint64_t fingerprint = snapshot::digest_bytes(opts.config);
   if (opts.resume) {
     if (opts.state_path.empty()) {
       throw std::invalid_argument("campaign: resume requires a checkpoint path");
     }
     CheckpointState state = read_checkpoint_file(opts.state_path);
-    if (state.fingerprint != opts.fingerprint) {
+    if (state.fingerprint != fingerprint) {
       throw std::runtime_error("campaign: " + opts.state_path +
                                " was recorded under a different campaign configuration "
                                "(fingerprint mismatch) — refusing to resume");
@@ -159,7 +161,7 @@ CampaignResult run_campaign(std::uint64_t total_units, const UnitFn& fn,
   const auto flush_checkpoint = [&](bool progress) {
     if (opts.state_path.empty()) return;
     CheckpointState state;
-    state.fingerprint = opts.fingerprint;
+    state.fingerprint = fingerprint;
     state.config = opts.config;
     state.total_units = total_units;
     for (std::uint64_t i = 0; i < total_units; ++i) {

@@ -70,10 +70,9 @@ struct CampaignOptions {
   /// Checkpoint file ("" = run without checkpointing).
   std::string state_path;
   /// Opaque app configuration stored in the checkpoint for --resume.
+  /// Its digest is the checkpoint's fingerprint: a resume under other
+  /// config bytes is rejected loudly.
   std::string config;
-  /// Fingerprint of `config`; a resume with a different fingerprint is
-  /// rejected loudly.
-  std::uint64_t fingerprint = 0;
   /// Load state_path and run only the units it is missing.
   bool resume = false;
   /// Polled between I/O waits; when it goes nonzero the coordinator

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "snapshot/bytes.hpp"
-#include "snapshot/digest.hpp"
 
 namespace mvqoe::campaign {
 
@@ -91,24 +90,8 @@ check::FuzzOptions decode_fuzz_config(const std::string& bytes) {
   return opts;
 }
 
-std::uint64_t fuzz_config_fingerprint(const check::FuzzOptions& opts) {
-  snapshot::StateHash hash;
-  hash.mix_bytes(encode_fuzz_config(opts));
-  return hash.value();
-}
-
-check::FuzzOptions load_fuzz_resume_config(const std::string& path) {
-  const CheckpointState state = read_checkpoint_file(path);
-  try {
-    return decode_fuzz_config(state.config);
-  } catch (const std::exception& e) {
-    throw std::runtime_error("campaign: " + path + ": " + e.what());
-  }
-}
-
 FuzzCampaignResult run_fuzz_campaign(const check::FuzzOptions& fuzz, CampaignOptions campaign) {
   campaign.config = encode_fuzz_config(fuzz);
-  campaign.fingerprint = fuzz_config_fingerprint(fuzz);
 
   const auto unit_fn = [&fuzz](std::uint64_t unit) {
     snapshot::ByteWriter w;

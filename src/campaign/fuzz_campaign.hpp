@@ -26,17 +26,10 @@ namespace mvqoe::campaign {
 
 /// Canonical wire encoding of the digest-relevant FuzzOptions (seed,
 /// runs, generator, check options, perturb hooks — everything except
-/// the parallelism knobs). Stored verbatim in the checkpoint.
+/// the parallelism knobs). Stored verbatim in the checkpoint; --resume
+/// decodes it with load_resume_config.
 std::string encode_fuzz_config(const check::FuzzOptions& opts);
 check::FuzzOptions decode_fuzz_config(const std::string& bytes);
-
-/// StateHash over the canonical encoding.
-std::uint64_t fuzz_config_fingerprint(const check::FuzzOptions& opts);
-
-/// Read a checkpoint file and reconstruct the FuzzOptions it was
-/// recorded under (for --resume without re-specifying flags). Throws
-/// with a path-prefixed diagnostic on missing/corrupt checkpoints.
-check::FuzzOptions load_fuzz_resume_config(const std::string& path);
 
 struct FuzzCampaignResult {
   /// Valid when `campaign.complete`; for a degraded campaign the
@@ -47,8 +40,7 @@ struct FuzzCampaignResult {
 };
 
 /// Run (or resume) a fuzz campaign under the coordinator.
-/// `campaign.config` / `campaign.fingerprint` are filled in from
-/// `fuzz`; `fuzz.jobs` is ignored.
+/// `campaign.config` is filled in from `fuzz`; `fuzz.jobs` is ignored.
 FuzzCampaignResult run_fuzz_campaign(const check::FuzzOptions& fuzz, CampaignOptions campaign);
 
 }  // namespace mvqoe::campaign

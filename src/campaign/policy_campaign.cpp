@@ -65,25 +65,9 @@ PolicyCompareSpec decode_policy_config(const std::string& bytes) {
   return spec;
 }
 
-std::uint64_t policy_config_fingerprint(const PolicyCompareSpec& spec) {
-  snapshot::StateHash hash;
-  hash.mix_bytes(encode_policy_config(spec));
-  return hash.value();
-}
-
-PolicyCompareSpec load_policy_resume_config(const std::string& path) {
-  const CheckpointState state = read_checkpoint_file(path);
-  try {
-    return decode_policy_config(state.config);
-  } catch (const std::exception& e) {
-    throw std::runtime_error("campaign: " + path + ": " + e.what());
-  }
-}
-
 PolicyCompareResult run_policy_compare(const PolicyCompareSpec& spec, CampaignOptions campaign) {
   validate(spec);
   campaign.config = encode_policy_config(spec);
-  campaign.fingerprint = policy_config_fingerprint(spec);
 
   const std::vector<SweepCampaignSpec> lanes = lane_specs(spec);
   std::vector<scenario::ScenarioSpec> protos;

@@ -33,16 +33,11 @@ struct PolicyCompareSpec {
 /// where G = sweep_total_units(base).
 std::uint64_t policy_total_units(const PolicyCompareSpec& spec);
 
-/// Canonical wire encoding (checkpoint config) and its fingerprint.
-/// base.group_workers is excluded (parallelism knob, free to differ
-/// across resumes).
+/// Canonical wire encoding (checkpoint config; --resume decodes it with
+/// load_resume_config). base.group_workers is excluded (parallelism
+/// knob, free to differ across resumes).
 std::string encode_policy_config(const PolicyCompareSpec& spec);
 PolicyCompareSpec decode_policy_config(const std::string& bytes);
-std::uint64_t policy_config_fingerprint(const PolicyCompareSpec& spec);
-
-/// Read a checkpoint file and reconstruct the compare spec it was
-/// recorded under (--resume without re-specifying the grid).
-PolicyCompareSpec load_policy_resume_config(const std::string& path);
 
 /// One policy's lane of the compare: the full sweep grid it produced.
 struct PolicyLane {
@@ -61,7 +56,7 @@ struct PolicyCompareResult {
 };
 
 /// Run (or resume) the compare under the coordinator.
-/// `campaign.config` / `campaign.fingerprint` are filled in from `spec`.
+/// `campaign.config` is filled in from `spec`.
 PolicyCompareResult run_policy_compare(const PolicyCompareSpec& spec, CampaignOptions campaign);
 
 }  // namespace mvqoe::campaign

@@ -25,14 +25,7 @@ std::string encode_sweep_config(const SweepCampaignSpec& spec) {
   for (const int h : spec.heights) w.i32(h);
   w.i32(spec.runs);
   w.u64(spec.seed);
-  // Optional tails (still config version 1), written only when
-  // non-default so historical checkpoints keep their fingerprints. The
-  // net tail follows the policy tail, so a non-fifo link forces the
-  // policy spec out even at baseline (the decoder reads them in order).
-  if (!spec.mem_policy.is_baseline() || !spec.net.is_default()) {
-    mem::save_policy_spec(w, spec.mem_policy);
-  }
-  if (!spec.net.is_default()) net::save_net_spec(w, spec.net);
+  save_spec_tail(w, spec.mem_policy, spec.net);  // still config version 1
   return std::move(w).take();
 }
 
@@ -61,28 +54,12 @@ SweepCampaignSpec decode_sweep_config(const std::string& bytes) {
   for (std::uint32_t i = 0; i < height_count; ++i) spec.heights.push_back(r.i32());
   spec.runs = r.i32();
   spec.seed = r.u64();
-  if (!r.done()) spec.mem_policy = mem::load_policy_spec(r);
-  if (!r.done()) spec.net = net::load_net_spec(r);
+  load_spec_tail(r, spec.mem_policy, spec.net);
   if (!r.done()) {
     throw std::runtime_error("campaign: trailing bytes after the sweep config");
   }
   validate_sweep_spec(spec);
   return spec;
-}
-
-std::uint64_t sweep_config_fingerprint(const SweepCampaignSpec& spec) {
-  snapshot::StateHash hash;
-  hash.mix_bytes(encode_sweep_config(spec));
-  return hash.value();
-}
-
-SweepCampaignSpec load_sweep_resume_config(const std::string& path) {
-  const CheckpointState state = read_checkpoint_file(path);
-  try {
-    return decode_sweep_config(state.config);
-  } catch (const std::exception& e) {
-    throw std::runtime_error("campaign: " + path + ": " + e.what());
-  }
 }
 
 void validate_sweep_spec(const SweepCampaignSpec& spec) {
@@ -180,7 +157,6 @@ std::vector<runner::SweepCellResult> fold_sweep_payloads(const SweepCampaignSpec
 SweepCampaignResult run_sweep_campaign(const SweepCampaignSpec& spec, CampaignOptions campaign) {
   validate_sweep_spec(spec);
   campaign.config = encode_sweep_config(spec);
-  campaign.fingerprint = sweep_config_fingerprint(spec);
 
   const scenario::ScenarioSpec proto = sweep_proto(spec);
   SweepCampaignResult result;

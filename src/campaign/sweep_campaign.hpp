@@ -50,16 +50,11 @@ struct SweepCampaignSpec {
 /// unit u -> (states[u / runs], run u % runs).
 std::uint64_t sweep_total_units(const SweepCampaignSpec& spec);
 
-/// Canonical wire encoding (checkpoint config) and its fingerprint.
-/// group_workers is excluded — like --jobs it may differ across
-/// resumes without changing the results.
+/// Canonical wire encoding (checkpoint config; --resume decodes it with
+/// load_resume_config). group_workers is excluded — like --jobs it may
+/// differ across resumes without changing the results.
 std::string encode_sweep_config(const SweepCampaignSpec& spec);
 SweepCampaignSpec decode_sweep_config(const std::string& bytes);
-std::uint64_t sweep_config_fingerprint(const SweepCampaignSpec& spec);
-
-/// Read a checkpoint file and reconstruct the sweep spec it was
-/// recorded under (--resume without re-specifying the grid).
-SweepCampaignSpec load_sweep_resume_config(const std::string& path);
 
 struct SweepCampaignResult {
   /// The run_sweep_grid_shared-shaped grid (state-major cells, per-cell
@@ -98,7 +93,7 @@ std::vector<runner::SweepCellResult> fold_sweep_payloads(const SweepCampaignSpec
                                                          snapshot::StateHash& digest);
 
 /// Run (or resume) the sweep grid under the coordinator.
-/// `campaign.config` / `campaign.fingerprint` are filled in from `spec`.
+/// `campaign.config` is filled in from `spec`.
 SweepCampaignResult run_sweep_campaign(const SweepCampaignSpec& spec, CampaignOptions campaign);
 
 }  // namespace mvqoe::campaign

@@ -40,9 +40,7 @@ Testbed::Testbed(DeviceProfile profile, std::uint64_t seed, mem::MemPolicySpec m
         [&spec] {
           snapshot::ByteWriter w;
           net::save_net_spec(w, spec);
-          snapshot::StateHash hash;
-          hash.mix_bytes(std::move(w).take());
-          return hash.value();
+          return snapshot::digest_bytes(w.view());
         });
   }
 }

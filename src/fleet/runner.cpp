@@ -61,24 +61,12 @@ FleetRunResult run_fleet(const FleetSpec& spec, const FleetRunOptions& opts) {
     return std::min(units_done * spec.shard_size, spec.devices);
   };
 
-  const bool use_campaign = opts.procs > 0 || !opts.state_path.empty() || opts.resume;
-  if (use_campaign) {
-    campaign::CampaignOptions campaign_opts;
-    campaign_opts.procs = opts.procs > 0 ? opts.procs : 1;
-    campaign_opts.shard_size = opts.units_per_proc_shard;
-    campaign_opts.max_attempts = opts.max_attempts;
-    campaign_opts.heartbeat_timeout_ms = opts.heartbeat_timeout_ms;
-    campaign_opts.state_path = opts.state_path;
-    campaign_opts.resume = opts.resume;
-    campaign_opts.interrupt = opts.interrupt;
-    campaign_opts.hooks = opts.hooks;
+  if (opts.campaign) {
+    campaign::CampaignOptions campaign_opts = *opts.campaign;
     campaign_opts.config = encode_fleet_config(spec);
-    campaign_opts.fingerprint = fleet_config_fingerprint(spec);
-    if (opts.progress) {
-      campaign_opts.progress = [&](std::uint64_t units_done, std::uint64_t) {
-        opts.progress(devices_done_for(units_done), spec.devices);
-      };
-    }
+    campaign_opts.progress = [&](std::uint64_t units_done, std::uint64_t) {
+      if (opts.progress) opts.progress(devices_done_for(units_done), spec.devices);
+    };
     result.campaign = campaign::run_campaign(
         total_units, [&](std::uint64_t unit) { return run_fleet_unit(spec, unit); },
         campaign_opts);

@@ -14,6 +14,7 @@
 #include <csignal>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 
 #include "campaign/coordinator.hpp"
@@ -23,23 +24,17 @@
 namespace mvqoe::fleet {
 
 struct FleetRunOptions {
-  /// Worker threads for the in-process lane (used when procs == 0 and
-  /// no checkpointing is requested). 1 = serial reference.
+  /// Worker threads for the in-process lane. 1 = serial reference.
   int jobs = 1;
-  /// Worker processes; > 0 (or a state_path/resume) engages the
-  /// campaign coordinator.
-  int procs = 0;
-  /// Campaign units per coordinator shard (crash-retry granularity).
-  std::size_t units_per_proc_shard = 2;
-  /// Campaign checkpoint file ("" = no checkpointing).
-  std::string state_path;
-  bool resume = false;
-  int max_attempts = 3;
-  int heartbeat_timeout_ms = 120000;
+  /// Polled between shards of the in-process lane.
   const volatile std::sig_atomic_t* interrupt = nullptr;
-  /// (devices_done, devices_total), called as shard payloads land.
+  /// (devices_done, devices_total), called as shard payloads land, in
+  /// either lane (it replaces campaign->progress, which counts units).
   std::function<void(std::uint64_t, std::uint64_t)> progress;
-  campaign::TestHooks hooks;
+  /// Set: the campaign coordinator runs the shards (worker processes,
+  /// checkpoint, resume) and `jobs` is unused; config is filled in
+  /// from the spec.
+  std::optional<campaign::CampaignOptions> campaign;
 };
 
 struct FleetRunResult {

@@ -5,7 +5,6 @@
 
 #include "campaign/checkpoint.hpp"
 #include "snapshot/bytes.hpp"
-#include "snapshot/digest.hpp"
 
 namespace mvqoe::fleet {
 
@@ -38,13 +37,7 @@ std::string encode_fleet_config(const FleetSpec& spec) {
   w.i32(spec.sample_period_s);
   w.i32(spec.warmup_s);
   w.u64(spec.shard_size);
-  // Optional tails (still config version 1), written only when
-  // non-default so historical checkpoints keep their fingerprints; a
-  // non-fifo net spec forces the policy spec out even at baseline.
-  if (!spec.mem_policy.is_baseline() || !spec.net.is_default()) {
-    mem::save_policy_spec(w, spec.mem_policy);
-  }
-  if (!spec.net.is_default()) net::save_net_spec(w, spec.net);
+  campaign::save_spec_tail(w, spec.mem_policy, spec.net);  // still config version 1
   return std::move(w).take();
 }
 
@@ -61,26 +54,10 @@ FleetSpec decode_fleet_config(const std::string& bytes) {
   spec.sample_period_s = r.i32();
   spec.warmup_s = r.i32();
   spec.shard_size = r.u64();
-  if (!r.done()) spec.mem_policy = mem::load_policy_spec(r);
-  if (!r.done()) spec.net = net::load_net_spec(r);
+  campaign::load_spec_tail(r, spec.mem_policy, spec.net);
   if (!r.done()) throw std::runtime_error("fleet: trailing bytes after the fleet config");
   validate(spec);
   return spec;
-}
-
-std::uint64_t fleet_config_fingerprint(const FleetSpec& spec) {
-  snapshot::StateHash hash;
-  hash.mix_bytes(encode_fleet_config(spec));
-  return hash.value();
-}
-
-FleetSpec load_fleet_resume_spec(const std::string& path) {
-  const campaign::CheckpointState state = campaign::read_checkpoint_file(path);
-  try {
-    return decode_fleet_config(state.config);
-  } catch (const std::exception& e) {
-    throw std::runtime_error("fleet: " + path + ": " + e.what());
-  }
 }
 
 }  // namespace mvqoe::fleet

@@ -52,14 +52,10 @@ struct FleetSpec {
 /// indices [u*shard_size, min((u+1)*shard_size, devices)).
 std::uint64_t fleet_total_units(const FleetSpec& spec);
 
-/// Canonical wire encoding (campaign checkpoint config), its inverse,
-/// and the resume-guard fingerprint. Throws on malformed bytes.
+/// Canonical wire encoding (campaign checkpoint config; its digest is
+/// the resume guard) and its inverse, which throws on malformed bytes.
+/// `mvqoe_fleet resume` decodes it with campaign::load_resume_config.
 std::string encode_fleet_config(const FleetSpec& spec);
 FleetSpec decode_fleet_config(const std::string& bytes);
-std::uint64_t fleet_config_fingerprint(const FleetSpec& spec);
-
-/// Read a campaign checkpoint and reconstruct the fleet spec it was
-/// recorded under (--resume without re-specifying the fleet).
-FleetSpec load_fleet_resume_spec(const std::string& path);
 
 }  // namespace mvqoe::fleet

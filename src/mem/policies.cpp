@@ -7,6 +7,7 @@
 #include <array>
 #include <cmath>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -340,38 +341,6 @@ class AriadneReclaim final : public ReclaimPolicy {
 
 // --- factory -----------------------------------------------------------------
 
-void require_params(const MemPolicySpec& spec, std::initializer_list<const char*> allowed) {
-  for (const auto& [key, value] : spec.params) {
-    (void)value;
-    bool known = false;
-    for (const char* name : allowed) {
-      if (key == name) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
-      throw std::invalid_argument("mem policy '" + spec.name + "': unknown parameter '" + key +
-                                  "'");
-    }
-  }
-}
-
-double param_or(const MemPolicySpec& spec, const char* key, double fallback) {
-  for (const auto& [k, v] : spec.params) {
-    if (k == key) return v;
-  }
-  return fallback;
-}
-
-bool has_param(const MemPolicySpec& spec, const char* key) {
-  for (const auto& [k, v] : spec.params) {
-    (void)v;
-    if (k == key) return true;
-  }
-  return false;
-}
-
 KillCharter base_charter(const MemPolicySpec& spec, const MemoryConfig& config) {
   KillCharter charter;
   charter.policy_name = spec.name;
@@ -390,24 +359,28 @@ KillCharter base_charter(const MemPolicySpec& spec, const MemoryConfig& config) 
 std::unique_ptr<MemPolicy> make_mem_policy(const MemPolicySpec& spec,
                                            const MemoryConfig& config) {
   KillCharter charter = base_charter(spec, config);
+  const std::string owner = "mem policy '" + spec.name + "'";
+  const auto param = [&spec](const char* key) { return snapshot::find_param(spec.params, key); };
   if (spec.name == "baseline") {
-    require_params(spec, {});
+    snapshot::check_params(owner, spec.params, {});
     return std::make_unique<MemPolicy>(
         spec, single_tier(config, [](const ProcessMem&) { return true; }),
         std::make_unique<KillPolicy>(std::move(charter)));
   }
   if (spec.name == "swam") {
-    require_params(spec, {"swap_full_fraction", "kill_cooldown_ms"});
+    snapshot::check_params(owner, spec.params, {"swap_full_fraction", "kill_cooldown_ms"});
     charter.victim_rule = KillCharter::VictimRule::FloorOnly;
-    const double fraction = param_or(spec, "swap_full_fraction", 0.85);
+    const double fraction = param("swap_full_fraction").value_or(0.85);
     if (fraction <= 0.0 || fraction > 1.0) {
       throw std::invalid_argument("mem policy 'swam': swap_full_fraction must be in (0, 1]");
     }
     charter.swap_full_kill_fraction = fraction;
-    const double cooldown_ms = param_or(spec, "kill_cooldown_ms", 250.0);
+    const double cooldown_ms = param("kill_cooldown_ms").value_or(250.0);
     if (cooldown_ms < 0.0) {
       throw std::invalid_argument("mem policy 'swam': kill_cooldown_ms must be >= 0");
     }
+    // sim::msec scales the rounded ms to µs.
+    snapshot::check_fits(owner, "kill_cooldown_ms", std::round(cooldown_ms) * 1000.0, 0x1p63);
     charter.kill_cooldown = sim::msec(static_cast<std::int64_t>(std::llround(cooldown_ms)));
     // Swap admission: cached apps are kill-fodder — compressing them
     // wastes zRAM space and CPU on pages a cheap relaunch would
@@ -418,14 +391,14 @@ std::unique_ptr<MemPolicy> make_mem_policy(const MemPolicySpec& spec,
                                        std::make_unique<SwamKill>(std::move(charter)));
   }
   if (spec.name == "ariadne") {
-    require_params(spec,
-                   {"hot_cut_refus", "cold_ratio", "warm_ratio", "cold_cpu_refus",
-                    "warm_cpu_refus"});
-    const double hot_cut = param_or(spec, "hot_cut_refus", 500.0);
-    const double cold_ratio = param_or(spec, "cold_ratio", 3.9);
-    const double warm_ratio = param_or(spec, "warm_ratio", 2.2);
-    const double cold_cpu = param_or(spec, "cold_cpu_refus", 34.0);
-    const double warm_cpu = param_or(spec, "warm_cpu_refus", 14.0);
+    snapshot::check_params(owner, spec.params,
+                           {"hot_cut_refus", "cold_ratio", "warm_ratio", "cold_cpu_refus",
+                            "warm_cpu_refus"});
+    const double hot_cut = param("hot_cut_refus").value_or(500.0);
+    const double cold_ratio = param("cold_ratio").value_or(3.9);
+    const double warm_ratio = param("warm_ratio").value_or(2.2);
+    const double cold_cpu = param("cold_cpu_refus").value_or(34.0);
+    const double warm_cpu = param("warm_cpu_refus").value_or(14.0);
     if (cold_ratio < 1.0 || warm_ratio < 1.0) {
       throw std::invalid_argument("mem policy 'ariadne': compression ratios must be >= 1");
     }
@@ -439,14 +412,15 @@ std::unique_ptr<MemPolicy> make_mem_policy(const MemPolicySpec& spec,
         std::make_unique<KillPolicy>(std::move(charter)));
   }
   if (spec.name == "partitioned") {
-    require_params(spec, {"reserve_mb"});
+    snapshot::check_params(owner, spec.params, {"reserve_mb"});
     charter.reserve_pages = config.minfree_perceptible;
-    if (has_param(spec, "reserve_mb")) {
-      const double reserve_mb = param_or(spec, "reserve_mb", 0.0);
-      if (reserve_mb < 0.0) {
+    if (const std::optional<double> reserve_mb = param("reserve_mb")) {
+      if (*reserve_mb < 0.0) {
         throw std::invalid_argument("mem policy 'partitioned': reserve_mb must be >= 0");
       }
-      charter.reserve_pages = pages_from_mb(static_cast<std::int64_t>(std::llround(reserve_mb)));
+      // pages_from_mb scales the rounded MB to bytes first.
+      snapshot::check_fits(owner, "reserve_mb", std::round(*reserve_mb) * 0x1p20, 0x1p63);
+      charter.reserve_pages = pages_from_mb(static_cast<std::int64_t>(std::llround(*reserve_mb)));
     }
     // The foreground/visible/perceptible partition is never compressed,
     // so the user-facing app never pays decompression stalls.

@@ -8,28 +8,6 @@
 
 namespace mvqoe::mem {
 
-void save_policy_spec(snapshot::ByteWriter& w, const MemPolicySpec& spec) {
-  w.str(spec.name);
-  w.u32(static_cast<std::uint32_t>(spec.params.size()));
-  for (const auto& [key, value] : spec.params) {
-    w.str(key);
-    w.f64(value);
-  }
-}
-
-MemPolicySpec load_policy_spec(snapshot::ByteReader& r) {
-  MemPolicySpec spec;
-  spec.name = r.str();
-  const std::uint32_t count = r.u32();
-  spec.params.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    std::string key = r.str();
-    const double value = r.f64();
-    spec.params.emplace_back(std::move(key), value);
-  }
-  return spec;
-}
-
 const std::vector<std::string>& mem_policy_names() {
   static const std::vector<std::string> names = {"baseline", "swam", "ariadne", "partitioned"};
   return names;

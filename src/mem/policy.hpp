@@ -48,7 +48,7 @@
 
 #include "mem/process_registry.hpp"
 #include "mem/types.hpp"
-#include "snapshot/bytes.hpp"
+#include "snapshot/params.hpp"
 
 namespace mvqoe::sched {
 class Scheduler;
@@ -62,7 +62,7 @@ namespace mvqoe::mem {
 /// campaign fingerprints only grow a policy section when one is set.
 struct MemPolicySpec {
   std::string name = "baseline";
-  std::vector<std::pair<std::string, double>> params;
+  snapshot::Params params;
 
   bool is_baseline() const noexcept { return name == "baseline" && params.empty(); }
 
@@ -71,15 +71,23 @@ struct MemPolicySpec {
   }
 };
 
-void save_policy_spec(snapshot::ByteWriter& w, const MemPolicySpec& spec);
-MemPolicySpec load_policy_spec(snapshot::ByteReader& r);
+/// The shared (name, params) codec (snapshot/params.hpp).
+inline void save_policy_spec(snapshot::ByteWriter& w, const MemPolicySpec& spec) {
+  snapshot::save_named_params(w, spec.name, spec.params);
+}
+inline MemPolicySpec load_policy_spec(snapshot::ByteReader& r) {
+  MemPolicySpec spec;
+  snapshot::load_named_params(r, spec.name, spec.params);
+  return spec;
+}
 
 /// Registered policy names, factory order (docs, CLIs, the fuzzer's
 /// policy axis).
 const std::vector<std::string>& mem_policy_names();
 
-/// Throws std::invalid_argument on an unknown policy name or a parameter
-/// the named policy does not declare.
+/// Throws std::invalid_argument on an unknown policy name, a parameter
+/// the named policy does not declare, one given twice, or a value that
+/// is not finite or out of the parameter's range.
 void validate_policy_spec(const MemPolicySpec& spec);
 
 /// replay_kill_floor() result when no band demands a kill.

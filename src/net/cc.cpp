@@ -23,7 +23,7 @@ double clamp_cwnd(double cwnd) { return std::clamp(cwnd, kCwndFloor, kCwndCeilin
 class CubicCc final : public CongestionController {
  public:
   explicit CubicCc(const NetSpec& spec)
-      : mss_(net_param_or(spec, "mss", kMssBytes)),
+      : mss_(snapshot::find_param(spec.params, "mss").value_or(kMssBytes)),
         cwnd_(10.0 * mss_) {}
 
   const char* name() const noexcept override { return "cubic"; }
@@ -78,7 +78,8 @@ class CubicCc final : public CongestionController {
 // through the standard 8-phase probe pattern, one phase per min-RTT.
 class BbrCc final : public CongestionController {
  public:
-  explicit BbrCc(const NetSpec& spec) : mss_(net_param_or(spec, "mss", kMssBytes)) {}
+  explicit BbrCc(const NetSpec& spec)
+      : mss_(snapshot::find_param(spec.params, "mss").value_or(kMssBytes)) {}
 
   const char* name() const noexcept override { return "bbr"; }
 
@@ -137,8 +138,9 @@ class BbrCc final : public CongestionController {
 class C4Cc final : public CongestionController {
  public:
   explicit C4Cc(const NetSpec& spec)
-      : mss_(net_param_or(spec, "mss", kMssBytes)),
-        delay_target_(static_cast<sim::Time>(net_param_or(spec, "c4_delay_target_us", 10000.0))),
+      : mss_(snapshot::find_param(spec.params, "mss").value_or(kMssBytes)),
+        delay_target_(static_cast<sim::Time>(
+            snapshot::find_param(spec.params, "c4_delay_target_us").value_or(10000.0))),
         cwnd_(10.0 * mss_) {}
 
   const char* name() const noexcept override { return "c4"; }
@@ -189,56 +191,35 @@ class C4Cc final : public CongestionController {
 
 }  // namespace
 
-void save_net_spec(snapshot::ByteWriter& w, const NetSpec& spec) {
-  w.str(spec.cc);
-  w.u32(static_cast<std::uint32_t>(spec.params.size()));
-  for (const auto& [key, value] : spec.params) {
-    w.str(key);
-    w.f64(value);
-  }
-}
-
-NetSpec load_net_spec(snapshot::ByteReader& r) {
-  NetSpec spec;
-  spec.cc = r.str();
-  const std::uint32_t count = r.u32();
-  spec.params.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    std::string key = r.str();
-    const double value = r.f64();
-    spec.params.emplace_back(std::move(key), value);
-  }
-  return spec;
-}
-
 const std::vector<std::string>& cc_names() {
   static const std::vector<std::string> names = {"fifo", "cubic", "bbr", "c4"};
   return names;
 }
 
 void validate_net_spec(const NetSpec& spec) {
-  (void)make_congestion_controller(spec);  // an unknown name throws
+  (void)make_congestion_controller(NetSpec{spec.cc, {}});  // an unknown name throws
+  // fifo reads no parameter; the flow engine reads mss and queue_kb,
+  // and c4 also reads its delay target.
+  const std::string owner = "net: congestion controller '" + spec.cc + "'";
+  if (spec.cc == "fifo") {
+    snapshot::check_params(owner, spec.params, {});
+  } else if (spec.cc == "c4") {
+    snapshot::check_params(owner, spec.params, {"mss", "queue_kb", "c4_delay_target_us"});
+  } else {
+    snapshot::check_params(owner, spec.params, {"mss", "queue_kb"});
+  }
   for (const auto& [key, value] : spec.params) {
-    // fifo reads no parameter; the flow engine reads mss and queue_kb,
-    // and c4 also reads its delay target.
-    const bool read = spec.cc != "fifo" && (key == "mss" || key == "queue_kb" ||
-                                             (spec.cc == "c4" && key == "c4_delay_target_us"));
-    if (!read) {
-      throw std::invalid_argument("net: congestion controller '" + spec.cc +
-                                  "' reads no parameter '" + key + "'");
-    }
-    if (!std::isfinite(value) || value <= 0.0) {
+    if (value <= 0.0) {
       throw std::invalid_argument("net: parameter '" + key + "' must be > 0, got " +
                                   std::to_string(value));
     }
   }
-}
-
-double net_param_or(const NetSpec& spec, const std::string& key, double fallback) {
-  for (const auto& [name, value] : spec.params) {
-    if (name == key) return value;
-  }
-  return fallback;
+  // Link sizes its queue as uint64 bytes; C4Cc casts its target to sim::Time.
+  const auto param = [&spec](const char* key) {
+    return snapshot::find_param(spec.params, key).value_or(0.0);
+  };
+  snapshot::check_fits(owner, "queue_kb", param("queue_kb") * 1024.0, 0x1p64);
+  snapshot::check_fits(owner, "c4_delay_target_us", param("c4_delay_target_us"), 0x1p63);
 }
 
 std::unique_ptr<CongestionController> make_congestion_controller(const NetSpec& spec) {

@@ -26,7 +26,7 @@
 #include <vector>
 
 #include "sim/engine.hpp"
-#include "snapshot/bytes.hpp"
+#include "snapshot/params.hpp"
 
 namespace mvqoe::net {
 
@@ -37,27 +37,30 @@ namespace mvqoe::net {
 /// historical bytes when `is_default()` holds.
 struct NetSpec {
   std::string cc = "fifo";
-  std::vector<std::pair<std::string, double>> params;
+  snapshot::Params params;
 
   bool is_default() const noexcept { return cc == "fifo" && params.empty(); }
 };
 
-/// Serialize / parse a NetSpec (same shape as mem::save_policy_spec):
-/// str(cc), u32(param count), then (str, f64) pairs.
-void save_net_spec(snapshot::ByteWriter& w, const NetSpec& spec);
-NetSpec load_net_spec(snapshot::ByteReader& r);
+/// The shared (name, params) codec (snapshot/params.hpp).
+inline void save_net_spec(snapshot::ByteWriter& w, const NetSpec& spec) {
+  snapshot::save_named_params(w, spec.cc, spec.params);
+}
+inline NetSpec load_net_spec(snapshot::ByteReader& r) {
+  NetSpec spec;
+  snapshot::load_named_params(r, spec.cc, spec.params);
+  return spec;
+}
 
 /// Registered controller names, fifo first.
 const std::vector<std::string>& cc_names();
 
 /// Throws std::invalid_argument naming an unknown controller, a parameter
 /// the named controller never reads (fifo reads none; cubic and bbr read
-/// mss and queue_kb; c4 also c4_delay_target_us) or a value that is not
-/// a finite number > 0.
+/// mss and queue_kb; c4 also c4_delay_target_us), one given twice, a
+/// value that is not a finite number > 0, or one too large for its
+/// integer conversion (queue_kb in bytes, c4_delay_target_us).
 void validate_net_spec(const NetSpec& spec);
-
-/// First parameter named `key`, or `fallback` when absent.
-double net_param_or(const NetSpec& spec, const std::string& key, double fallback);
 
 /// Per-flow congestion controller. The flow engine calls on_ack with
 /// every in-order ACK (rtt sample in microseconds, bytes newly acked)

@@ -25,9 +25,9 @@ Link::Link(sim::Engine& engine, LinkConfig config, NetSpec net)
       cc_loss_rng_(kLossRngSeed) {
   if (cc_mode_) {
     validate_net_spec(net_);
-    cc_mss_ = std::max(1.0, net_param_or(net_, "mss", 1500.0));
+    cc_mss_ = std::max(1.0, snapshot::find_param(net_.params, "mss").value_or(1500.0));
     cc_queue_capacity_ = static_cast<std::uint64_t>(
-        std::max(1.0, net_param_or(net_, "queue_kb", 64.0)) * 1024.0);
+        std::max(1.0, snapshot::find_param(net_.params, "queue_kb").value_or(64.0)) * 1024.0);
   }
 }
 

@@ -269,13 +269,14 @@ TEST(Coordinator, ResumeRejectsFingerprintMismatch) {
   ScratchFile state("fingerprint");
   auto opts = fast_options();
   opts.state_path = state.path();
-  opts.fingerprint = 0x1111;
+  opts.config = "config-a";
   ASSERT_TRUE(campaign::run_campaign(4, unit_payload, opts).complete);
 
+  // The coordinator fingerprints the config bytes itself.
   auto resume_opts = fast_options();
   resume_opts.state_path = state.path();
   resume_opts.resume = true;
-  resume_opts.fingerprint = 0x2222;
+  resume_opts.config = "config-b";
   EXPECT_THROW(campaign::run_campaign(4, unit_payload, resume_opts), std::runtime_error);
 }
 
@@ -434,17 +435,15 @@ TEST(FuzzCampaign, ConfigRoundTripsAndFingerprints) {
   EXPECT_EQ(decoded.check.meta_determinism, opts.check.meta_determinism);
   EXPECT_EQ(decoded.check.perturb_at, opts.check.perturb_at);
   EXPECT_EQ(decoded.perturb_run, opts.perturb_run);
-  EXPECT_EQ(campaign::fuzz_config_fingerprint(decoded),
-            campaign::fuzz_config_fingerprint(opts));
+  // The checkpoint fingerprint is the digest of these bytes.
+  EXPECT_EQ(campaign::encode_fuzz_config(decoded), campaign::encode_fuzz_config(opts));
   // The parallelism knob is deliberately outside the fingerprint.
   check::FuzzOptions other_jobs = opts;
   other_jobs.jobs = 16;
-  EXPECT_EQ(campaign::fuzz_config_fingerprint(other_jobs),
-            campaign::fuzz_config_fingerprint(opts));
+  EXPECT_EQ(campaign::encode_fuzz_config(other_jobs), campaign::encode_fuzz_config(opts));
   check::FuzzOptions other_seed = opts;
   other_seed.seed = 999;
-  EXPECT_NE(campaign::fuzz_config_fingerprint(other_seed),
-            campaign::fuzz_config_fingerprint(opts));
+  EXPECT_NE(campaign::encode_fuzz_config(other_seed), campaign::encode_fuzz_config(opts));
 }
 
 TEST(FuzzCampaign, DigestMatchesInProcessPool) {
@@ -498,7 +497,8 @@ TEST(FuzzCampaign, KillResumeProducesIdenticalDigest) {
 
   // The checkpoint written microseconds before the SIGKILL must load and
   // resume to the exact serial digest.
-  const check::FuzzOptions recovered = campaign::load_fuzz_resume_config(state.path());
+  const check::FuzzOptions recovered =
+      campaign::load_resume_config(state.path(), campaign::decode_fuzz_config);
   EXPECT_EQ(recovered.seed, opts.seed);
   EXPECT_EQ(recovered.runs, opts.runs);
 
@@ -534,7 +534,7 @@ TEST(FuzzCampaign, DamagedCheckpointFailsWithDiagnosticNotUB) {
   const auto expect_diagnostic = [&](const std::string& mutated) {
     ASSERT_TRUE(snapshot::atomic_write_file(state.path(), mutated));
     try {
-      (void)campaign::load_fuzz_resume_config(state.path());
+      (void)campaign::load_resume_config(state.path(), campaign::decode_fuzz_config);
       // Some payload-byte flips still parse; that's fine — resume then
       // fails later on the fingerprint check instead.
     } catch (const std::exception& e) {
@@ -576,8 +576,7 @@ TEST(SweepCampaign, ConfigRoundTrips) {
   EXPECT_EQ(decoded.heights, spec.heights);
   EXPECT_EQ(decoded.runs, spec.runs);
   EXPECT_EQ(decoded.seed, spec.seed);
-  EXPECT_EQ(campaign::sweep_config_fingerprint(decoded),
-            campaign::sweep_config_fingerprint(spec));
+  EXPECT_EQ(campaign::encode_sweep_config(decoded), campaign::encode_sweep_config(spec));
 }
 
 TEST(SweepCampaign, MatchesInProcessGridByteForByte) {
@@ -614,7 +613,7 @@ TEST(SweepCampaign, ResumeKeepsDigest) {
   ASSERT_TRUE(first.campaign.complete);
 
   // Resume over the complete checkpoint: zero re-execution, same digest.
-  const auto recovered = campaign::load_sweep_resume_config(state.path());
+  const auto recovered = campaign::load_resume_config(state.path(), campaign::decode_sweep_config);
   auto resume_opts = fast_options();
   resume_opts.state_path = state.path();
   resume_opts.resume = true;

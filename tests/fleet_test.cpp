@@ -18,6 +18,7 @@
 #include "fleet/spec.hpp"
 #include "snapshot/atomic_file.hpp"
 #include "snapshot/blob.hpp"
+#include "snapshot/digest.hpp"
 #include "study/population.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -63,11 +64,19 @@ fleet::FleetSpec tiny_spec() {
   return spec;
 }
 
-fleet::FleetRunOptions fast_options() {
-  fleet::FleetRunOptions opts;
-  opts.max_attempts = 3;
-  opts.units_per_proc_shard = 2;
+fleet::FleetRunOptions fast_options() { return fleet::FleetRunOptions{}; }
+
+/// The coordinator lane: `procs` worker processes, two units per shard.
+campaign::CampaignOptions coordinator(int procs) {
+  campaign::CampaignOptions opts;
+  opts.procs = procs;
+  opts.shard_size = 2;
   return opts;
+}
+
+/// The checkpoint's resume guard: the coordinator's digest of the config.
+std::uint64_t fingerprint(const fleet::FleetSpec& spec) {
+  return snapshot::digest_bytes(fleet::encode_fleet_config(spec));
 }
 
 // --- Spec -------------------------------------------------------------------
@@ -91,12 +100,12 @@ TEST(FleetSpec, ConfigRoundTripsExactly) {
 
 TEST(FleetSpec, FingerprintCoversEveryField) {
   const fleet::FleetSpec base = tiny_spec();
-  const std::uint64_t fp = fleet::fleet_config_fingerprint(base);
-  EXPECT_EQ(fleet::fleet_config_fingerprint(tiny_spec()), fp);
+  const std::uint64_t fp = fingerprint(base);
+  EXPECT_EQ(fingerprint(tiny_spec()), fp);
   auto differs = [&](auto mutate) {
     fleet::FleetSpec spec = base;
     mutate(spec);
-    EXPECT_NE(fleet::fleet_config_fingerprint(spec), fp);
+    EXPECT_NE(fingerprint(spec), fp);
   };
   differs([](fleet::FleetSpec& s) { s.devices += 1; });
   differs([](fleet::FleetSpec& s) { s.seed += 1; });
@@ -217,7 +226,7 @@ TEST(FleetAggregate, BlobRoundTripsConfigAndAggregate) {
   const snapshot::Snapshot blob = fleet::save_fleet_blob(spec, agg);
   const snapshot::Snapshot reparsed = snapshot::Snapshot::parse(blob.serialize());
   const auto [spec2, agg2] = fleet::load_fleet_blob(reparsed);
-  EXPECT_EQ(fleet::fleet_config_fingerprint(spec2), fleet::fleet_config_fingerprint(spec));
+  EXPECT_EQ(fingerprint(spec2), fingerprint(spec));
   EXPECT_EQ(agg2.encode(), agg.encode());
   EXPECT_EQ(fleet::fleet_report_json(spec2, agg2), fleet::fleet_report_json(spec, agg));
   EXPECT_THROW(fleet::load_fleet_blob(snapshot::Snapshot()), std::exception);
@@ -292,7 +301,7 @@ TEST(FleetLanes, ProcessLaneMatchesSerialByteForByte) {
   const fleet::FleetSpec spec = tiny_spec();
   const fleet::FleetRunResult serial = fleet::run_fleet(spec, fast_options());
   auto opts = fast_options();
-  opts.procs = 3;
+  opts.campaign = coordinator(3);
   const fleet::FleetRunResult procs = fleet::run_fleet(spec, opts);
   ASSERT_TRUE(serial.complete);
   ASSERT_TRUE(procs.complete);
@@ -311,23 +320,24 @@ TEST(FleetLanes, CrashAndResumeMatchesUninterruptedRun) {
   // 1, so the campaign completes degraded and checkpoints the rest.
   ScratchFile state("resume");
   auto crash_opts = fast_options();
-  crash_opts.procs = 2;
-  crash_opts.max_attempts = 1;
-  crash_opts.state_path = state.path();
-  crash_opts.hooks.abort_unit = 2;
-  crash_opts.hooks.abort_attempts = 99;
+  crash_opts.campaign = coordinator(2);
+  crash_opts.campaign->max_attempts = 1;
+  crash_opts.campaign->state_path = state.path();
+  crash_opts.campaign->hooks.abort_unit = 2;
+  crash_opts.campaign->hooks.abort_attempts = 99;
   const fleet::FleetRunResult partial = fleet::run_fleet(spec, crash_opts);
   EXPECT_FALSE(partial.complete);
   EXPECT_LT(partial.devices_done, spec.devices);
 
   // Phase 2: the checkpoint alone reconstructs the spec; the resumed
   // run must land on the reference bytes exactly.
-  const fleet::FleetSpec recovered = fleet::load_fleet_resume_spec(state.path());
-  EXPECT_EQ(fleet::fleet_config_fingerprint(recovered), fleet::fleet_config_fingerprint(spec));
+  const fleet::FleetSpec recovered =
+      campaign::load_resume_config(state.path(), fleet::decode_fleet_config);
+  EXPECT_EQ(fingerprint(recovered), fingerprint(spec));
   auto resume_opts = fast_options();
-  resume_opts.procs = 2;
-  resume_opts.state_path = state.path();
-  resume_opts.resume = true;
+  resume_opts.campaign = coordinator(2);
+  resume_opts.campaign->state_path = state.path();
+  resume_opts.campaign->resume = true;
   const fleet::FleetRunResult resumed = fleet::run_fleet(recovered, resume_opts);
   ASSERT_TRUE(resumed.complete);
   EXPECT_GT(resumed.campaign.units_from_checkpoint, 0u);
@@ -342,16 +352,16 @@ TEST(FleetLanes, ResumeRejectsDifferentFleet) {
   fleet::FleetSpec spec = tiny_spec();
   spec.devices = 20;
   auto opts = fast_options();
-  opts.procs = 1;
-  opts.state_path = state.path();
+  opts.campaign = coordinator(1);
+  opts.campaign->state_path = state.path();
   ASSERT_TRUE(fleet::run_fleet(spec, opts).complete);
 
   fleet::FleetSpec other = spec;
   other.seed += 1;
   auto resume_opts = fast_options();
-  resume_opts.procs = 1;
-  resume_opts.state_path = state.path();
-  resume_opts.resume = true;
+  resume_opts.campaign = coordinator(1);
+  resume_opts.campaign->state_path = state.path();
+  resume_opts.campaign->resume = true;
   EXPECT_THROW(fleet::run_fleet(other, resume_opts), std::runtime_error);
 }
 

@@ -11,12 +11,16 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <cstdio>
+#include <functional>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "campaign/fuzz_campaign.hpp"
 #include "campaign/policy_campaign.hpp"
 #include "campaign/sweep_campaign.hpp"
 #include "fleet/spec.hpp"
@@ -26,6 +30,7 @@
 #include "scenario/driver.hpp"
 #include "scenario/spec.hpp"
 #include "snapshot/bytes.hpp"
+#include "snapshot/digest.hpp"
 
 namespace mvqoe {
 namespace {
@@ -62,6 +67,38 @@ TEST(PolicyFactory, RejectsUnknownNamesAndForeignParameters) {
                std::invalid_argument);
   EXPECT_THROW(mem::make_mem_policy({"partitioned", {{"reserve_mb", -2.0}}}, config),
                std::invalid_argument);
+  // Specs arrive as bytes (SCEN sections, checkpoint configs): a value
+  // that is not finite, a key given twice, or a value whose integer
+  // conversion overflows fails by name instead of running clamped.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  using Case = std::tuple<mem::MemPolicySpec, std::string, std::string>;
+  for (const auto& [spec, key, why] : std::vector<Case>{
+           {{"swam", {{"swap_full_fraction", nan}}}, "swap_full_fraction", "finite"},
+           {{"swam", {{"kill_cooldown_ms", nan}}}, "kill_cooldown_ms", "finite"},
+           {{"ariadne", {{"cold_ratio", nan}}}, "cold_ratio", "finite"},
+           {{"ariadne", {{"hot_cut_refus", inf}}}, "hot_cut_refus", "finite"},
+           {{"partitioned", {{"reserve_mb", inf}}}, "reserve_mb", "finite"},
+           {{"swam", {{"kill_cooldown_ms", 10.0}, {"kill_cooldown_ms", 20.0}}},
+            "kill_cooldown_ms",
+            "twice"},
+           {{"swam", {{"kill_cooldown_ms", 1e300}}}, "kill_cooldown_ms", "too large"},
+           {{"partitioned", {{"reserve_mb", 1e300}}}, "reserve_mb", "too large"}}) {
+    try {
+      (void)mem::make_mem_policy(spec, config);
+      ADD_FAILURE() << spec.name << " accepted " << key;
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("'" + key + "'"), std::string::npos) << what;
+      EXPECT_NE(what.find(why), std::string::npos) << what;
+    }
+  }
+  // The largest values whose conversion fits still load: ms -> µs and
+  // MB -> bytes stay below 2^63.
+  EXPECT_EQ(mem::kill_charter_for({"swam", {{"kill_cooldown_ms", 9.2e15}}}, config).kill_cooldown,
+            sim::msec(9'200'000'000'000'000));
+  EXPECT_EQ(mem::kill_charter_for({"partitioned", {{"reserve_mb", 8.7e12}}}, config).reserve_pages,
+            mem::pages_from_mb(8'700'000'000'000));
 }
 
 // --- the charter contract ----------------------------------------------------
@@ -279,6 +316,39 @@ TEST(PolicySpec, BaselineScenarioKeepsTheV2Encoding) {
   EXPECT_EQ(back.mem_policy.name, "ariadne");
 }
 
+// A spec that arrives only as bytes is checked on load like one built in
+// code: a NaN parameter in a SCEN section or a sweep config fails to
+// load, naming its key.
+TEST(PolicySpec, NonFiniteParameterFailsToLoadFromBytes) {
+  const auto expect_rejected = [](const std::function<void()>& load, const std::string& key) {
+    try {
+      load();
+      ADD_FAILURE() << "loaded a NaN " << key;
+    } catch (const std::exception& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + key + "'"), std::string::npos) << e.what();
+    }
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+
+  scenario::ScenarioSpec scen =
+      scenario::single_video("fig16", 480, 30, 8, mem::PressureLevel::Low, 7);
+  scen.mem_policy = {"swam", {{"kill_cooldown_ms", nan}}};
+  snapshot::ByteWriter w;
+  scenario::save_scenario(w, scen);
+  const std::string scen_bytes = std::move(w).take();
+  expect_rejected(
+      [&] {
+        snapshot::ByteReader r(scen_bytes);
+        (void)scenario::load_scenario(r);
+      },
+      "kill_cooldown_ms");
+
+  campaign::SweepCampaignSpec sweep;
+  sweep.mem_policy = {"ariadne", {{"warm_ratio", nan}}};
+  const std::string sweep_bytes = campaign::encode_sweep_config(sweep);
+  expect_rejected([&] { (void)campaign::decode_sweep_config(sweep_bytes); }, "warm_ratio");
+}
+
 TEST(PolicySpec, CampaignAndFleetConfigsCarryThePolicyAxis) {
   campaign::SweepCampaignSpec sweep;
   sweep.mem_policy = {"swam", {{"swap_full_fraction", 0.7}}};
@@ -286,7 +356,7 @@ TEST(PolicySpec, CampaignAndFleetConfigsCarryThePolicyAxis) {
       campaign::decode_sweep_config(campaign::encode_sweep_config(sweep));
   EXPECT_EQ(sweep_back.mem_policy, sweep.mem_policy);
   campaign::SweepCampaignSpec plain;
-  EXPECT_NE(campaign::sweep_config_fingerprint(sweep), campaign::sweep_config_fingerprint(plain));
+  EXPECT_NE(campaign::encode_sweep_config(sweep), campaign::encode_sweep_config(plain));
   // Baseline encodes to *nothing*: no policy tail, so historical
   // checkpoint fingerprints are untouched by this refactor.
   EXPECT_LT(campaign::encode_sweep_config(plain).size(),
@@ -316,6 +386,83 @@ TEST(PolicySpec, CampaignAndFleetConfigsCarryThePolicyAxis) {
   }
   EXPECT_EQ(campaign::policy_total_units(compare),
             compare.policies.size() * campaign::sweep_total_units(compare.base));
+}
+
+// Every config that carries a policy or link spec, pinned by size and
+// digest: checkpoints and SCEN blobs written by older builds must keep
+// decoding, so the tail order, the default-elision rule and the codec's
+// field widths may never move.
+TEST(PolicySpec, EveryConfigCarryingASpecKeepsItsWireBytes) {
+  const mem::MemPolicySpec swam{"swam", {{"swap_full_fraction", 0.7}, {"kill_cooldown_ms", 500.0}}};
+  const net::NetSpec cubic{"cubic", {{"mss", 1200.0}, {"queue_kb", 32.0}}};
+  std::vector<std::pair<std::string, std::string>> encodings;
+
+  const auto sweep = [&](const mem::MemPolicySpec& policy, const net::NetSpec& link) {
+    campaign::SweepCampaignSpec spec;
+    spec.mem_policy = policy;
+    spec.net = link;
+    return campaign::encode_sweep_config(spec);
+  };
+  encodings.emplace_back("sweep default", sweep({}, {}));
+  encodings.emplace_back("sweep swam", sweep(swam, {}));
+  encodings.emplace_back("sweep swam+cubic", sweep(swam, cubic));
+  encodings.emplace_back("sweep baseline+cubic", sweep({}, cubic));
+
+  const auto fleet = [&](const mem::MemPolicySpec& policy, const net::NetSpec& link) {
+    fleet::FleetSpec spec;
+    spec.mem_policy = policy;
+    spec.net = link;
+    return fleet::encode_fleet_config(spec);
+  };
+  encodings.emplace_back("fleet default", fleet({}, {}));
+  encodings.emplace_back("fleet swam", fleet(swam, {}));
+  encodings.emplace_back("fleet swam+cubic", fleet(swam, cubic));
+  encodings.emplace_back("fleet baseline+cubic", fleet({}, cubic));
+
+  campaign::PolicyCompareSpec compare;
+  for (const std::string& name : mem::mem_policy_names()) compare.policies.push_back({name, {}});
+  encodings.emplace_back("compare 4 policies", campaign::encode_policy_config(compare));
+  compare.base.net = cubic;
+  compare.policies[1] = swam;
+  encodings.emplace_back("compare tuned+cubic", campaign::encode_policy_config(compare));
+
+  check::FuzzOptions fuzz;
+  encodings.emplace_back("fuzz default", campaign::encode_fuzz_config(fuzz));
+  fuzz.generator.policies = {"baseline", "swam"};
+  fuzz.generator.ccs = {"fifo", "cubic"};
+  encodings.emplace_back("fuzz policies+ccs", campaign::encode_fuzz_config(fuzz));
+
+  scenario::ScenarioSpec scen =
+      scenario::single_video("fig16", 480, 30, 8, mem::PressureLevel::Low, 7);
+  const auto scen_bytes = [&] {
+    snapshot::ByteWriter w;
+    scenario::save_scenario(w, scen);
+    return std::move(w).take();
+  };
+  encodings.emplace_back("SCEN v2", scen_bytes());
+  scen.mem_policy = swam;
+  encodings.emplace_back("SCEN v3 swam", scen_bytes());
+  scen.net = cubic;
+  encodings.emplace_back("SCEN v4 swam+cubic", scen_bytes());
+
+  const std::vector<std::string> expected = {
+      "sweep default 78 724e165d76b5eb84",      "sweep swam 148 be903d77b50d9792",
+      "sweep swam+cubic 196 6f8c09366416758e",  "sweep baseline+cubic 142 914d15095881cfec",
+      "fleet default 40 836108e1b81f85f4",      "fleet swam 110 0f5662024c714136",
+      "fleet swam+cubic 158 dc55ccf2f4fa6513",  "fleet baseline+cubic 104 d3120a59cd242f89",
+      "compare 4 policies 152 fc921b54b305fe57", "compare tuned+cubic 274 c7f414d924940f55",
+      "fuzz default 90 b0aa2e1e9e89aabc",       "fuzz policies+ccs 143 9a81529b689e495f",
+      "SCEN v2 160 b95152c519e45743",           "SCEN v3 swam 230 f5b187f14d3874d4",
+      "SCEN v4 swam+cubic 278 3fc342ed6b152e23",
+  };
+  ASSERT_EQ(encodings.size(), expected.size());
+  for (std::size_t i = 0; i < encodings.size(); ++i) {
+    const auto& [name, bytes] = encodings[i];
+    char digest[17];
+    std::snprintf(digest, sizeof digest, "%016llx",
+                  static_cast<unsigned long long>(snapshot::digest_bytes(bytes)));
+    EXPECT_EQ(name + " " + std::to_string(bytes.size()) + " " + digest, expected[i]);
+  }
 }
 
 // --- reference-scenario differential suite -----------------------------------

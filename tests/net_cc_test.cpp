@@ -6,6 +6,7 @@
 // steps, outages and mid-transfer cancels.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 #include <string>
 #include <utility>
@@ -44,13 +45,19 @@ TEST(NetSpec, FactoryKnowsAllFourControllers) {
   }
   EXPECT_THROW(net::validate_net_spec(NetSpec{"reno", {}}), std::invalid_argument);
   // Specs arrive from SCEN blobs and checkpoint configs: a key the named
-  // controller never reads, or a value that is not > 0, fails by name.
+  // controller never reads, a key given twice, a value that is not a
+  // finite number > 0, or one whose integer conversion overflows (the
+  // queue in bytes as uint64, c4's target as sim::Time) fails by name.
   for (const auto& [spec, key] : std::vector<std::pair<NetSpec, std::string>>{
            {{"cubic", {{"queue_kbb", 8.0}}}, "queue_kbb"},
            {{"fifo", {{"mss", 1200.0}}}, "mss"},
            {{"bbr", {{"c4_delay_target_us", 5000.0}}}, "c4_delay_target_us"},
            {{"c4", {{"mss", -5.0}}}, "mss"},
-           {{"cubic", {{"queue_kb", 0.0}}}, "queue_kb"}}) {
+           {{"cubic", {{"queue_kb", 0.0}}}, "queue_kb"},
+           {{"bbr", {{"mss", std::numeric_limits<double>::quiet_NaN()}}}, "mss"},
+           {{"cubic", {{"mss", 1200.0}, {"mss", 1400.0}}}, "mss"},
+           {{"c4", {{"c4_delay_target_us", 1e300}}}, "c4_delay_target_us"},
+           {{"cubic", {{"queue_kb", 1e300}}}, "queue_kb"}}) {
     try {
       net::validate_net_spec(spec);
       ADD_FAILURE() << spec.cc << " accepted " << key;
@@ -63,6 +70,9 @@ TEST(NetSpec, FactoryKnowsAllFourControllers) {
     if (name == "c4") spec.params.emplace_back("c4_delay_target_us", 5000.0);
     EXPECT_NO_THROW(net::validate_net_spec(spec)) << name;
   }
+  // The largest values whose conversion fits still load.
+  EXPECT_NO_THROW(net::validate_net_spec(
+      NetSpec{"c4", {{"queue_kb", 1.7e16}, {"c4_delay_target_us", 9.2e18}}}));
 }
 
 TEST(NetSpec, DefaultSpecIsDefaultAndTunedSpecIsNot) {

@@ -69,7 +69,7 @@ int cmd_sweep(int argc, char** argv) {
   cli::CampaignRun run(flags, "groups");
   if (!flags.resume_path.empty()) {
     const int group_workers = spec.group_workers;
-    spec = campaign::load_sweep_resume_config(flags.resume_path);
+    spec = campaign::load_resume_config(flags.resume_path, campaign::decode_sweep_config);
     spec.group_workers = group_workers;
     std::printf("resume: %s (family=%s %zu states x %zu fps x %zu heights, %d run(s))\n",
                 flags.resume_path.c_str(), spec.family.c_str(), spec.states.size(),

@@ -61,7 +61,8 @@ struct Args {
   fleet::FleetSpec spec;
   /// Unset = 1; an in-process knob, refused under the coordinator.
   std::optional<int> jobs;
-  cli::CampaignFlags campaign{.procs = 0};  // in process unless --procs/--state
+  /// In process unless --procs/--state; two fleet units per coordinator shard.
+  cli::CampaignFlags campaign{.procs = 0, .shard_size = 2};
   std::string blob_path;  // the FILE operand of resume and report
   std::string save_path;
   std::string report_path;
@@ -104,21 +105,16 @@ Args parse_args(int argc, char** argv, const std::string& command) {
 int run_or_resume(Args args, bool resume) {
   cli::CampaignRun run(args.campaign, "devices");
   if (resume) {
-    args.spec = fleet::load_fleet_resume_spec(args.blob_path);
+    args.spec = campaign::load_resume_config(args.blob_path, fleet::decode_fleet_config);
     std::printf("resume: %s (devices=%llu session=%ds shard=%llu)\n", args.blob_path.c_str(),
                 static_cast<unsigned long long>(args.spec.devices), args.spec.session_s,
                 static_cast<unsigned long long>(args.spec.shard_size));
   }
   fleet::FleetRunOptions opts;
   opts.jobs = args.jobs.value_or(1);
-  opts.procs = args.campaign.procs;
-  opts.state_path = run.options.state_path;
-  opts.resume = run.options.resume;
-  opts.max_attempts = run.options.max_attempts;
-  opts.heartbeat_timeout_ms = run.options.heartbeat_timeout_ms;
   opts.interrupt = run.options.interrupt;
   opts.progress = run.options.progress;
-  opts.hooks = run.options.hooks;
+  if (args.campaign.coordinated()) opts.campaign = run.options;
 
   const fleet::FleetRunResult result = fleet::run_fleet(args.spec, opts);
   run.report_resumed(result.campaign, fleet::fleet_total_units(args.spec), "shards");

@@ -225,7 +225,7 @@ int cmd_campaign(const Args& args) {
   cli::CampaignRun run(args.campaign, "runs");
   check::FuzzOptions opts;
   if (!args.campaign.resume_path.empty()) {
-    opts = campaign::load_fuzz_resume_config(args.campaign.resume_path);
+    opts = campaign::load_resume_config(args.campaign.resume_path, campaign::decode_fuzz_config);
     std::printf("resume: %s (seed=%llu runs=%d)\n", args.campaign.resume_path.c_str(),
                 static_cast<unsigned long long>(opts.seed), opts.runs);
   } else {

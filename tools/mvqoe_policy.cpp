@@ -108,7 +108,7 @@ int cmd_compare(int argc, char** argv) {
   cli::CampaignRun run(flags, "groups");
   if (!flags.resume_path.empty()) {
     const int group_workers = spec.base.group_workers;
-    spec = campaign::load_policy_resume_config(flags.resume_path);
+    spec = campaign::load_resume_config(flags.resume_path, campaign::decode_policy_config);
     spec.base.group_workers = group_workers;
     std::printf("resume: %s (family=%s %zu policies x %zu states, %d run(s))\n",
                 flags.resume_path.c_str(), spec.base.family.c_str(), spec.policies.size(),
