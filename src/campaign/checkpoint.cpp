@@ -53,7 +53,8 @@ CheckpointState load_checkpoint(const snapshot::Snapshot& blob) {
     throw std::runtime_error("campaign: checkpoint records " + std::to_string(unit_count) +
                              " completed units of only " + std::to_string(state.total_units));
   }
-  state.units.reserve(static_cast<std::size_t>(unit_count));
+  // u64 index + str payload per unit.
+  r.count(unit_count, 12);
   std::uint64_t previous = 0;
   for (std::uint64_t i = 0; i < unit_count; ++i) {
     const std::uint64_t index = r.u64();
@@ -64,9 +65,9 @@ CheckpointState load_checkpoint(const snapshot::Snapshot& blob) {
     previous = index;
     state.units.emplace_back(index, r.str());
   }
-  const std::uint32_t shard_count = r.u32();
-  state.shards.reserve(shard_count);
-  for (std::uint32_t i = 0; i < shard_count; ++i) {
+  // u64 first unit, u64 unit count, i32 attempts, u8 status, str error.
+  const std::size_t shard_count = r.count(r.u32(), 25);
+  for (std::size_t i = 0; i < shard_count; ++i) {
     ShardOutcome shard;
     shard.first_unit = r.u64();
     shard.unit_count = r.u64();

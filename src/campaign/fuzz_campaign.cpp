@@ -67,16 +67,15 @@ check::FuzzOptions decode_fuzz_config(const std::string& bytes) {
   opts.perturb_run = r.i32();
   opts.perturb_offset = r.i64();
   if (!r.done()) {
-    const std::uint32_t policy_count = r.u32();
-    opts.generator.policies.reserve(policy_count);
-    for (std::uint32_t i = 0; i < policy_count; ++i) {
+    // A str encodes to at least its u32 length.
+    const std::size_t policy_count = r.count(r.u32(), 4);
+    for (std::size_t i = 0; i < policy_count; ++i) {
       opts.generator.policies.push_back(r.str());
     }
   }
   if (!r.done()) {
-    const std::uint32_t cc_count = r.u32();
-    opts.generator.ccs.reserve(cc_count);
-    for (std::uint32_t i = 0; i < cc_count; ++i) {
+    const std::size_t cc_count = r.count(r.u32(), 4);
+    for (std::size_t i = 0; i < cc_count; ++i) {
       opts.generator.ccs.push_back(r.str());
     }
     opts.generator.cross_traffic_probability = r.f64();

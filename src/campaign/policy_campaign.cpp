@@ -53,9 +53,9 @@ PolicyCompareSpec decode_policy_config(const std::string& bytes) {
   }
   PolicyCompareSpec spec;
   spec.base = decode_sweep_config(r.str());
-  const std::uint32_t policy_count = r.u32();
-  spec.policies.reserve(policy_count);
-  for (std::uint32_t i = 0; i < policy_count; ++i) {
+  // A spec encodes to at least an empty name and a zero param count.
+  const std::size_t policy_count = r.count(r.u32(), 8);
+  for (std::size_t i = 0; i < policy_count; ++i) {
     spec.policies.push_back(mem::load_policy_spec(r));
   }
   if (!r.done()) {

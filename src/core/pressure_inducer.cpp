@@ -43,9 +43,7 @@ void PressureInducer::start(std::function<void()> on_reached) {
   pid_ = testbed_.am.next_pid();
   testbed_.memory.register_process(pid_, "mp_simulator", mem::OomAdj::kPerceptible);
   testbed_.memory.registry().set_killable(pid_, false);
-  if (mem::ProcessMem* process = testbed_.memory.registry().find(pid_)) {
-    process->unevictable = true;  // native (mlocked) allocations
-  }
+  testbed_.memory.registry().set_unevictable(pid_, true);  // native (mlocked) allocations
 
   sched::ThreadSpec spec;
   spec.name = "mp_alloc";

@@ -66,14 +66,13 @@ stats::QuantileSketch decode_sketch(snapshot::ByteReader& r) {
   state.n = r.u64();
   state.min = r.f64();
   state.max = r.f64();
-  const std::uint32_t level_count = r.u32();
-  state.parity.resize(level_count);
-  state.levels.resize(level_count);
-  for (std::uint32_t l = 0; l < level_count; ++l) {
-    state.parity[l] = r.u8();
-    const std::uint32_t count = r.u32();
-    state.levels[l].reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) state.levels[l].push_back(r.f64());
+  // u8 parity + u32 value count per level, f64 per value.
+  const std::size_t level_count = r.count(r.u32(), 5);
+  for (std::size_t l = 0; l < level_count; ++l) {
+    state.parity.push_back(r.u8());
+    const std::size_t count = r.count(r.u32(), 8);
+    std::vector<double>& level = state.levels.emplace_back();
+    for (std::size_t i = 0; i < count; ++i) level.push_back(r.f64());
   }
   stats::QuantileSketch sketch;
   sketch.restore_state(state);

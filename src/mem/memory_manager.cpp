@@ -84,9 +84,9 @@ double MemoryManager::utilization() const noexcept {
 
 // --- Process lifecycle -----------------------------------------------------
 
-ProcessMem& MemoryManager::register_process(ProcessId pid, std::string name, int oom_adj,
-                                            std::function<void()> on_kill) {
-  ProcessMem& process = registry_.add(pid, std::move(name), oom_adj, std::move(on_kill));
+const ProcessMem& MemoryManager::register_process(ProcessId pid, std::string name, int oom_adj,
+                                                  std::function<void()> on_kill) {
+  const ProcessMem& process = registry_.add(pid, std::move(name), oom_adj, std::move(on_kill));
   update_pressure_level();
   return process;
 }
@@ -158,9 +158,9 @@ void MemoryManager::set_oom_adj(ProcessId pid, int adj) {
 void MemoryManager::touch_lru(ProcessId pid) { registry_.touch(pid); }
 
 void MemoryManager::set_hot_pages(ProcessId pid, Pages hot) {
-  if (ProcessMem* process = registry_.find(pid)) {
-    process->hot_pages =
-        std::clamp<Pages>(hot, 0, process->anon_resident + process->anon_swapped);
+  if (const ProcessMem* process = registry_.find(pid)) {
+    registry_.set_hot_pages(
+        pid, std::clamp<Pages>(hot, 0, process->anon_resident + process->anon_swapped));
   }
 }
 
@@ -291,12 +291,12 @@ void MemoryManager::alloc_anon(ProcessId pid, Pages pages, sched::ThreadId tid,
   }
   const Pages chunk = std::min(pages, kAllocChunk);
   acquire_pages(chunk, pid, tid, [this, pid, pages, chunk, tid, done = std::move(done)](bool ok) mutable {
-    ProcessMem* process = registry_.find(pid);
+    const ProcessMem* process = registry_.find(pid);
     if (!ok || process == nullptr) {
       if (done) done(false);
       return;
     }
-    process->anon_resident += chunk;
+    registry_.move_pages(*process, {.anon_resident = chunk});
     anon_pool_ += chunk;
     if (free_pages() < config_.watermark_low) wake_kswapd();
     update_pressure_level();
@@ -309,14 +309,13 @@ void MemoryManager::alloc_anon(ProcessId pid, Pages pages, sched::ThreadId tid,
 }
 
 void MemoryManager::free_anon(ProcessId pid, Pages pages) {
-  ProcessMem* process = registry_.find(pid);
+  const ProcessMem* process = registry_.find(pid);
   if (process == nullptr || pages <= 0) return;
   // Free resident pages first, then swapped.
   const Pages from_resident = std::min(pages, process->anon_resident);
-  process->anon_resident -= from_resident;
-  anon_pool_ -= from_resident;
   const Pages from_swap = std::min(pages - from_resident, process->anon_swapped);
-  process->anon_swapped -= from_swap;
+  registry_.move_pages(*process, {.anon_resident = -from_resident, .anon_swapped = -from_swap});
+  anon_pool_ -= from_resident;
   zram_stored_ -= from_swap;
   if (from_swap > 0) policy_->reclaim().note_swap_release(pid, from_swap);
   refresh_zram_physical();
@@ -336,13 +335,12 @@ void MemoryManager::map_file(ProcessId pid, Pages pages, sched::ThreadId tid,
   }
   const Pages chunk = std::min(pages, kAllocChunk);
   acquire_pages(chunk, pid, tid, [this, pid, pages, chunk, tid, done = std::move(done)](bool ok) mutable {
-    ProcessMem* process = registry_.find(pid);
+    const ProcessMem* process = registry_.find(pid);
     if (!ok || process == nullptr) {
       if (done) done(false);
       return;
     }
-    process->file_resident += chunk;
-    process->file_working_set += chunk;
+    registry_.move_pages(*process, {.file_resident = chunk, .file_working_set = chunk});
     file_clean_ += chunk;
     vmstat_.pgpgin += static_cast<std::uint64_t>(chunk);
     if (free_pages() < config_.watermark_low) wake_kswapd();
@@ -368,12 +366,13 @@ void MemoryManager::map_file(ProcessId pid, Pages pages, sched::ThreadId tid,
 }
 
 void MemoryManager::unmap_file(ProcessId pid, Pages pages) {
-  ProcessMem* process = registry_.find(pid);
+  const ProcessMem* process = registry_.find(pid);
   if (process == nullptr || pages <= 0) return;
   const Pages take = std::min(pages, process->file_resident);
-  process->file_resident -= take;
+  const Pages working_set = std::max<Pages>(0, process->file_working_set - pages);
+  registry_.move_pages(*process, {.file_resident = -take,
+                                  .file_working_set = working_set - process->file_working_set});
   file_clean_ -= take;
-  process->file_working_set = std::max<Pages>(0, process->file_working_set - pages);
   pump_waiters();
   update_pressure_level();
 }
@@ -389,7 +388,7 @@ void MemoryManager::dirty_file(Pages pages) {
 
 void MemoryManager::touch_working_set(ProcessId pid, sched::ThreadId tid, Pages anon_touch,
                                       Pages file_touch, AllocCallback done) {
-  ProcessMem* process = registry_.find(pid);
+  const ProcessMem* process = registry_.find(pid);
   if (process == nullptr) {
     if (done) done(false);
     return;
@@ -437,7 +436,7 @@ void MemoryManager::touch_working_set(ProcessId pid, sched::ThreadId tid, Pages 
 
 void MemoryManager::fault_anon_pages(ProcessId pid, sched::ThreadId tid, Pages remaining,
                                      std::function<void()> next) {
-  ProcessMem* process = registry_.find(pid);
+  const ProcessMem* process = registry_.find(pid);
   if (process == nullptr || remaining <= 0 || process->anon_swapped <= 0) {
     next();
     return;
@@ -448,11 +447,10 @@ void MemoryManager::fault_anon_pages(ProcessId pid, sched::ThreadId tid, Pages r
   auto apply = [this, pid, tid, chunk, remaining, next = std::move(next)]() mutable {
     acquire_pages(chunk, pid, 0, [this, pid, tid, chunk, remaining,
                                   next = std::move(next)](bool ok) mutable {
-      ProcessMem* process = registry_.find(pid);
+      const ProcessMem* process = registry_.find(pid);
       if (ok && process != nullptr) {
         const Pages take = std::min(chunk, process->anon_swapped);
-        process->anon_swapped -= take;
-        process->anon_resident += take;
+        registry_.move_pages(*process, {.anon_resident = take, .anon_swapped = -take});
         zram_stored_ -= take;
         anon_pool_ += take;
         if (take > 0) policy_->reclaim().note_swap_release(pid, take);
@@ -475,8 +473,7 @@ void MemoryManager::fault_anon_pages(ProcessId pid, sched::ThreadId tid, Pages r
 
 void MemoryManager::fault_file_pages(ProcessId pid, sched::ThreadId tid, Pages remaining,
                                      AllocCallback done) {
-  ProcessMem* process = registry_.find(pid);
-  if (process == nullptr) {
+  if (registry_.find(pid) == nullptr) {
     if (done) done(false);
     return;
   }
@@ -490,12 +487,12 @@ void MemoryManager::fault_file_pages(ProcessId pid, sched::ThreadId tid, Pages r
   const Pages chunk = std::min(remaining, kAllocChunk);
   acquire_pages(chunk, pid, tid, [this, pid, tid, chunk, remaining,
                                   done = std::move(done)](bool ok) mutable {
-    ProcessMem* process = registry_.find(pid);
+    const ProcessMem* process = registry_.find(pid);
     if (!ok || process == nullptr) {
       if (done) done(false);
       return;
     }
-    process->file_resident += chunk;
+    registry_.move_pages(*process, {.file_resident = chunk});
     file_clean_ += chunk;
     vmstat_.pgpgin += static_cast<std::uint64_t>(chunk);
     update_pressure_level();
@@ -544,14 +541,15 @@ MemoryManager::ReclaimOutcome MemoryManager::run_reclaim_batch() {
   // which pool, which zRAM tier, at what CPU cost — is entirely the
   // policy's call (DESIGN.md §16).
   ReclaimView view{registry_, available_pages(), zram_stored_, file_dirty_, dirty_in_flight_};
-  const ReclaimPlan plan = policy_->reclaim().plan_batch(view);
+  policy_->reclaim().plan_batch(view, plan_);
+  const ReclaimPlan& plan = plan_;
 
   ReclaimOutcome outcome;
   outcome.scanned = plan.scanned;
 
   // 1. Drop clean file pages.
   for (const ReclaimPlan::FileTake& take : plan.file_drops) {
-    take.process->file_resident -= take.pages;
+    registry_.move_pages(*take.process, {.file_resident = -take.pages});
     file_clean_ -= take.pages;
     outcome.freed_now += take.pages;
   }
@@ -561,8 +559,8 @@ MemoryManager::ReclaimOutcome MemoryManager::run_reclaim_batch() {
   // freed total, exactly as the pre-policy manager did per process.
   for (const ReclaimPlan::CompressTake& take : plan.compress) {
     const Pages physical_before = zram_physical_;
-    take.process->anon_resident -= take.pages;
-    take.process->anon_swapped += take.pages;
+    registry_.move_pages(*take.process,
+                         {.anon_resident = -take.pages, .anon_swapped = take.pages});
     anon_pool_ -= take.pages;
     zram_stored_ += take.pages;
     policy_->reclaim().note_swap_out(take.process->pid, take.pages, take.tier);
@@ -596,6 +594,9 @@ MemoryManager::ReclaimOutcome MemoryManager::run_reclaim_batch() {
 }
 
 double MemoryManager::pressure_P() const noexcept {
+  // Same instant as the last sample: the decay below is pow(0.5, 0),
+  // exactly 1, and batches read P several times per instant.
+  if (engine_.now() <= last_pressure_sample_) return pressure_ema_;
   const double age_s = sim::to_seconds(engine_.now() - last_pressure_sample_);
   // Half-life of 1.5 s once scanning stops.
   const double decay = std::pow(0.5, std::max(0.0, age_s) / 1.5);
@@ -818,6 +819,9 @@ MemoryManager::ConservationReport MemoryManager::check_conservation() const {
          std::to_string(dirty_in_flight_) + ")");
   }
   if (zram_stored_ > config_.zram_capacity) fail("zram over capacity");
+  if (const std::string stale = registry_.stale_sum(); !stale.empty()) {
+    fail("registry " + stale);
+  }
   if (zram_physical_ != policy_->reclaim().zram_physical(zram_stored_)) {
     fail("zram physical cache stale (" + std::to_string(zram_physical_) + " cached vs " +
          std::to_string(policy_->reclaim().zram_physical(zram_stored_)) + " recomputed)");

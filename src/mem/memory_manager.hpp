@@ -69,8 +69,8 @@ class MemoryManager {
   MemoryManager& operator=(const MemoryManager&) = delete;
 
   // --- Process lifecycle -------------------------------------------------
-  ProcessMem& register_process(ProcessId pid, std::string name, int oom_adj,
-                               std::function<void()> on_kill = nullptr);
+  const ProcessMem& register_process(ProcessId pid, std::string name, int oom_adj,
+                                     std::function<void()> on_kill = nullptr);
   /// Voluntary exit: frees everything, no kill callback.
   void exit_process(ProcessId pid);
   /// lmkd-style kill: frees everything, fires on_kill, traces the kill.
@@ -140,8 +140,9 @@ class MemoryManager {
 
   /// Page-accounting conservation audit (the mem-conservation oracle): the
   /// per-process registry totals must equal the global pools, every pool
-  /// must be non-negative, and in-flight writeback bounded by the dirty
-  /// pool. `detail` names the first violated invariant.
+  /// must be non-negative, in-flight writeback bounded by the dirty
+  /// pool, and the registry's kept reclaim sums and cached count equal
+  /// a fresh walk. `detail` names the first violated invariant.
   struct ConservationReport {
     bool ok = true;
     std::string detail;
@@ -196,8 +197,8 @@ class MemoryManager {
                         std::function<void()> next);
   void fault_file_pages(ProcessId pid, sched::ThreadId tid, Pages remaining, AllocCallback done);
 
-  /// Ask the policy what one scan batch reclaims, apply the plan's
-  /// instantly-free part, and submit writeback I/O.
+  /// Ask the policy what one scan batch reclaims (into plan_), apply the
+  /// plan's instantly-free part, and submit writeback I/O.
   ReclaimOutcome run_reclaim_batch();
   void record_pressure(const ReclaimOutcome& outcome);
   /// Recompute the cached zRAM physical footprint from the policy.
@@ -228,6 +229,8 @@ class MemoryManager {
   std::unique_ptr<MemPolicy> policy_;
 
   ProcessRegistry registry_;
+  /// The one plan every batch refills (its take vectors keep capacity).
+  ReclaimPlan plan_;
   VmStat vmstat_;
 
   // Page pools (invariant: free = total - kernel - anon - file - zram).

@@ -20,36 +20,26 @@ namespace {
 
 // --- the planner -------------------------------------------------------------
 
-/// Clean file pages a batch may drop. The active file list is protected
-/// (workingset detection): roughly half of a process's file working set
-/// survives eviction until the system is desperate.
-Pages droppable_file(const ProcessMem& process, bool desperate) noexcept {
-  const Pages protected_file =
-      desperate ? 0 : std::min(process.file_resident, process.file_working_set / 2);
-  return process.file_resident - protected_file;
-}
-
-/// Anonymous pages a batch may compress: only pages outside the owner's
-/// hot working set.
-Pages cold_anon(const ProcessMem& process) noexcept {
-  return std::max<Pages>(0, process.anon_resident - process.hot_pages);
-}
-
 /// One scan batch, for every policy. A policy supplies only its batch
 /// size when calm and when desperate (below the service minfree level,
-/// where working-set protection lifts), `admit(process)` (swap
-/// admission), `compress_order()` (asked for only when a batch reaches
-/// that step), `tier_of(process)` and the CPU cost per compressed page of
-/// each tier.
-template <typename Admit, typename CompressOrder, typename TierOf>
-ReclaimPlan plan_reclaim(const MemoryConfig& config, ReclaimView& view,
-                         const std::array<Pages, 2>& calm_desperate_budget, Admit admit,
-                         CompressOrder compress_order, TierOf tier_of,
-                         const std::array<double, 2>& tier_cpu_refus) {
+/// where working-set protection lifts), `admit` (swap admission: the
+/// oom_adj bands it compresses), `compress_order()` (asked for only when
+/// a batch reaches that step), `tier_of(process)` and the CPU cost per
+/// compressed page of each tier. The registry keeps the sums the
+/// efficiency estimate reads, so the batch walks processes only to pick
+/// pages, and each walk stops once the pages the sums say are left run
+/// out.
+template <typename CompressOrder, typename TierOf>
+void plan_reclaim(const MemoryConfig& config, ReclaimView& view, ReclaimPlan& plan,
+                  const std::array<Pages, 2>& calm_desperate_budget, BandMask admit,
+                  CompressOrder compress_order, TierOf tier_of,
+                  const std::array<double, 2>& tier_cpu_refus) {
   const bool desperate = view.available < config.minfree_service;
   const Pages budget = calm_desperate_budget[desperate];
-  ReclaimPlan plan;
   plan.scanned = budget;
+  plan.file_drops.clear();
+  plan.compress.clear();
+  plan.writeback = 0;
 
   // Scan efficiency: the reclaimer walks `budget` LRU candidates; only
   // the reclaimable fraction of the candidate pool yields pages. When
@@ -57,42 +47,42 @@ ReclaimPlan plan_reclaim(const MemoryConfig& config, ReclaimView& view,
   // frees little — this ratio IS the paper's pressure metric
   // P = (1 - reclaimed/scanned) * 100 (§2), and it is why reclaim slows
   // to a crawl (and direct-reclaim stalls stretch) under real pressure.
-  Pages candidates = 0;
-  Pages reclaimable = 0;
+  const ReclaimSums& sums = view.registry.sums();
+  Pages droppable_left = desperate ? sums.file : sums.unprotected_file;
+  Pages cold_left = sums.cold_anon_in(admit);
   const Pages zram_headroom = config.zram_capacity - view.zram_stored;
-  Pages compressible_total = 0;
-  for (ProcessMem* process : view.registry.reclaim_order()) {
-    if (process->unevictable) continue;  // pinned: not on the LRU at all
-    candidates += process->anon_resident + process->file_resident;
-    reclaimable += droppable_file(*process, desperate);
-    if (admit(*process)) compressible_total += cold_anon(*process);
-  }
-  reclaimable += std::min(compressible_total, zram_headroom);
-  reclaimable += view.file_dirty - view.dirty_in_flight;
-  candidates += view.file_dirty;
+  const Pages reclaimable = droppable_left + std::min(cold_left, zram_headroom) +
+                            (view.file_dirty - view.dirty_in_flight);
+  const Pages candidates = sums.candidates + view.file_dirty;
   const double efficiency =
       candidates > 0 ? static_cast<double>(reclaimable) / static_cast<double>(candidates) : 0.0;
   Pages remaining = static_cast<Pages>(
       std::ceil(static_cast<double>(budget) * std::min(1.0, efficiency)));
 
   // 1. Drop clean file pages, coldest/lowest-priority processes first.
-  for (ProcessMem* process : view.registry.reclaim_order()) {
-    if (remaining <= 0) break;
-    if (process->unevictable) continue;
-    const Pages take = std::min(droppable_file(*process, desperate), remaining);
-    if (take <= 0) continue;
-    plan.file_drops.push_back({process, take});
-    remaining -= take;
+  if (remaining > 0 && droppable_left > 0) {
+    for (const ProcessMem* process : view.registry.reclaim_order()) {
+      if (remaining <= 0 || droppable_left <= 0) break;
+      if (process->unevictable) continue;  // pinned: not on the LRU at all
+      const Pages droppable = droppable_file(*process, desperate);
+      droppable_left -= droppable;
+      const Pages take = std::min(droppable, remaining);
+      if (take <= 0) continue;
+      plan.file_drops.push_back({process, take});
+      remaining -= take;
+    }
   }
 
   // 2. Compress admitted anonymous pages into zRAM (CPU work).
   std::array<Pages, 2> tier_pages = {0, 0};
-  if (remaining > 0) {
+  if (remaining > 0 && cold_left > 0) {
     Pages zram_space = zram_headroom;
-    for (ProcessMem* process : compress_order()) {
-      if (remaining <= 0 || zram_space <= 0) break;
-      if (process->unevictable || !admit(*process)) continue;
-      const Pages take = std::min({cold_anon(*process), remaining, zram_space});
+    for (const ProcessMem* process : compress_order()) {
+      if (remaining <= 0 || zram_space <= 0 || cold_left <= 0) break;
+      if (process->unevictable || !admits(admit, process->oom_adj)) continue;
+      const Pages cold = cold_anon(*process);
+      cold_left -= cold;
+      const Pages take = std::min({cold, remaining, zram_space});
       if (take <= 0) continue;
       const int tier = tier_of(*process);
       plan.compress.push_back({process, take, tier});
@@ -112,36 +102,32 @@ ReclaimPlan plan_reclaim(const MemoryConfig& config, ReclaimView& view,
   plan.cpu_refus = static_cast<double>(plan.scanned) * config.scan_cpu_refus +
                    static_cast<double>(tier_pages[0]) * tier_cpu_refus[0] +
                    static_cast<double>(tier_pages[1]) * tier_cpu_refus[1];
-  return plan;
 }
 
 // --- baseline, swam and partitioned ------------------------------------------
 
 /// A single-tier store planned in reclaim order. The three policies
-/// differ only in `admit`, their swap admission; as a callable type it
-/// costs the baseline's admit-everything nothing per process.
-template <typename Admit>
+/// differ only in their swap admission: baseline admits every band,
+/// swam all but the cached band, partitioned all but the band up to
+/// perceptible.
 class SingleTierReclaim final : public ReclaimPolicy {
  public:
-  SingleTierReclaim(const MemoryConfig& config, Admit admit)
+  SingleTierReclaim(const MemoryConfig& config, BandMask admit)
       : ReclaimPolicy(config), admit_(admit) {}
 
-  ReclaimPlan plan_batch(ReclaimView& view) override {
-    return plan_reclaim(
-        config_, view, {config_.kswapd_batch, config_.kswapd_batch}, admit_,
-        [&view]() -> const std::vector<ProcessMem*>& { return view.registry.reclaim_order(); },
+  void plan_batch(ReclaimView& view, ReclaimPlan& plan) override {
+    plan_reclaim(
+        config_, view, plan, {config_.kswapd_batch, config_.kswapd_batch}, admit_,
+        [&view]() -> const std::vector<const ProcessMem*>& {
+          return view.registry.reclaim_order();
+        },
         [](const ProcessMem&) { return 0; },
         {config_.compress_cpu_refus, config_.compress_cpu_refus});
   }
 
  private:
-  Admit admit_;
+  BandMask admit_;
 };
-
-template <typename Admit>
-std::unique_ptr<ReclaimPolicy> single_tier(const MemoryConfig& config, Admit admit) {
-  return std::make_unique<SingleTierReclaim<Admit>>(config, admit);
-}
 
 // --- swam (arXiv 2306.08345) -------------------------------------------------
 
@@ -157,7 +143,7 @@ class SwamKill final : public KillPolicy {
   std::optional<ProcessId> pick_victim(ProcessRegistry& registry, int min_adj) override {
     const ProcessMem* best = nullptr;
     double best_score = -1.0;
-    for (ProcessMem* process : registry.reclaim_order()) {
+    for (const ProcessMem* process : registry.reclaim_order()) {
       if (!process->killable || process->oom_adj < min_adj) continue;
       const double freed = static_cast<double>(process->anon_resident +
                                                process->file_resident + process->anon_swapped);
@@ -202,13 +188,12 @@ class AriadneReclaim final : public ReclaimPolicy {
 
   void attach_scheduler(const sched::Scheduler* scheduler) override { scheduler_ = scheduler; }
 
-  ReclaimPlan plan_batch(ReclaimView& view) override {
+  void plan_batch(ReclaimView& view, ReclaimPlan& plan) override {
     sample_hotness();
     // Size-adaptive batching: scan twice as hard when desperate.
-    return plan_reclaim(
-        config_, view, {config_.kswapd_batch, config_.kswapd_batch * 2},
-        [](const ProcessMem&) { return true; },
-        [&] { return coldest_first(view.registry); },
+    plan_reclaim(
+        config_, view, plan, {config_.kswapd_batch, config_.kswapd_batch * 2}, kAllBands,
+        [&]() -> const std::vector<const ProcessMem*>& { return coldest_first(view.registry); },
         [this](const ProcessMem& process) {
           return hotness_of(process.pid) <= hot_cut_refus_ ? 0 : 1;
         },
@@ -285,19 +270,20 @@ class AriadneReclaim final : public ReclaimPolicy {
   }
 
   /// Compression order: coldest process first (hotness asc, unique
-  /// lru_seq breaks ties → deterministic total order).
-  std::vector<ProcessMem*> coldest_first(ProcessRegistry& registry) const {
-    std::vector<ProcessMem*> order;
-    for (ProcessMem* process : registry.reclaim_order()) {
-      if (!process->unevictable) order.push_back(process);
+  /// lru_seq breaks ties → deterministic total order). Refills one
+  /// reused vector.
+  const std::vector<const ProcessMem*>& coldest_first(ProcessRegistry& registry) {
+    order_.clear();
+    for (const ProcessMem* process : registry.reclaim_order()) {
+      if (!process->unevictable) order_.push_back(process);
     }
-    std::sort(order.begin(), order.end(), [this](const ProcessMem* a, const ProcessMem* b) {
+    std::sort(order_.begin(), order_.end(), [this](const ProcessMem* a, const ProcessMem* b) {
       const double ha = hotness_of(a->pid);
       const double hb = hotness_of(b->pid);
       if (ha != hb) return ha < hb;
       return a->lru_seq < b->lru_seq;
     });
-    return order;
+    return order_;
   }
 
   /// Fold the scheduler's cumulative per-thread CPU counters into a
@@ -337,6 +323,7 @@ class AriadneReclaim final : public ReclaimPolicy {
   std::map<ProcessId, TierCount> stored_;
   std::map<ProcessId, double> hotness_;
   std::map<ProcessId, double> prev_cpu_;
+  std::vector<const ProcessMem*> order_;  ///< coldest_first()'s buffer
 };
 
 // --- factory -----------------------------------------------------------------
@@ -363,9 +350,9 @@ std::unique_ptr<MemPolicy> make_mem_policy(const MemPolicySpec& spec,
   const auto param = [&spec](const char* key) { return snapshot::find_param(spec.params, key); };
   if (spec.name == "baseline") {
     snapshot::check_params(owner, spec.params, {});
-    return std::make_unique<MemPolicy>(
-        spec, single_tier(config, [](const ProcessMem&) { return true; }),
-        std::make_unique<KillPolicy>(std::move(charter)));
+    return std::make_unique<MemPolicy>(spec,
+                                       std::make_unique<SingleTierReclaim>(config, kAllBands),
+                                       std::make_unique<KillPolicy>(std::move(charter)));
   }
   if (spec.name == "swam") {
     snapshot::check_params(owner, spec.params, {"swap_full_fraction", "kill_cooldown_ms"});
@@ -386,8 +373,10 @@ std::unique_ptr<MemPolicy> make_mem_policy(const MemPolicySpec& spec,
     // wastes zRAM space and CPU on pages a cheap relaunch would
     // regenerate (swap_full_kill_fraction is the other half of the joint
     // decision).
-    const auto below_cached = [](const ProcessMem& p) { return p.oom_adj < OomAdj::kCached; };
-    return std::make_unique<MemPolicy>(spec, single_tier(config, below_cached),
+    const BandMask below_cached =
+        band_bit(AnonBand::UpToPerceptible) | band_bit(AnonBand::Between);
+    return std::make_unique<MemPolicy>(spec,
+                                       std::make_unique<SingleTierReclaim>(config, below_cached),
                                        std::make_unique<SwamKill>(std::move(charter)));
   }
   if (spec.name == "ariadne") {
@@ -424,11 +413,10 @@ std::unique_ptr<MemPolicy> make_mem_policy(const MemPolicySpec& spec,
     }
     // The foreground/visible/perceptible partition is never compressed,
     // so the user-facing app never pays decompression stalls.
-    const auto above_perceptible = [](const ProcessMem& p) {
-      return p.oom_adj > OomAdj::kPerceptible;
-    };
-    return std::make_unique<MemPolicy>(spec, single_tier(config, above_perceptible),
-                                       std::make_unique<KillPolicy>(std::move(charter)));
+    const BandMask above_perceptible = band_bit(AnonBand::Between) | band_bit(AnonBand::Cached);
+    return std::make_unique<MemPolicy>(
+        spec, std::make_unique<SingleTierReclaim>(config, above_perceptible),
+        std::make_unique<KillPolicy>(std::move(charter)));
   }
   throw std::invalid_argument("unknown mem policy '" + spec.name +
                               "' (known: baseline, swam, ariadne, partitioned)");

@@ -142,8 +142,8 @@ KillCharter kill_charter_for(const MemPolicySpec& spec, const MemoryConfig& conf
 int replay_kill_floor(const KillCharter& charter, double pressure, Pages available,
                       Pages zram_stored, Pages zram_capacity) noexcept;
 
-/// Pool state a reclaim policy plans against (registry non-const: the
-/// planner uses the cached reclaim-order walk).
+/// Pool state a reclaim policy plans against: the registry's kept sums
+/// and its reclaim order (non-const: the order is rebuilt lazily).
 struct ReclaimView {
   ProcessRegistry& registry;
   Pages available = 0;
@@ -157,13 +157,15 @@ struct ReclaimView {
 /// the freed total per take), then writeback submission. `cpu_refus` is
 /// the batch's total CPU cost (scan, then tier 0, then tier 1) — one
 /// double, so the baseline's scan+compress expression stays bit-exact.
+/// The manager owns one plan and every batch refills it, so the take
+/// vectors keep their capacity.
 struct ReclaimPlan {
   struct FileTake {
-    ProcessMem* process = nullptr;
+    const ProcessMem* process = nullptr;
     Pages pages = 0;
   };
   struct CompressTake {
-    ProcessMem* process = nullptr;
+    const ProcessMem* process = nullptr;
     Pages pages = 0;
     int tier = 0;  ///< zRAM tier (policies with tiered stores; baseline: 0)
   };
@@ -178,9 +180,10 @@ class ReclaimPolicy {
  public:
   virtual ~ReclaimPolicy() = default;
 
-  /// Decide what one scan batch reclaims. Must not mutate page counters —
-  /// the mechanism applies the plan.
-  virtual ReclaimPlan plan_batch(ReclaimView& view) = 0;
+  /// Decide what one scan batch reclaims, overwriting every field of
+  /// `plan`. Cannot mutate page counters — the mechanism applies the
+  /// plan.
+  virtual void plan_batch(ReclaimView& view, ReclaimPlan& plan) = 0;
 
   /// Physical pages the zRAM store occupies for `stored` uncompressed
   /// pages. Called on every store mutation (the manager caches the

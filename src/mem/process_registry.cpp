@@ -9,8 +9,37 @@ Pages pss_pages(const ProcessMem& process) noexcept {
   return process.anon_resident + process.file_resident;
 }
 
-ProcessMem& ProcessRegistry::add(ProcessId pid, std::string name, int oom_adj,
-                                 std::function<void()> on_kill) {
+namespace {
+
+/// Add (sign +1) or take out (sign -1) one process's share of the kept
+/// sums and the cached count.
+void account(const ProcessMem& process, int sign, ReclaimSums& sums, int& cached) noexcept {
+  if (!process.alive) return;
+  if (process.oom_adj >= OomAdj::kCached) cached += sign;
+  if (process.unevictable) return;  // pinned: not on the LRU at all
+  sums.candidates += sign * (process.anon_resident + process.file_resident);
+  sums.file += sign * process.file_resident;
+  sums.unprotected_file += sign * droppable_file(process, false);
+  sums.cold_anon[static_cast<std::size_t>(anon_band(process.oom_adj))] +=
+      sign * cold_anon(process);
+}
+
+}  // namespace
+
+template <typename Change>
+void ProcessRegistry::update(ProcessMem& process, Change change) {
+  account(process, -1, sums_, cached_);
+  change(process);
+  account(process, +1, sums_, cached_);
+}
+
+ProcessMem* ProcessRegistry::find_live(ProcessId pid) noexcept {
+  const auto it = processes_.find(pid);
+  return it != processes_.end() && it->second.alive ? &it->second : nullptr;
+}
+
+const ProcessMem& ProcessRegistry::add(ProcessId pid, std::string name, int oom_adj,
+                                       std::function<void()> on_kill) {
   auto [it, inserted] = processes_.try_emplace(pid);
   assert((inserted || !it->second.alive) && "pid already registered and alive");
   ProcessMem& process = it->second;
@@ -28,12 +57,8 @@ ProcessMem& ProcessRegistry::add(ProcessId pid, std::string name, int oom_adj,
   }
   alive_.push_back(&process);
   order_dirty_ = true;
+  account(process, +1, sums_, cached_);
   return process;
-}
-
-ProcessMem* ProcessRegistry::find(ProcessId pid) noexcept {
-  const auto it = processes_.find(pid);
-  return it != processes_.end() && it->second.alive ? &it->second : nullptr;
 }
 
 const ProcessMem* ProcessRegistry::find(ProcessId pid) const noexcept {
@@ -44,35 +69,61 @@ const ProcessMem* ProcessRegistry::find(ProcessId pid) const noexcept {
 bool ProcessRegistry::alive(ProcessId pid) const noexcept { return find(pid) != nullptr; }
 
 void ProcessRegistry::touch(ProcessId pid) noexcept {
-  if (ProcessMem* process = find(pid)) {
+  if (ProcessMem* process = find_live(pid)) {
     process->lru_seq = ++lru_clock_;
     order_dirty_ = true;
   }
 }
 
 void ProcessRegistry::set_oom_adj(ProcessId pid, int adj) noexcept {
-  if (ProcessMem* process = find(pid)) {
-    process->oom_adj = adj;
+  if (ProcessMem* process = find_live(pid)) {
+    update(*process, [adj](ProcessMem& p) { p.oom_adj = adj; });
     order_dirty_ = true;
   }
 }
 
 void ProcessRegistry::set_killable(ProcessId pid, bool killable) noexcept {
-  if (ProcessMem* process = find(pid)) process->killable = killable;
+  if (ProcessMem* process = find_live(pid)) process->killable = killable;
+}
+
+void ProcessRegistry::set_unevictable(ProcessId pid, bool unevictable) noexcept {
+  if (ProcessMem* process = find_live(pid)) {
+    update(*process, [unevictable](ProcessMem& p) { p.unevictable = unevictable; });
+  }
+}
+
+void ProcessRegistry::set_hot_pages(ProcessId pid, Pages hot) noexcept {
+  if (ProcessMem* process = find_live(pid)) {
+    update(*process, [hot](ProcessMem& p) { p.hot_pages = hot; });
+  }
+}
+
+void ProcessRegistry::move_pages(const ProcessMem& process, const PageDelta& delta) noexcept {
+  assert(find(process.pid) == &process && "not a live process of this registry");
+  // Every ProcessMem handed out lives non-const in processes_.
+  update(const_cast<ProcessMem&>(process), [&delta](ProcessMem& p) {
+    p.anon_resident += delta.anon_resident;
+    p.anon_swapped += delta.anon_swapped;
+    p.file_resident += delta.file_resident;
+    p.file_working_set += delta.file_working_set;
+  });
 }
 
 ProcessRegistry::FreedPages ProcessRegistry::remove(ProcessId pid) {
   FreedPages freed;
   const auto it = processes_.find(pid);
   if (it == processes_.end() || !it->second.alive) return freed;
-  freed.anon = it->second.anon_resident;
-  freed.swapped = it->second.anon_swapped;
-  freed.file = it->second.file_resident;
-  it->second.alive = false;
-  it->second.anon_resident = 0;
-  it->second.anon_swapped = 0;
-  it->second.file_resident = 0;
-  const auto pos = std::find(alive_.begin(), alive_.end(), &it->second);
+  ProcessMem& process = it->second;
+  freed.anon = process.anon_resident;
+  freed.swapped = process.anon_swapped;
+  freed.file = process.file_resident;
+  update(process, [](ProcessMem& p) {
+    p.alive = false;
+    p.anon_resident = 0;
+    p.anon_swapped = 0;
+    p.file_resident = 0;
+  });
+  const auto pos = std::find(alive_.begin(), alive_.end(), &process);
   assert(pos != alive_.end());
   *pos = alive_.back();  // swap-erase; scan order carries no meaning
   alive_.pop_back();
@@ -80,12 +131,28 @@ ProcessRegistry::FreedPages ProcessRegistry::remove(ProcessId pid) {
   return freed;
 }
 
-int ProcessRegistry::cached_count() const noexcept {
-  int count = 0;
-  for (const ProcessMem* process : alive_) {
-    if (process->oom_adj >= OomAdj::kCached) ++count;
+std::string ProcessRegistry::stale_sum() const {
+  ReclaimSums walked;
+  int walked_cached = 0;
+  for (const ProcessMem* process : alive_) account(*process, +1, walked, walked_cached);
+  const auto differs = [](const std::string& name, Pages kept, Pages walk) {
+    return name + " kept " + std::to_string(kept) + " != walk " + std::to_string(walk);
+  };
+  if (cached_ != walked_cached) return differs("cached count", cached_, walked_cached);
+  if (sums_.candidates != walked.candidates) {
+    return differs("reclaim candidates", sums_.candidates, walked.candidates);
   }
-  return count;
+  if (sums_.file != walked.file) return differs("file pages", sums_.file, walked.file);
+  if (sums_.unprotected_file != walked.unprotected_file) {
+    return differs("unprotected file pages", sums_.unprotected_file, walked.unprotected_file);
+  }
+  for (std::size_t band = 0; band < kAnonBands; ++band) {
+    if (sums_.cold_anon[band] != walked.cold_anon[band]) {
+      return differs("cold anon of band " + std::to_string(band), sums_.cold_anon[band],
+                     walked.cold_anon[band]);
+    }
+  }
+  return {};
 }
 
 std::optional<ProcessId> ProcessRegistry::pick_victim(int min_adj) const noexcept {
@@ -105,30 +172,22 @@ std::optional<ProcessId> ProcessRegistry::pick_victim(int min_adj) const noexcep
   return best != nullptr ? std::optional<ProcessId>(best->pid) : std::nullopt;
 }
 
-const std::vector<ProcessMem*>& ProcessRegistry::reclaim_order() {
-  if (!order_dirty_) return order_cache_;
+void ProcessRegistry::rebuild_order() {
   // Extract the sort keys into a flat array first (SoA): the sort then
   // compares inline values instead of dereferencing two ProcessMem
   // pointers per comparison.
-  struct Key {
-    int oom_adj;
-    std::uint64_t lru_seq;
-    ProcessId pid;
-    ProcessMem* process;
-  };
-  std::vector<Key> keys;
-  keys.reserve(alive_.size());
-  for (ProcessMem* p : alive_) keys.push_back(Key{p->oom_adj, p->lru_seq, p->pid, p});
-  std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
+  order_keys_.clear();
+  for (const ProcessMem* p : alive_) {
+    order_keys_.push_back(OrderKey{p->oom_adj, p->lru_seq, p->pid, p});
+  }
+  std::sort(order_keys_.begin(), order_keys_.end(), [](const OrderKey& a, const OrderKey& b) {
     if (a.oom_adj != b.oom_adj) return a.oom_adj > b.oom_adj;
     if (a.lru_seq != b.lru_seq) return a.lru_seq < b.lru_seq;
     return a.pid < b.pid;
   });
   order_cache_.clear();
-  order_cache_.reserve(keys.size());
-  for (const Key& k : keys) order_cache_.push_back(k.process);
+  for (const OrderKey& k : order_keys_) order_cache_.push_back(k.process);
   order_dirty_ = false;
-  return order_cache_;
 }
 
 std::vector<const ProcessMem*> ProcessRegistry::all() const {

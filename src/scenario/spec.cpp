@@ -304,30 +304,32 @@ fault::FaultPlan load_fault_plan(snapshot::ByteReader& r) {
   const std::uint32_t version = r.u32();
   if (version != 1) throw std::runtime_error("snapshot: unsupported fault-plan version");
   fault::FaultPlan plan;
-  plan.link_outages.resize(r.u64());
+  // Each list is sized only after its count passed r.count(count, the
+  // bytes one entry encodes to).
+  plan.link_outages.resize(r.count(r.u64(), 16));
   for (fault::LinkOutage& o : plan.link_outages) {
     o.at = r.i64();
     o.duration = r.i64();
   }
-  plan.link_rate_steps.resize(r.u64());
+  plan.link_rate_steps.resize(r.count(r.u64(), 16));
   for (fault::LinkRateStep& s : plan.link_rate_steps) {
     s.at = r.i64();
     s.rate_mbps = r.f64();
   }
-  plan.storage_degradations.resize(r.u64());
+  plan.storage_degradations.resize(r.count(r.u64(), 32));
   for (fault::StorageDegradation& d : plan.storage_degradations) {
     d.at = r.i64();
     d.duration = r.i64();
     d.latency_multiplier = r.f64();
     d.error_rate = r.f64();
   }
-  plan.thermal_windows.resize(r.u64());
+  plan.thermal_windows.resize(r.count(r.u64(), 24));
   for (fault::ThermalWindow& t : plan.thermal_windows) {
     t.at = r.i64();
     t.duration = r.i64();
     t.speed_scale = r.f64();
   }
-  plan.kills.resize(r.u64());
+  plan.kills.resize(r.count(r.u64(), 12));
   for (fault::TargetedKill& k : plan.kills) {
     k.at = r.i64();
     k.pid = r.u32();

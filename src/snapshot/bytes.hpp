@@ -74,13 +74,24 @@ class ByteReader {
   }
   /// Bounds-checked view of the next n raw bytes.
   std::string_view raw(std::size_t n) { return take(n); }
+  /// A byte-supplied element count, checked before anything is sized by
+  /// it: each element encodes to at least `min_element_bytes` (> 0), so
+  /// a count the remaining bytes cannot hold throws as a truncated
+  /// stream.
+  std::size_t count(std::uint64_t n, std::size_t min_element_bytes) const {
+    if (n > remaining() / min_element_bytes) truncated();
+    return static_cast<std::size_t>(n);
+  }
 
   std::size_t remaining() const noexcept { return data_.size() - pos_; }
   bool done() const noexcept { return remaining() == 0; }
 
  private:
+  [[noreturn]] static void truncated() {
+    throw std::runtime_error("snapshot: truncated byte stream");
+  }
   std::string_view take(std::size_t n) {
-    if (n > remaining()) throw std::runtime_error("snapshot: truncated byte stream");
+    if (n > remaining()) truncated();
     const std::string_view s = data_.substr(pos_, n);
     pos_ += n;
     return s;

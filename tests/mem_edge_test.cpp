@@ -61,7 +61,7 @@ TEST(MemEdge, UnevictableProcessExcludedFromReclaimEntirely) {
   manager.register_process(1, "fg", OomAdj::kForeground);
   manager.register_process(2, "pinned", OomAdj::kCached);
   manager.registry().set_killable(2, false);
-  manager.registry().find(2)->unevictable = true;
+  manager.registry().set_unevictable(2, true);
   manager.alloc_anon(2, pages_from_mb(60), 0, nullptr);
   // hot_pages left at 0: only the unevictable flag protects it.
   manager.alloc_anon(1, pages_from_mb(120), 0, [](bool) {});
@@ -91,22 +91,20 @@ TEST(MemEdge, MinfreeBandsEscalateWithDepth) {
   MemoryManager manager(engine, config);
   manager.register_process(1, "driver", OomAdj::kForeground);
   manager.registry().set_killable(1, false);
-  manager.registry().find(1)->unevictable = true;
-  manager.register_process(10, "cached", OomAdj::kCached);
-  manager.register_process(11, "svc", OomAdj::kService);
-  manager.register_process(12, "perceptible", OomAdj::kPerceptible);
+  manager.registry().set_unevictable(1, true);
+  std::vector<int> kill_order;
+  const auto record_kill = [&kill_order](ProcessId pid) {
+    return [&kill_order, pid] { kill_order.push_back(static_cast<int>(pid)); };
+  };
+  manager.register_process(10, "cached", OomAdj::kCached, record_kill(10));
+  manager.register_process(11, "svc", OomAdj::kService, record_kill(11));
+  manager.register_process(12, "perceptible", OomAdj::kPerceptible, record_kill(12));
   manager.alloc_anon(10, pages_from_mb(8), 0, nullptr);
   manager.alloc_anon(11, pages_from_mb(8), 0, nullptr);
   manager.alloc_anon(12, pages_from_mb(8), 0, nullptr);
 
   // Drive available memory down step by step; victims must die in
   // cached -> service -> perceptible order.
-  std::vector<int> kill_order;
-  for (const ProcessId pid : {10u, 11u, 12u}) {
-    manager.registry().find(pid)->on_kill = [&kill_order, pid] {
-      kill_order.push_back(static_cast<int>(pid));
-    };
-  }
   for (int i = 0; i < 60 && kill_order.size() < 3; ++i) {
     manager.alloc_anon(1, pages_from_mb(3), 0, [](bool) {});
     engine.run_until(engine.now() + sec(1));

@@ -8,29 +8,38 @@
 // encoder (SCEN v2, no config-tail bytes).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
 #include <limits>
+#include <map>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
+#include "campaign/checkpoint.hpp"
 #include "campaign/fuzz_campaign.hpp"
 #include "campaign/policy_campaign.hpp"
 #include "campaign/sweep_campaign.hpp"
+#include "fleet/aggregate.hpp"
 #include "fleet/spec.hpp"
 #include "mem/policy.hpp"
 #include "runner/video_batch.hpp"
 #include "sched/scheduler.hpp"
 #include "scenario/driver.hpp"
 #include "scenario/spec.hpp"
+#include "snapshot/blob.hpp"
 #include "snapshot/bytes.hpp"
 #include "snapshot/digest.hpp"
+#include "stats/rng.hpp"
 
 namespace mvqoe {
 namespace {
@@ -226,19 +235,18 @@ TEST(ReclaimPlanner, PinsEveryPolicysCalmAndDesperatePlans) {
   mem::ProcessRegistry registry;
   const auto add = [&](mem::ProcessId pid, int adj, mem::Pages anon, mem::Pages hot,
                        mem::Pages file, mem::Pages working_set) {
-    mem::ProcessMem& process = registry.add(pid, "p" + std::to_string(pid), adj);
-    process.anon_resident = anon;
-    process.hot_pages = hot;
-    process.file_resident = file;
-    process.file_working_set = working_set;
-    return &process;
+    registry.move_pages(registry.add(pid, "p" + std::to_string(pid), adj),
+                        {.anon_resident = anon, .file_resident = file,
+                         .file_working_set = working_set});
+    registry.set_hot_pages(pid, hot);
   };
   add(1, mem::OomAdj::kForeground, 90, 50, 16, 20);
   add(2, mem::OomAdj::kPerceptible, 40, 24, 10, 8);
   add(3, mem::OomAdj::kService, 30, 6, 10, 12);
   add(4, mem::OomAdj::kCached, 24, 4, 12, 6);
   add(5, mem::OomAdj::kCached, 16, 2, 6, 14);
-  add(6, mem::OomAdj::kPerceptible, 900, 0, 60, 0)->unevictable = true;
+  add(6, mem::OomAdj::kPerceptible, 900, 0, 60, 0);
+  registry.set_unevictable(6, true);
   registry.touch(3);
 
   sim::Engine engine;
@@ -257,7 +265,9 @@ TEST(ReclaimPlanner, PinsEveryPolicysCalmAndDesperatePlans) {
     const auto policy = mem::make_mem_policy({name, {}}, config);
     policy->reclaim().attach_scheduler(&scheduler);
     mem::ReclaimView view{registry, available, 1000, 36, 8};
-    return render_plan(policy->reclaim().plan_batch(view));
+    mem::ReclaimPlan batch;
+    policy->reclaim().plan_batch(view, batch);
+    return render_plan(batch);
   };
   // Per policy: the calm plan, then the desperate one.
   const std::vector<std::array<std::string, 3>> expected = {
@@ -276,6 +286,251 @@ TEST(ReclaimPlanner, PinsEveryPolicysCalmAndDesperatePlans) {
   for (const auto& [name, calm_plan, desperate_plan] : expected) {
     EXPECT_EQ(plan(name, config.minfree_service + 1), calm_plan) << name << " calm";
     EXPECT_EQ(plan(name, config.minfree_service - 1), desperate_plan) << name << " desperate";
+  }
+}
+
+// The planner as it was before the registry kept its sums: one walk adds
+// up the efficiency inputs, two more pick pages, and swap admission is a
+// per-process predicate. The kept-sum planner must equal it plan for plan.
+struct ReferencePolicy {
+  std::array<mem::Pages, 2> calm_desperate_budget;
+  std::function<bool(const mem::ProcessMem&)> admit;
+  bool hotness_order = false;  // ariadne: coldest first, two tiers
+  std::array<double, 2> tier_cpu_refus;
+};
+
+mem::ReclaimPlan reference_plan(const mem::MemoryConfig& config, mem::ReclaimView& view,
+                                const ReferencePolicy& policy,
+                                const std::map<mem::ProcessId, double>& hotness) {
+  const auto droppable = [](const mem::ProcessMem& p, bool desperate) {
+    const mem::Pages protected_file =
+        desperate ? 0 : std::min(p.file_resident, p.file_working_set / 2);
+    return p.file_resident - protected_file;
+  };
+  const auto cold = [](const mem::ProcessMem& p) {
+    return std::max<mem::Pages>(0, p.anon_resident - p.hot_pages);
+  };
+  const auto hot = [&hotness](const mem::ProcessMem& p) {
+    const auto it = hotness.find(p.pid);
+    return it == hotness.end() ? 0.0 : it->second;
+  };
+  const bool desperate = view.available < config.minfree_service;
+  const mem::Pages budget = policy.calm_desperate_budget[desperate];
+  mem::ReclaimPlan plan;
+  plan.scanned = budget;
+  mem::Pages candidates = 0;
+  mem::Pages reclaimable = 0;
+  const mem::Pages zram_headroom = config.zram_capacity - view.zram_stored;
+  mem::Pages compressible_total = 0;
+  for (const mem::ProcessMem* process : view.registry.reclaim_order()) {
+    if (process->unevictable) continue;
+    candidates += process->anon_resident + process->file_resident;
+    reclaimable += droppable(*process, desperate);
+    if (policy.admit(*process)) compressible_total += cold(*process);
+  }
+  reclaimable += std::min(compressible_total, zram_headroom);
+  reclaimable += view.file_dirty - view.dirty_in_flight;
+  candidates += view.file_dirty;
+  const double efficiency =
+      candidates > 0 ? static_cast<double>(reclaimable) / static_cast<double>(candidates) : 0.0;
+  mem::Pages remaining = static_cast<mem::Pages>(
+      std::ceil(static_cast<double>(budget) * std::min(1.0, efficiency)));
+  for (const mem::ProcessMem* process : view.registry.reclaim_order()) {
+    if (remaining <= 0) break;
+    if (process->unevictable) continue;
+    const mem::Pages take = std::min(droppable(*process, desperate), remaining);
+    if (take <= 0) continue;
+    plan.file_drops.push_back({process, take});
+    remaining -= take;
+  }
+  std::array<mem::Pages, 2> tier_pages = {0, 0};
+  if (remaining > 0) {
+    std::vector<const mem::ProcessMem*> order;
+    for (const mem::ProcessMem* process : view.registry.reclaim_order()) {
+      if (!policy.hotness_order || !process->unevictable) order.push_back(process);
+    }
+    if (policy.hotness_order) {
+      std::sort(order.begin(), order.end(), [&](const mem::ProcessMem* a, const mem::ProcessMem* b) {
+        if (hot(*a) != hot(*b)) return hot(*a) < hot(*b);
+        return a->lru_seq < b->lru_seq;
+      });
+    }
+    mem::Pages zram_space = zram_headroom;
+    for (const mem::ProcessMem* process : order) {
+      if (remaining <= 0 || zram_space <= 0) break;
+      if (process->unevictable || !policy.admit(*process)) continue;
+      const mem::Pages take = std::min({cold(*process), remaining, zram_space});
+      if (take <= 0) continue;
+      const int tier = policy.hotness_order && hot(*process) > 500.0 ? 1 : 0;
+      plan.compress.push_back({process, take, tier});
+      tier_pages[tier] += take;
+      remaining -= take;
+      zram_space -= take;
+    }
+  }
+  if (remaining > 0) {
+    const mem::Pages writeback = std::min(remaining, view.file_dirty - view.dirty_in_flight);
+    if (writeback > 0) plan.writeback = writeback;
+  }
+  plan.cpu_refus = static_cast<double>(plan.scanned) * config.scan_cpu_refus +
+                   static_cast<double>(tier_pages[0]) * policy.tier_cpu_refus[0] +
+                   static_cast<double>(tier_pages[1]) * policy.tier_cpu_refus[1];
+  return plan;
+}
+
+// Seeded random registries through every mutation the registry offers
+// (bands on both sides of each admission boundary, unevictable
+// processes, hot_pages above resident anon, working sets over twice the
+// file pages, dead pids re-added, plans applied as the manager applies
+// them): every policy's calm and desperate plan, cpu_refus bits
+// included, equals the reference planner's, and the kept sums always
+// equal a fresh walk. One plan object is refilled throughout.
+TEST(ReclaimPlanner, KeptSumPlansEqualTheThreeWalkPlannerOnRandomRegistries) {
+  const mem::MemoryConfig config;
+  sim::Engine engine;
+  trace::Tracer tracer;
+  sched::Scheduler scheduler(engine, tracer, {.cores = {sched::CoreConfig{}}});
+  stats::Rng rng(0x5eed);
+  constexpr mem::ProcessId kPids = 24;
+  for (mem::ProcessId pid = 1; pid <= kPids; pid += 2) {
+    sched::ThreadSpec spec;
+    spec.pid = pid;
+    scheduler.run_work(scheduler.create_thread(spec), rng.uniform(0.0, 2000.0), [] {});
+  }
+  engine.run();
+  // ariadne's hotness after its first sample: half each pid's CPU.
+  std::map<mem::ProcessId, double> hotness;
+  for (sched::ThreadId tid = 1; tid <= scheduler.thread_count(); ++tid) {
+    hotness[static_cast<mem::ProcessId>(scheduler.pid_of(tid))] +=
+        scheduler.counters(tid).cpu_refus_consumed;
+  }
+  for (auto& [pid, cpu] : hotness) cpu = 0.5 * 0.0 + 0.5 * cpu;
+
+  const mem::Pages batch = config.kswapd_batch;
+  const auto all = [](const mem::ProcessMem&) { return true; };
+  const std::vector<std::pair<std::string, ReferencePolicy>> policies = {
+      {"baseline", {{batch, batch}, all, false, {config.compress_cpu_refus, config.compress_cpu_refus}}},
+      {"swam",
+       {{batch, batch},
+        [](const mem::ProcessMem& p) { return p.oom_adj < mem::OomAdj::kCached; },
+        false,
+        {config.compress_cpu_refus, config.compress_cpu_refus}}},
+      {"ariadne", {{batch, batch * 2}, all, true, {34.0, 14.0}}},
+      {"partitioned",
+       {{batch, batch},
+        [](const mem::ProcessMem& p) { return p.oom_adj > mem::OomAdj::kPerceptible; },
+        false,
+        {config.compress_cpu_refus, config.compress_cpu_refus}}},
+  };
+  const std::array<int, 9> adjs = {mem::OomAdj::kForeground,  mem::OomAdj::kVisible,
+                                   mem::OomAdj::kPerceptible, mem::OomAdj::kPerceptible + 1,
+                                   mem::OomAdj::kService,     mem::OomAdj::kCached - 1,
+                                   mem::OomAdj::kCached,      mem::OomAdj::kCached + 50,
+                                   mem::OomAdj::kCached + 99};
+  const auto pick_adj = [&] { return adjs[static_cast<std::size_t>(rng.uniform_int(0, 8))]; };
+  mem::ReclaimPlan plan;
+  int compared = 0;
+  int drops = 0;
+  int writebacks = 0;
+  std::array<int, 2> tier_takes = {0, 0};
+  for (int trial = 0; trial < 60; ++trial) {
+    mem::ProcessRegistry registry;
+    const mem::Pages scale = rng.uniform_int(1, 4) * 40;
+    for (int step = 0; step < 12; ++step) {
+      // Mutate: register or re-register, resize, reband, pin, touch, kill.
+      for (int m = 0; m < 8; ++m) {
+        const auto pid = static_cast<mem::ProcessId>(rng.uniform_int(1, kPids));
+        const mem::ProcessMem* process = registry.find(pid);
+        if (process == nullptr) {
+          process = &registry.add(pid, "p", pick_adj());
+        }
+        switch (rng.uniform_int(0, 6)) {
+          case 0:
+          case 1: {
+            const mem::Pages file = rng.uniform_int(0, scale);
+            registry.move_pages(*process,
+                                {.anon_resident = rng.uniform_int(0, scale),
+                                 .anon_swapped = rng.uniform_int(0, scale / 2),
+                                 .file_resident = file,
+                                 .file_working_set = rng.uniform_int(0, 3 * file + 10)});
+            break;
+          }
+          case 2:  // may exceed resident anon: swapped pages count toward it
+            registry.set_hot_pages(pid, rng.uniform_int(0, process->anon_resident +
+                                                               process->anon_swapped + 20));
+            break;
+          case 3: registry.set_oom_adj(pid, pick_adj()); break;
+          case 4: registry.set_unevictable(pid, rng.bernoulli(0.3)); break;
+          case 5: registry.touch(pid); break;
+          case 6:
+            if (rng.bernoulli(0.4)) registry.remove(pid);
+            break;
+        }
+      }
+      ASSERT_EQ(registry.stale_sum(), "") << "trial " << trial << " step " << step;
+      const mem::Pages file_dirty = rng.uniform_int(0, scale);
+      const mem::Pages in_flight = rng.uniform_int(0, file_dirty);
+      const mem::Pages zram_stored = rng.bernoulli(0.3)
+                                         ? config.zram_capacity - rng.uniform_int(0, 300)
+                                         : rng.uniform_int(0, config.zram_capacity);
+      for (const auto& [name, reference] : policies) {
+        for (const bool desperate : {false, true}) {
+          const mem::Pages available = config.minfree_service + (desperate ? -1 : 1);
+          mem::ReclaimView view{registry, available, zram_stored, file_dirty, in_flight};
+          const auto policy = mem::make_mem_policy({name, {}}, config);
+          policy->reclaim().attach_scheduler(&scheduler);
+          policy->reclaim().plan_batch(view, plan);
+          ASSERT_EQ(render_plan(plan), render_plan(reference_plan(config, view, reference, hotness)))
+              << name << (desperate ? " desperate" : " calm") << ", trial " << trial << " step "
+              << step;
+          ++compared;
+          drops += !plan.file_drops.empty();
+          writebacks += plan.writeback > 0;
+          for (const auto& take : plan.compress) ++tier_takes[take.tier];
+        }
+      }
+      // Apply the last (partitioned, desperate) plan the way the manager
+      // does, so later steps plan over drained processes.
+      for (const auto& take : plan.file_drops) {
+        registry.move_pages(*take.process, {.file_resident = -take.pages});
+      }
+      for (const auto& take : plan.compress) {
+        registry.move_pages(*take.process,
+                            {.anon_resident = -take.pages, .anon_swapped = take.pages});
+      }
+      ASSERT_EQ(registry.stale_sum(), "") << "trial " << trial << " step " << step;
+    }
+  }
+  EXPECT_EQ(compared, 60 * 12 * 8);
+  // The draws reach every step of the planner.
+  EXPECT_GT(drops, compared / 4);
+  EXPECT_GT(writebacks, 0);
+  EXPECT_GT(tier_takes[0], compared / 4);
+  EXPECT_GT(tier_takes[1], 0);
+}
+
+// The walks stop where the kept sums say the admitted pages run out: a
+// page written behind the registry's back (so no sum counts it), on a
+// process past the last counted one in reclaim order, is never reached.
+TEST(ReclaimPlanner, WalksStopWhereTheKeptSumsRunOut) {
+  const mem::MemoryConfig config;
+  mem::ProcessRegistry registry;
+  const mem::ProcessMem& cold = registry.add(1, "cold", mem::OomAdj::kCached);
+  const mem::ProcessMem& warm = registry.add(2, "warm", mem::OomAdj::kForeground);
+  registry.move_pages(cold, {.anon_resident = 10, .file_resident = 10});
+  // Uncounted pages on the process the walks would reach last.
+  const_cast<mem::ProcessMem&>(warm).file_resident = 500;
+  const_cast<mem::ProcessMem&>(warm).anon_resident = 500;
+  ASSERT_NE(registry.stale_sum(), "");
+  for (const std::string& name : mem::mem_policy_names()) {
+    const auto policy = mem::make_mem_policy({name, {}}, config);
+    for (const mem::Pages available : {config.minfree_service + 1, config.minfree_service - 1}) {
+      mem::ReclaimView view{registry, available, 0, 0, 0};
+      mem::ReclaimPlan plan;
+      policy->reclaim().plan_batch(view, plan);
+      for (const auto& take : plan.file_drops) EXPECT_EQ(take.process, &cold) << name;
+      for (const auto& take : plan.compress) EXPECT_EQ(take.process, &cold) << name;
+    }
   }
 }
 
@@ -462,6 +717,107 @@ TEST(PolicySpec, EveryConfigCarryingASpecKeepsItsWireBytes) {
     std::snprintf(digest, sizeof digest, "%016llx",
                   static_cast<unsigned long long>(snapshot::digest_bytes(bytes)));
     EXPECT_EQ(name + " " + std::to_string(bytes.size()) + " " + digest, expected[i]);
+  }
+}
+
+// --- byte-supplied counts ----------------------------------------------------
+
+// Every decoder that sizes a list by a count read from bytes checks the
+// count against the bytes left first (ByteReader::count): a count of
+// 0xFFFFFFFF followed by nothing is a truncated stream, never a
+// host-dependent bad_alloc or length_error.
+void expect_truncated(const std::function<void()>& decode) {
+  try {
+    decode();
+    ADD_FAILURE() << "decoded a count its bytes cannot hold";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "snapshot: truncated byte stream");
+  }
+}
+
+std::string with_tail(std::string_view head, const std::function<void(snapshot::ByteWriter&)>& tail) {
+  snapshot::ByteWriter w;
+  w.raw(head);
+  tail(w);
+  return std::move(w).take();
+}
+
+TEST(ByteCounts, PolicyConfigRefusesAPolicyCountItsBytesCannotHold) {
+  snapshot::ByteWriter head;
+  head.u32(1);  // config version
+  head.str(campaign::encode_sweep_config({}));
+  const std::string bytes = with_tail(head.view(), [](snapshot::ByteWriter& w) { w.u32(~0u); });
+  expect_truncated([&] { (void)campaign::decode_policy_config(bytes); });
+}
+
+TEST(ByteCounts, FuzzConfigRefusesPolicyAndCcCountsItsBytesCannotHold) {
+  check::FuzzOptions fuzz;
+  const auto count = [](snapshot::ByteWriter& w) { w.u32(~0u); };
+  const std::string policies = with_tail(campaign::encode_fuzz_config(fuzz), count);
+  expect_truncated([&] { (void)campaign::decode_fuzz_config(policies); });
+  fuzz.generator.policies = {"baseline"};  // the tail's policy list, then the cc count
+  const std::string ccs = with_tail(campaign::encode_fuzz_config(fuzz), count);
+  expect_truncated([&] { (void)campaign::decode_fuzz_config(ccs); });
+}
+
+TEST(ByteCounts, CheckpointRefusesUnitAndShardCountsItsBytesCannotHold) {
+  const auto checkpoint = [](std::uint64_t total_units, std::uint64_t unit_count,
+                             std::optional<std::uint32_t> shard_count) {
+    snapshot::ByteWriter w;
+    w.u32(1);  // CAMP version
+    w.u64(0);  // fingerprint
+    w.str("config");
+    w.u64(total_units);
+    w.u64(unit_count);
+    if (shard_count) w.u32(*shard_count);
+    snapshot::Snapshot blob;
+    blob.put(campaign::kCampaignTag, std::move(w));
+    return blob;
+  };
+  // The unit count is bounded only by the total, itself read from bytes.
+  const snapshot::Snapshot units = checkpoint(~0ull, ~0ull, std::nullopt);
+  expect_truncated([&] { (void)campaign::load_checkpoint(units); });
+  const snapshot::Snapshot shards = checkpoint(0, 0, ~0u);
+  expect_truncated([&] { (void)campaign::load_checkpoint(shards); });
+}
+
+TEST(ByteCounts, FleetAggregateRefusesSketchCountsItsBytesCannotHold) {
+  const fleet::FleetAggregate aggregate;
+  const std::string bytes = aggregate.encode();
+  // The first sketch (utilization quantiles) starts with k, n, min, max.
+  const stats::QuantileSketch::State state = aggregate.utilization_quantiles.save_state();
+  snapshot::ByteWriter head;
+  head.u64(state.k);
+  head.u64(state.n);
+  head.f64(state.min);
+  head.f64(state.max);
+  const std::size_t at = bytes.find(head.view());
+  ASSERT_NE(at, std::string::npos);
+  const std::string prefix = bytes.substr(0, at + head.size());
+  const std::string levels = with_tail(prefix, [](snapshot::ByteWriter& w) { w.u32(~0u); });
+  expect_truncated([&] { (void)fleet::FleetAggregate::decode(levels); });
+  const std::string values = with_tail(prefix, [](snapshot::ByteWriter& w) {
+    w.u32(1);  // one level
+    w.u8(0);   // its parity
+    w.u32(~0u);
+  });
+  expect_truncated([&] { (void)fleet::FleetAggregate::decode(values); });
+}
+
+TEST(ByteCounts, FaultPlanRefusesListCountsItsBytesCannotHold) {
+  // Outages, rate steps, storage windows, thermal windows, kills: each
+  // list's count in turn, after the earlier lists came empty.
+  for (int list = 0; list < 5; ++list) {
+    snapshot::ByteWriter w;
+    w.u32(1);  // fault-plan version
+    for (int empty = 0; empty < list; ++empty) w.u64(0);
+    w.u64(~0ull);
+    const std::string bytes = std::move(w).take();
+    SCOPED_TRACE(list);
+    expect_truncated([&] {
+      snapshot::ByteReader r(bytes);
+      (void)scenario::load_fault_plan(r);
+    });
   }
 }
 

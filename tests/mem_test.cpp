@@ -1,9 +1,43 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
 #include <functional>
+#include <new>
 
 #include "mem/memory_manager.hpp"
 #include "trace/analysis.hpp"
+
+// Every plain operator new in this binary is counted, so a test can
+// bound the heap allocations of a stretch of simulation. All non-aligned
+// forms are replaced together so each allocation is freed by its own
+// family (sanitizer builds check that pairing).
+namespace {
+std::uint64_t g_heap_allocations = 0;
+
+void* counted_alloc(std::size_t size) {
+  ++g_heap_allocations;
+  return std::malloc(size == 0 ? 1 : size);
+}
+// Out of line so the compiler does not see free() paired with new.
+[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (void* p = counted_alloc(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept { return counted_alloc(size); }
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size);
+}
+void operator delete(void* p) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete[](void* p, std::size_t) noexcept { release(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { release(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { release(p); }
 
 namespace mvqoe::mem {
 namespace {
@@ -35,9 +69,7 @@ TEST(ProcessRegistry, AddFindRemove) {
   registry.add(100, "app", OomAdj::kCached);
   ASSERT_NE(registry.find(100), nullptr);
   EXPECT_TRUE(registry.alive(100));
-  auto* process = registry.find(100);
-  process->anon_resident = 50;
-  process->file_resident = 20;
+  registry.move_pages(*registry.find(100), {.anon_resident = 50, .file_resident = 20});
   const auto freed = registry.remove(100);
   EXPECT_EQ(freed.anon, 50);
   EXPECT_EQ(freed.file, 20);
@@ -63,6 +95,36 @@ TEST(ProcessRegistry, CachedCountCountsOnlyCachedBand) {
   EXPECT_EQ(registry.cached_count(), 2);
   registry.remove(3);
   EXPECT_EQ(registry.cached_count(), 1);
+}
+
+// The cached count is kept, not counted: it must follow every way a
+// process enters or leaves the cached band.
+TEST(ProcessRegistry, CachedCountFollowsAddRemoveRebandAndReAdd) {
+  ProcessRegistry registry;
+  registry.add(1, "fg", OomAdj::kForeground);
+  registry.add(2, "c1", OomAdj::kCached);
+  registry.add(3, "c2", OomAdj::kCached + 99);
+  EXPECT_EQ(registry.cached_count(), 2);
+  registry.set_oom_adj(1, OomAdj::kCached);  // up across the boundary
+  EXPECT_EQ(registry.cached_count(), 3);
+  registry.set_oom_adj(2, OomAdj::kCached - 1);  // down across it
+  EXPECT_EQ(registry.cached_count(), 2);
+  registry.set_oom_adj(3, OomAdj::kCached + 1);  // within the band
+  EXPECT_EQ(registry.cached_count(), 2);
+  registry.remove(3);
+  EXPECT_EQ(registry.cached_count(), 1);
+  registry.remove(3);  // already dead: no change
+  registry.set_oom_adj(3, OomAdj::kForeground);  // dead: ignored
+  EXPECT_EQ(registry.cached_count(), 1);
+  registry.add(3, "c2-again", OomAdj::kForeground);  // dead pid re-added, not cached
+  EXPECT_EQ(registry.cached_count(), 1);
+  registry.remove(1);
+  EXPECT_EQ(registry.cached_count(), 0);
+  registry.add(1, "fg-again", OomAdj::kCached);  // dead pid re-added into the band
+  EXPECT_EQ(registry.cached_count(), 1);
+  registry.set_unevictable(1, true);  // pinned processes still count
+  EXPECT_EQ(registry.cached_count(), 1);
+  EXPECT_EQ(registry.stale_sum(), "");
 }
 
 TEST(ProcessRegistry, PickVictimHighestAdjColdestFirst) {
@@ -301,6 +363,50 @@ TEST(MemoryManagerImmediate, TouchWorkingSetSwapsPagesBackIn) {
   EXPECT_TRUE(done);
   EXPECT_LT(fx.manager.registry().find(200)->anon_swapped, swapped_before);
   EXPECT_GT(fx.manager.vmstat().pswpin, 0u);
+}
+
+// A reclaim batch allocates nothing: the manager refills one plan, the
+// planner reads kept sums and the cached reclaim order. A long
+// immediate-mode reclaim (small batches, one allocation call) stays far
+// below one heap allocation per 100 batches.
+TEST(MemoryManagerImmediate, ReclaimBatchesAllocateLessThanOncePerHundred) {
+  sim::Engine engine;
+  MemoryConfig config = small_config();
+  config.kswapd_batch = 2;
+  MemoryManager manager(engine, config);
+  manager.register_process(100, "app", OomAdj::kForeground);
+  manager.alloc_anon(100, pages_from_mb(181), 0, nullptr);  // warm-up: reclaims once
+  manager.free_anon(100, pages_from_mb(4));
+  ASSERT_GT(manager.free_pages(), config.watermark_low);
+
+  const VmStat before = manager.vmstat();
+  const std::uint64_t allocations_before = g_heap_allocations;
+  manager.alloc_anon(100, pages_from_mb(13), 0, nullptr);
+  const std::uint64_t allocations = g_heap_allocations - allocations_before;
+  const VmStat& after = manager.vmstat();
+  const std::uint64_t batches = (after.pgscan_kswapd + after.pgscan_direct -
+                                 before.pgscan_kswapd - before.pgscan_direct) /
+                                static_cast<std::uint64_t>(config.kswapd_batch);
+
+  ASSERT_GE(batches, 1000u);
+  EXPECT_EQ(after.kills_lmkd, 0u);
+  EXPECT_LT(allocations * 100, batches) << allocations << " allocations over " << batches
+                                        << " batches";
+  EXPECT_TRUE(manager.check_conservation().ok) << manager.check_conservation().detail;
+}
+
+// The conservation audit recounts the kept sums by walking the registry:
+// a field written behind the registry's back is named, not trusted.
+TEST(MemoryManagerImmediate, ConservationNamesAStaleKeptSum) {
+  ImmediateFixture fx;
+  fx.manager.register_process(100, "app", OomAdj::kCached);
+  fx.manager.alloc_anon(100, pages_from_mb(8), 0, nullptr);
+  ASSERT_TRUE(fx.manager.check_conservation().ok) << fx.manager.check_conservation().detail;
+  const_cast<ProcessMem*>(fx.manager.registry().find(100))->hot_pages = pages_from_mb(2);
+  const MemoryManager::ConservationReport report = fx.manager.check_conservation();
+  EXPECT_FALSE(report.ok);
+  EXPECT_NE(report.detail.find("cold anon of band 2 kept 2048 != walk 1536"), std::string::npos)
+      << report.detail;
 }
 
 TEST(MemoryManagerImmediate, VmstatTracksScansAndSteals) {
