@@ -119,7 +119,7 @@ CampaignRun::CampaignRun(const CampaignFlags& flags, const char* units, std::FIL
   if (!flags.state_path.empty() && !flags.resume_path.empty()) {
     throw UsageError("--state and --resume cannot be combined");
   }
-  options.procs = std::max(flags.procs, 1);
+  options.procs = flags.coordinated() ? std::max(flags.procs, 1) : 0;
   options.shard_size = flags.shard_size;
   options.max_attempts = flags.retries;
   options.heartbeat_timeout_ms = flags.heartbeat_ms;

@@ -97,8 +97,9 @@ struct CampaignFlags {
   void require_coordinator(const char* starters) const;
 };
 
-/// One coordinator run: the CampaignOptions the block describes, wired
-/// to an InterruptGuard and (with --progress) a ProgressMeter counting
+/// One campaign run: the CampaignOptions the block describes (procs 0,
+/// the in-process lane, when nothing starts the coordinator), wired to
+/// an InterruptGuard and (with --progress) a ProgressMeter counting
 /// `units`, and the post-run report printed to `out`.
 class CampaignRun {
  public:

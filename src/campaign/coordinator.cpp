@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstring>
 #include <exception>
+#include <mutex>
 #include <stdexcept>
 #include <string_view>
 #include <utility>
@@ -200,6 +201,54 @@ CampaignResult run_campaign(std::uint64_t total_units, const UnitFn& fn,
   if (!opts.resume) flush_checkpoint(false);
 
   const auto interrupted = [&] { return opts.interrupt != nullptr && *opts.interrupt != 0; };
+  const auto tally = [&] {
+    result.units_done = static_cast<std::uint64_t>(
+        std::count(result.completed.begin(), result.completed.end(), true));
+    result.complete = result.units_done == total_units;
+    return std::move(result);
+  };
+
+  // The in-process lane: the missing units on `jobs` run_batch threads,
+  // one attempt each, since a unit is a pure function of its index and a
+  // retry would only throw again. Units land under one lock, which also
+  // serializes the progress calls and the checkpoint flushes.
+  if (opts.procs == 0 || !MVQOE_CAMPAIGN_FORK) {
+    result.procs_used = 0;
+    std::vector<std::uint64_t> missing;
+    for (const Shard& shard : shards) {
+      missing.insert(missing.end(), shard.pending.begin(), shard.pending.end());
+    }
+    std::mutex landing;
+    std::size_t unflushed = 0;
+    const auto batch = runner::run_batch(missing.size(), opts.jobs, [&](std::size_t i) {
+      if (interrupted()) return false;
+      std::string payload = fn(missing[i]);
+      const std::lock_guard<std::mutex> lock(landing);
+      result.payloads[missing[i]] = std::move(payload);
+      result.completed[missing[i]] = true;
+      ++units_landed;
+      report_progress();
+      if (++unflushed == opts.shard_size) {
+        unflushed = 0;
+        flush_checkpoint(true);
+      }
+      return true;
+    });
+    for (const auto& slot : batch.runs) {
+      const std::uint64_t unit = missing[slot.index];
+      if (slot.ok) {
+        result.interrupted = result.interrupted || !slot.value;
+      } else if (result.completed[unit]) {
+        // The unit landed; its checkpoint flush or progress call threw.
+        throw std::runtime_error(slot.error);
+      } else {
+        result.shards.push_back({unit, 1, 1, ShardStatus::Failed,
+                                 "unit " + std::to_string(unit) + " threw: " + slot.error});
+      }
+    }
+    flush_checkpoint(unflushed > 0);
+    return tally();
+  }
 
 #if MVQOE_CAMPAIGN_FORK
   struct Worker {
@@ -475,58 +524,8 @@ CampaignResult run_campaign(std::uint64_t total_units, const UnitFn& fn,
     kill_all_workers();
     throw;
   }
-#else
-  // No fork(): degrade to supervised in-process execution. Crash
-  // isolation is gone (a crashing unit takes the campaign with it) but
-  // checkpoints, retry-on-exception, shard outcomes and resume behave
-  // identically. The crash/hang test hooks need processes and are
-  // ignored here.
-  for (Shard& shard : shards) {
-    if (result.interrupted) break;
-    bool give_up = false;
-    while (!shard.pending.empty() && !give_up) {
-      ++shard.attempts;
-      try {
-        while (!shard.pending.empty()) {
-          if (interrupted()) {
-            result.interrupted = true;
-            break;
-          }
-          const std::uint64_t unit = shard.pending.front();
-          result.payloads[unit] = fn(unit);
-          result.completed[unit] = true;
-          shard.pending.erase(shard.pending.begin());
-          ++units_landed;
-          report_progress();
-        }
-      } catch (const std::exception& e) {
-        shard.last_error = std::string("unit threw: ") + e.what();
-        if (shard.attempts >= opts.max_attempts) give_up = true;
-      } catch (...) {
-        shard.last_error = "unit threw: unknown exception";
-        if (shard.attempts >= opts.max_attempts) give_up = true;
-      }
-      if (result.interrupted) break;
-    }
-    if (result.interrupted) {
-      flush_checkpoint(false);
-      break;
-    }
-    if (shard.pending.empty()) {
-      shard.done = true;
-      record_outcome(shard, ShardStatus::Completed);
-    } else {
-      shard.failed = true;
-      record_outcome(shard, ShardStatus::Failed);
-    }
-    flush_checkpoint(true);
-  }
 #endif
-
-  result.units_done = static_cast<std::uint64_t>(
-      std::count(result.completed.begin(), result.completed.end(), true));
-  result.complete = result.units_done == total_units;
-  return result;
+  return tally();
 }
 
 }  // namespace mvqoe::campaign

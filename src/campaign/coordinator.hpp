@@ -25,6 +25,13 @@
 // can inherit a lock one of them held — so run_campaign throws
 // std::logic_error instead of forking while runner::live_pool_threads()
 // is nonzero: it must not run inside a run_batch task.
+//
+// procs == 0 selects the in-process lane instead: the missing units run
+// on `jobs` run_batch threads of this process, one attempt each, with
+// the same progress callback, interrupt flag, resume and checkpoint file
+// as the fork lane, so a checkpoint either lane wrote resumes under the
+// other. It never forks, so it may run inside a run_batch task. On a
+// build without fork() it serves every procs.
 #pragma once
 
 #include <csignal>
@@ -37,10 +44,11 @@
 
 namespace mvqoe::campaign {
 
-/// Runs in the worker process; returns the unit's result payload bytes.
-/// Deterministic: the payload must be a pure function of `unit` (plus
-/// the campaign configuration captured by the closure). Exceptions
-/// escape into a worker exit that the coordinator retries.
+/// Runs in the worker process (in process: on a pool thread); returns
+/// the unit's result payload bytes. Deterministic: the payload must be a
+/// pure function of `unit` (plus the campaign configuration captured by
+/// the closure). Exceptions escape into a worker exit that the
+/// coordinator retries (in process: the unit fails).
 using UnitFn = std::function<std::string(std::uint64_t unit)>;
 
 /// Deterministic failure-injection hooks (the campaign counterpart of
@@ -57,9 +65,16 @@ struct TestHooks {
 };
 
 struct CampaignOptions {
-  /// Concurrent worker processes (<= 0: hardware concurrency).
+  /// Concurrent worker processes (< 0: hardware concurrency). 0 runs the
+  /// units in this process (the in-process lane), where a unit that
+  /// throws is not retried and the worker crash/hang hooks do nothing.
   int procs = 1;
-  /// Units per shard — the granularity of crash isolation and retry.
+  /// Threads of the in-process lane (runner::resolve_jobs: <= 0 reads
+  /// MVQOE_JOBS, then the hardware). The fork lane's workers run their
+  /// units one at a time.
+  int jobs = 1;
+  /// Units per shard — the granularity of crash isolation and retry. The
+  /// in-process lane flushes the checkpoint every shard_size landed units.
   std::size_t shard_size = 8;
   /// Total attempts per shard (first run + retries).
   int max_attempts = 3;
@@ -77,12 +92,14 @@ struct CampaignOptions {
   bool resume = false;
   /// Polled between I/O waits; when it goes nonzero the coordinator
   /// kills its workers, flushes the checkpoint and returns with
-  /// interrupted == true (see campaign/signal.hpp).
+  /// interrupted == true (see campaign/signal.hpp). The in-process lane
+  /// polls it before each unit and lets the units already running land.
   const volatile std::sig_atomic_t* interrupt = nullptr;
   /// Invoked in the coordinator process as (units_done, total_units)
   /// each time a unit's payload lands — including units restored from a
   /// resumed checkpoint (reported once, up front). Never called from
-  /// worker processes; keep it cheap, it runs on the supervision loop.
+  /// worker processes; keep it cheap, it runs on the supervision loop
+  /// (in process: on the pool threads, one call at a time).
   std::function<void(std::uint64_t, std::uint64_t)> progress;
   TestHooks hooks;
 };
@@ -97,13 +114,17 @@ struct CampaignResult {
   std::uint64_t units_from_checkpoint = 0;
   bool complete = false;
   bool interrupted = false;
+  /// Worker processes; 0 for the in-process lane.
   int procs_used = 1;
 };
 
 /// Execute `total_units` units of `fn` under supervision. Throws on
 /// unusable checkpoints (missing/corrupt/fingerprint mismatch), on
 /// setup-level failures and (std::logic_error) on a fork while run_batch
-/// pool threads are live; per-shard failures degrade into ShardOutcomes.
+/// pool threads are live; per-shard failures degrade into ShardOutcomes
+/// (in process: one Failed outcome per unit that threw, naming it).
+/// `fn` must be safe to call from several threads when procs == 0 and
+/// jobs != 1.
 CampaignResult run_campaign(std::uint64_t total_units, const UnitFn& fn,
                             const CampaignOptions& opts);
 

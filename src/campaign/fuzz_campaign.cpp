@@ -116,7 +116,7 @@ FuzzCampaignResult run_fuzz_campaign(const check::FuzzOptions& fuzz, CampaignOpt
   }
   result.summary = check::summarize_records(fuzz, records);
   if (!result.campaign.complete) {
-    // A partial campaign has no comparable jobs-invariant digest.
+    // A partial campaign has no comparable lane-invariant digest.
     result.summary.digest = 0;
     result.summary.runs = fuzz.runs;
   }

@@ -1,19 +1,19 @@
-// Multi-process fuzz campaigns: check/harness fuzzing on top of the
-// campaign coordinator (DESIGN.md §13).
+// Fuzz campaigns: check/harness fuzzing on top of the campaign
+// coordinator (DESIGN.md §13), in either of its lanes.
 //
-// One campaign unit = one fuzz run. The worker executes
-// check::execute_fuzz_run and ships the encoded RunRecord back as the
-// unit payload; the coordinator checkpoints payloads per shard, so a
+// One campaign unit = one fuzz run. The unit executes
+// check::execute_fuzz_run and returns the encoded RunRecord as its
+// payload; the coordinator checkpoints payloads as they land, so a
 // killed campaign resumes with the completed runs' records intact and
-// the final summary — including the jobs-invariant digest — is
+// the final summary — including the lane-invariant digest — is
 // byte-identical to an uninterrupted serial run.
 //
 // The checkpoint stores the canonical encoding of the FuzzOptions that
-// produced it (minus --jobs/--procs, which may legally differ between
-// the original and resumed invocations) plus its fingerprint; --resume
-// reconstructs the options from the blob and refuses fingerprint
-// mismatches, so a checkpoint can never silently continue under a
-// different campaign configuration.
+// produced it (--jobs and --procs are CampaignOptions, so they may
+// legally differ between the original and resumed invocations) plus its
+// fingerprint; --resume reconstructs the options from the blob and
+// refuses fingerprint mismatches, so a checkpoint can never silently
+// continue under a different campaign configuration.
 #pragma once
 
 #include <cstdint>
@@ -39,8 +39,9 @@ struct FuzzCampaignResult {
   CampaignResult campaign;
 };
 
-/// Run (or resume) a fuzz campaign under the coordinator.
-/// `campaign.config` is filled in from `fuzz`; `fuzz.jobs` is ignored.
+/// Run (or resume) a fuzz campaign under the coordinator: in process on
+/// `campaign.jobs` threads when `campaign.procs` is 0, else in worker
+/// processes. `campaign.config` is filled in from `fuzz`.
 FuzzCampaignResult run_fuzz_campaign(const check::FuzzOptions& fuzz, CampaignOptions campaign);
 
 }  // namespace mvqoe::campaign

@@ -1,9 +1,7 @@
 #include "check/harness.hpp"
 
-#include <mutex>
 #include <stdexcept>
 
-#include "runner/batch.hpp"
 #include "snapshot/digest.hpp"
 #include "stats/rng.hpp"
 
@@ -207,36 +205,6 @@ RunRecord decode_run_record(snapshot::ByteReader& r) {
     record.offset = r.i64();
   }
   return record;
-}
-
-FuzzSummary run_fuzz(const FuzzOptions& opts) {
-  std::mutex progress_mutex;
-  std::uint64_t runs_done = 0;
-  const auto batch =
-      runner::run_batch(static_cast<std::size_t>(opts.runs), opts.jobs, [&](std::size_t i) {
-        RunRecord record = execute_fuzz_run(opts, i);
-        if (opts.progress) {
-          const std::lock_guard<std::mutex> lock(progress_mutex);
-          opts.progress(++runs_done, static_cast<std::uint64_t>(opts.runs));
-        }
-        return record;
-      });
-  std::vector<RunRecord> records;
-  records.reserve(batch.runs.size());
-  for (const auto& slot : batch.runs) {
-    if (slot.ok) {
-      records.push_back(slot.value);
-    } else {
-      // execute_fuzz_run itself never throws; this is a belt-and-braces
-      // path for allocation failure inside the batch machinery.
-      RunRecord record;
-      record.index = slot.index;
-      record.harness_ok = false;
-      record.error = slot.error;
-      records.push_back(std::move(record));
-    }
-  }
-  return summarize_records(opts, records);
 }
 
 // --- Repro blobs -------------------------------------------------------------

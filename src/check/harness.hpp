@@ -1,12 +1,12 @@
 // Fuzz harness: runs one scenario under the full oracle suite at every
 // slice boundary, then proves meta-determinism (run-twice digest
-// identity and checkpoint-at-T/restore digest identity), fans campaigns
-// out across the batch runner with a jobs-invariant summary digest, and
-// packs failing runs into self-contained repro blobs (DESIGN.md §12).
+// identity and checkpoint-at-T/restore digest identity), reduces a
+// campaign's runs to a summary with a lane-invariant digest (the runs
+// themselves execute under campaign::run_fuzz_campaign), and packs
+// failing runs into self-contained repro blobs (DESIGN.md §12).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -50,17 +50,12 @@ RunReport check_scenario(const scenario::ScenarioSpec& scen, const CheckOptions&
 struct FuzzOptions {
   std::uint64_t seed = 1;
   int runs = 100;
-  int jobs = 1;
   GeneratorConfig generator;
   CheckOptions check;
   /// Perturb exactly this run index (-1 = none) at perturb_offset —
   /// the seeded failure-injection demo.
   int perturb_run = -1;
   sim::Time perturb_offset = sim::sec(2);
-  /// Display-only (runs_done, runs_total) hook, called as runs finish
-  /// (any worker thread, serialized by the harness). Not part of the
-  /// campaign config encoding — resume never sees it.
-  std::function<void(std::uint64_t, std::uint64_t)> progress;
 };
 
 struct FuzzFailure {
@@ -72,9 +67,9 @@ struct FuzzFailure {
 
 /// The flattened outcome of one fuzz run — everything the campaign
 /// digest and failure reporting need, and nothing that cannot cross a
-/// process boundary. The in-process pool (run_fuzz) and the
-/// multi-process campaign (src/campaign/fuzz_campaign) both reduce
-/// their runs to RunRecords, so their digests agree by construction.
+/// process boundary. Both campaign lanes (src/campaign/fuzz_campaign)
+/// reduce their runs to RunRecords, so their digests agree by
+/// construction.
 struct RunRecord {
   std::uint64_t index = 0;
   /// False when the harness itself threw (world construction, OOM, ...);
@@ -92,9 +87,10 @@ struct RunRecord {
   sim::Time offset = 0;
 };
 
-/// Execute run `index` of a campaign exactly as run_fuzz would: derive
-/// the run seed, generate the scenario, check it, flatten the outcome.
-/// Never throws — harness exceptions become harness_ok == false records.
+/// Execute run `index` of a campaign: derive the run seed, generate the
+/// scenario, check it, flatten the outcome. Run i's world is
+/// generate_scenario(derive_seed(seed, i + 1)). Never throws — harness
+/// exceptions become harness_ok == false records.
 RunRecord execute_fuzz_run(const FuzzOptions& opts, std::uint64_t index);
 
 /// Fold one record into a campaign digest (the order-sensitive per-run
@@ -111,9 +107,9 @@ RunRecord decode_run_record(snapshot::ByteReader& r);
 struct FuzzSummary {
   int runs = 0;
   int failed = 0;
-  /// Jobs-invariant digest over (index, ok, oracle, final digest,
+  /// Lane-invariant digest over (index, ok, oracle, final digest,
   /// slices) in run-index order — two invocations with the same seed
-  /// must print the same value regardless of --jobs.
+  /// must print the same value regardless of --jobs or --procs.
   std::uint64_t digest = 0;
   std::vector<FuzzFailure> failures;
 };
@@ -121,9 +117,6 @@ struct FuzzSummary {
 /// Rebuild the FuzzSummary (failure list with regenerated specs, digest)
 /// from a complete, index-ordered record sequence.
 FuzzSummary summarize_records(const FuzzOptions& opts, const std::vector<RunRecord>& records);
-
-/// Run i's world is generate_scenario(derive_seed(seed, i + 1)).
-FuzzSummary run_fuzz(const FuzzOptions& opts);
 
 // --- Repro blobs -------------------------------------------------------------
 

@@ -32,9 +32,10 @@ stats::Histogram decode_histogram(snapshot::ByteReader& r) {
   const double lo = r.f64();
   const double hi = r.f64();
   const auto policy = r.enum8("fleet: histogram overflow policy", stats::Overflow::Track);
-  const std::uint32_t bins = r.u32();
+  // A u64 count per bin.
+  const std::size_t bins = r.count(r.u32(), 8);
   stats::Histogram h(lo, hi, bins, policy);
-  for (std::uint32_t b = 0; b < bins; ++b) {
+  for (std::size_t b = 0; b < bins; ++b) {
     const std::uint64_t count = r.u64();
     if (count > 0) h.add_count(b, static_cast<std::size_t>(count));
   }

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <mutex>
-#include <stdexcept>
 
-#include "runner/batch.hpp"
 #include "snapshot/digest.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -53,57 +50,30 @@ FleetRunResult run_fleet(const FleetSpec& spec, const FleetRunOptions& opts) {
   const auto start = std::chrono::steady_clock::now();
   const std::uint64_t total_units = fleet_total_units(spec);
 
-  FleetRunResult result;
-  std::vector<std::string> payloads;
-  std::vector<bool> completed;
-
-  const auto devices_done_for = [&spec](std::uint64_t units_done) {
-    return std::min(units_done * spec.shard_size, spec.devices);
-  };
-
-  if (opts.campaign) {
-    campaign::CampaignOptions campaign_opts = *opts.campaign;
-    campaign_opts.config = encode_fleet_config(spec);
-    campaign_opts.progress = [&](std::uint64_t units_done, std::uint64_t) {
-      if (opts.progress) opts.progress(devices_done_for(units_done), spec.devices);
+  campaign::CampaignOptions campaign_opts;
+  campaign_opts.procs = 0;
+  campaign_opts.jobs = opts.jobs;
+  if (opts.campaign) campaign_opts = *opts.campaign;
+  campaign_opts.config = encode_fleet_config(spec);
+  if (campaign_opts.progress) {
+    campaign_opts.progress = [&spec, devices = std::move(campaign_opts.progress)](
+                                 std::uint64_t units_done, std::uint64_t) {
+      devices(std::min(units_done * spec.shard_size, spec.devices), spec.devices);
     };
-    result.campaign = campaign::run_campaign(
-        total_units, [&](std::uint64_t unit) { return run_fleet_unit(spec, unit); },
-        campaign_opts);
-    payloads = std::move(result.campaign.payloads);
-    completed = result.campaign.completed;
-    result.interrupted = result.campaign.interrupted;
-    result.complete = result.campaign.complete;
-  } else {
-    std::mutex progress_mutex;
-    std::uint64_t units_done = 0;
-    auto batch = runner::run_batch(
-        static_cast<std::size_t>(total_units), opts.jobs, [&](std::size_t unit) {
-          if (opts.interrupt != nullptr && *opts.interrupt != 0) {
-            throw std::runtime_error("fleet: interrupted");
-          }
-          std::string payload = run_fleet_unit(spec, static_cast<std::uint64_t>(unit));
-          if (opts.progress) {
-            const std::lock_guard<std::mutex> lock(progress_mutex);
-            opts.progress(devices_done_for(++units_done), spec.devices);
-          }
-          return payload;
-        });
-    payloads.resize(batch.runs.size());
-    completed.resize(batch.runs.size());
-    for (std::size_t i = 0; i < batch.runs.size(); ++i) {
-      payloads[i] = std::move(batch.runs[i].value);
-      completed[i] = batch.runs[i].ok;
-    }
-    result.interrupted = opts.interrupt != nullptr && *opts.interrupt != 0;
-    result.complete = batch.failures == 0 && !result.interrupted;
   }
+  FleetRunResult result;
+  result.campaign = campaign::run_campaign(
+      total_units, [&](std::uint64_t unit) { return run_fleet_unit(spec, unit); }, campaign_opts);
+  const std::vector<std::string> payloads = std::move(result.campaign.payloads);
+  const std::vector<bool>& completed = result.campaign.completed;
+  result.interrupted = result.campaign.interrupted;
+  result.complete = result.campaign.complete;
 
   // The reduction every lane shares: ascending unit order, digest over
   // (unit, payload), merge decoded shard partials into one aggregate.
   snapshot::StateHash digest;
   for (std::uint64_t unit = 0; unit < payloads.size(); ++unit) {
-    if (unit < completed.size() && !completed[unit]) continue;
+    if (!completed[unit]) continue;
     digest.mix(unit);
     digest.mix_bytes(payloads[unit]);
     result.aggregate.merge(FleetAggregate::decode(payloads[unit]));

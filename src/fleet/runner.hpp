@@ -2,18 +2,16 @@
 //
 // One fleet unit = one shard of devices; its payload is the shard's
 // encoded FleetAggregate — a pure function of (spec, unit), exactly the
-// contract the campaign coordinator and the thread-pool batch runner
-// already guarantee for their payloads. run_fleet picks the execution
-// lane (serial / --jobs threads / --procs supervised processes /
-// resume) and then reduces the payloads identically in every lane:
+// contract the campaign coordinator guarantees for its payloads. run_fleet
+// runs the units through campaign::run_campaign, in either of its lanes
+// (serial or --jobs threads in process, --procs supervised processes,
+// resume), and then reduces the payloads identically in every lane:
 // decode and merge in ascending unit order. Byte-identical digests
 // across lanes are therefore a construction property, not a test hope —
 // but tests/fleet_test.cpp asserts them anyway.
 #pragma once
 
-#include <csignal>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 
@@ -24,16 +22,14 @@
 namespace mvqoe::fleet {
 
 struct FleetRunOptions {
-  /// Worker threads for the in-process lane. 1 = serial reference.
+  /// Threads of the in-process lane when `campaign` is unset. 1 = serial
+  /// reference.
   int jobs = 1;
-  /// Polled between shards of the in-process lane.
-  const volatile std::sig_atomic_t* interrupt = nullptr;
-  /// (devices_done, devices_total), called as shard payloads land, in
-  /// either lane (it replaces campaign->progress, which counts units).
-  std::function<void(std::uint64_t, std::uint64_t)> progress;
-  /// Set: the campaign coordinator runs the shards (worker processes,
-  /// checkpoint, resume) and `jobs` is unused; config is filled in
-  /// from the spec.
+  /// Set: run_campaign runs the shards under these options (procs 0 in
+  /// process on campaign->jobs threads, else worker processes; interrupt,
+  /// checkpoint, resume) and `jobs` is unused. config is filled in from
+  /// the spec, and progress is called with (devices_done, devices_total)
+  /// instead of units.
   std::optional<campaign::CampaignOptions> campaign;
 };
 
@@ -51,7 +47,8 @@ struct FleetRunResult {
   /// Peak RSS (MB) of this process and, in the procs lane, the largest
   /// worker — the O(shard) bound the fleet design promises.
   double peak_rss_mb = 0.0;
-  /// Filled in the coordinator lane; empty shards vector otherwise.
+  /// The campaign's bookkeeping; its payloads are consumed by the
+  /// reduction.
   campaign::CampaignResult campaign;
 };
 

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <climits>
 #include <cmath>
-#include <memory>
 
 #include "snapshot/digest.hpp"
 
@@ -504,16 +503,16 @@ void MemoryManager::fault_file_pages(ProcessId pid, sched::ThreadId tid, Pages r
       return;
     }
     const Pages batches = (chunk + kReadBatch - 1) / kReadBatch;
-    auto pending = std::make_shared<Pages>(batches);
-    auto finish = std::make_shared<std::function<void()>>(std::move(continue_rest));
-    auto reads = [this, batches, chunk, pending, finish] {
+    // The device serves one request at a time, first in first out (an
+    // error retry holds it), and the batch is submitted without a yield,
+    // so the last read completes last: only it carries the continuation.
+    auto reads = [this, batches, chunk, continue_rest = std::move(continue_rest)]() mutable {
       for (Pages i = 0; i < batches; ++i) {
         const Pages pages_in_batch = std::min<Pages>(kReadBatch, chunk - i * kReadBatch);
-        storage_->submit(storage::IoRequest{
-            false, static_cast<std::uint64_t>(bytes_from_pages(pages_in_batch)),
-            [pending, finish] {
-              if (--*pending == 0 && *finish) (*finish)();
-            }});
+        storage::IoRequest read{false, static_cast<std::uint64_t>(bytes_from_pages(pages_in_batch)),
+                                nullptr};
+        if (i + 1 == batches) read.on_complete = std::move(continue_rest);
+        storage_->submit(std::move(read));
       }
     };
     // The fault path itself costs CPU on the faulting thread before the

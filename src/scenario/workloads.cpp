@@ -298,13 +298,6 @@ void CrossTrafficWorkload::finalize(core::Testbed& testbed) {
   }
 }
 
-std::uint64_t CrossTrafficWorkload::chunks_completed() const noexcept {
-  std::uint64_t total = 0;
-  for (const FlowLane& lane : bulk_) total += lane.chunks;
-  for (const FlowLane& lane : onoff_) total += lane.chunks;
-  return total;
-}
-
 void CrossTrafficWorkload::save(snapshot::ByteWriter& w) const {
   w.u32(1);  // section version
   w.b(stopped_);

@@ -129,8 +129,6 @@ class CrossTrafficWorkload final : public core::Workload {
   void finalize(core::Testbed& testbed) override;
   mem::PressureLevel observed_level() const override { return mem::PressureLevel::Normal; }
 
-  /// Chunks fully delivered across all flows so far.
-  std::uint64_t chunks_completed() const noexcept;
   const CrossTrafficWorkloadSpec& spec() const noexcept { return spec_; }
 
   void save(snapshot::ByteWriter& w) const;

@@ -165,8 +165,6 @@ class Scheduler {
     int last_core = -1;      // for migration counting
     ThreadCounters counters;
     bool alive = true;
-    // Pending Table-5 preemption record bookkeeping.
-    std::int64_t pending_preemption = -1;  // index into pending_records_
   };
 
   struct Core {

@@ -99,7 +99,8 @@ std::vector<TrailEntry> load_trail(const Snapshot& blob) {
   ByteReader r(blob.require(kTrailTag));
   const std::uint32_t version = r.u32();
   if (version != 1) throw std::runtime_error("snapshot: unsupported TRAL version");
-  std::vector<TrailEntry> trail(r.u64());
+  // An i64 offset and a u64 digest per entry.
+  std::vector<TrailEntry> trail(r.count(r.u64(), 16));
   for (TrailEntry& entry : trail) {
     entry.offset = r.i64();
     entry.digest = r.u64();
@@ -112,7 +113,8 @@ std::vector<std::pair<std::string, std::uint64_t>> load_subsystem_digests(const 
   ByteReader r(blob.require(kSubsystemDigestsTag));
   const std::uint32_t version = r.u32();
   if (version != 1) throw std::runtime_error("snapshot: unsupported SDIG version");
-  std::vector<std::pair<std::string, std::uint64_t>> out(r.u64());
+  // A str (at least its u32 length) and a u64 digest per entry.
+  std::vector<std::pair<std::string, std::uint64_t>> out(r.count(r.u64(), 12));
   for (auto& [name, digest] : out) {
     name = r.str();
     digest = r.u64();

@@ -634,12 +634,7 @@ void VideoSession::handle_crash() {
     }
     metrics_.crashed = true;
     metrics_.crash_time = now;
-    finished_ = true;
-    metrics_.finished_at = now;
-    if (on_finished_) {
-      engine_.schedule(0, [fn = std::move(on_finished_)] { fn(); });
-      on_finished_ = nullptr;
-    }
+    finish();
     return;
   }
 

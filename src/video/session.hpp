@@ -160,9 +160,7 @@ class VideoSession {
 
   bool finished() const noexcept { return finished_; }
   const SessionMetrics& metrics() const noexcept { return metrics_; }
-  Rung current_rung() const noexcept { return current_rung_; }
   mem::ProcessId pid() const noexcept { return pid_; }
-  int total_segments() const noexcept { return total_segments_; }
   /// Asset frame count under a fixed-fps ladder (no ABR): every segment
   /// carries initial_rung.fps * segment_s frames, the padded tail
   /// included. This is the right-hand side of the frame-conservation
@@ -184,7 +182,6 @@ class VideoSession {
   std::uint64_t digest() const;
   trace::ThreadId surfaceflinger_tid() const noexcept { return sf_tid_; }
   trace::ThreadId mediacodec_tid() const noexcept { return mc_tid_; }
-  trace::ThreadId player_tid() const noexcept { return pl_tid_; }
   trace::ThreadId compositor_tid() const noexcept { return comp_tid_; }
 
  private:

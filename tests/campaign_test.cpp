@@ -1,8 +1,10 @@
 // Campaign subsystem tests (DESIGN.md §13): coordinator supervision
 // (crash retry, heartbeat kill, retry-budget degradation, no fork while
-// run_batch threads are live), kill-and-resume checkpoint determinism,
-// checkpoint/config round-trips and corruption rejection, atomic file
-// replacement, and sweep-campaign parity with the in-process grid.
+// run_batch threads are live), the in-process lane (threads, interrupt,
+// a throwing unit, checkpoints shared with the fork lane),
+// kill-and-resume checkpoint determinism, checkpoint/config round-trips
+// and corruption rejection, atomic file replacement, and sweep-campaign
+// parity with the in-process grid.
 #include <gtest/gtest.h>
 
 #include <csignal>
@@ -70,14 +72,29 @@ campaign::CampaignOptions fast_options() {
   return opts;
 }
 
+/// The in-process lane on `jobs` threads.
+campaign::CampaignOptions in_process(int jobs) {
+  campaign::CampaignOptions opts = fast_options();
+  opts.procs = 0;
+  opts.jobs = jobs;
+  return opts;
+}
+
 check::FuzzOptions small_fuzz() {
   check::FuzzOptions opts;
   opts.seed = 11;
   opts.runs = 12;
-  opts.jobs = 1;
   opts.generator.max_duration_s = 4;
   opts.check.meta_determinism = false;
   return opts;
+}
+
+/// The campaigns' independent reference: every run through
+/// execute_fuzz_run in index order, no coordinator in between.
+check::FuzzSummary reference_summary(const check::FuzzOptions& opts) {
+  std::vector<check::RunRecord> records;
+  for (int i = 0; i < opts.runs; ++i) records.push_back(check::execute_fuzz_run(opts, i));
+  return check::summarize_records(opts, records);
 }
 
 // --- Coordinator ------------------------------------------------------------
@@ -117,7 +134,114 @@ TEST(Coordinator, InterruptFlagStopsBeforeWork) {
   EXPECT_EQ(result.units_done, 0u);
 }
 
+TEST(Coordinator, InProcessLaneRunsEveryUnitOnThreads) {
+  std::vector<std::uint64_t> progress;
+  auto opts = in_process(3);
+  opts.progress = [&](std::uint64_t done, std::uint64_t total) {
+    EXPECT_EQ(total, 17u);
+    progress.push_back(done);
+  };
+  const auto result = campaign::run_campaign(17, unit_payload, opts);
+  ASSERT_TRUE(result.complete);
+  EXPECT_FALSE(result.interrupted);
+  EXPECT_EQ(result.units_done, 17u);
+  EXPECT_EQ(result.procs_used, 0);
+  for (std::uint64_t i = 0; i < 17; ++i) EXPECT_EQ(result.payloads[i], unit_payload(i));
+  EXPECT_TRUE(result.shards.empty());
+  ASSERT_EQ(progress.size(), 17u);
+  for (std::size_t i = 0; i < progress.size(); ++i) EXPECT_EQ(progress[i], i + 1);
+}
+
+// An interrupt in process stops the lane before the next unit; every
+// unit that landed stays, in the result and in the checkpoint.
+TEST(Coordinator, InProcessInterruptKeepsLandedUnits) {
+  ScratchFile state("inprocess_interrupt");
+  static volatile std::sig_atomic_t flag = 0;
+  flag = 0;
+  auto opts = in_process(1);
+  opts.state_path = state.path();
+  opts.interrupt = &flag;
+  opts.progress = [](std::uint64_t done, std::uint64_t) {
+    if (done == 5) flag = SIGINT;
+  };
+  const auto result = campaign::run_campaign(12, unit_payload, opts);
+  EXPECT_TRUE(result.interrupted);
+  EXPECT_FALSE(result.complete);
+  EXPECT_EQ(result.units_done, 5u);
+  for (std::uint64_t i = 0; i < 12; ++i) EXPECT_EQ(result.completed[i], i < 5) << i;
+  for (std::uint64_t i = 0; i < 5; ++i) EXPECT_EQ(result.payloads[i], unit_payload(i));
+  const campaign::CheckpointState checkpoint = campaign::read_checkpoint_file(state.path());
+  ASSERT_EQ(checkpoint.units.size(), 5u);
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(checkpoint.units[i], std::make_pair(i, unit_payload(i)));
+  }
+}
+
+// A unit is a pure function of its index, so in process it gets one
+// attempt: a throw leaves the campaign incomplete and names the unit.
+TEST(Coordinator, InProcessUnitThrowNamesTheUnit) {
+  const auto fn = [](std::uint64_t unit) -> std::string {
+    if (unit == 3) throw std::runtime_error("poisoned unit");
+    return unit_payload(unit);
+  };
+  const auto result = campaign::run_campaign(6, fn, in_process(2));
+  EXPECT_FALSE(result.complete);
+  EXPECT_FALSE(result.interrupted);
+  EXPECT_EQ(result.units_done, 5u);
+  EXPECT_FALSE(result.completed[3]);
+  ASSERT_EQ(result.shards.size(), 1u);
+  const campaign::ShardOutcome& failed = result.shards[0];
+  EXPECT_EQ(failed.status, campaign::ShardStatus::Failed);
+  EXPECT_EQ(failed.first_unit, 3u);
+  EXPECT_EQ(failed.unit_count, 1u);
+  EXPECT_EQ(failed.attempts, 1);
+  EXPECT_EQ(failed.error, "unit 3 threw: poisoned unit");
+}
+
 #if MVQOE_TEST_FORK
+
+// One checkpoint format serves both lanes: an interrupted in-process
+// run resumes under worker processes, and a degraded fork-lane run
+// resumes in process, each to the uninterrupted payloads.
+TEST(Coordinator, CheckpointsResumeAcrossLanes) {
+  ScratchFile state("crosslane");
+  static volatile std::sig_atomic_t flag = 0;
+  flag = 0;
+  auto in_proc = in_process(1);
+  in_proc.state_path = state.path();
+  in_proc.interrupt = &flag;
+  in_proc.progress = [](std::uint64_t done, std::uint64_t) {
+    if (done == 4) flag = SIGTERM;
+  };
+  const auto partial = campaign::run_campaign(14, unit_payload, in_proc);
+  ASSERT_TRUE(partial.interrupted);
+  ASSERT_LT(partial.units_done, 14u);
+
+  auto forked = fast_options();
+  forked.state_path = state.path();
+  forked.resume = true;
+  const auto resumed = campaign::run_campaign(14, unit_payload, forked);
+  ASSERT_TRUE(resumed.complete);
+  EXPECT_EQ(resumed.units_from_checkpoint, partial.units_done);
+  for (std::uint64_t i = 0; i < 14; ++i) EXPECT_EQ(resumed.payloads[i], unit_payload(i));
+
+  // The reverse: shard [4..8) dies on every attempt, the rest lands.
+  ScratchFile degraded_state("crosslane_degraded");
+  auto crash = fast_options();
+  crash.max_attempts = 1;
+  crash.state_path = degraded_state.path();
+  crash.hooks.abort_unit = 5;
+  crash.hooks.abort_attempts = 99;
+  const auto degraded = campaign::run_campaign(14, unit_payload, crash);
+  ASSERT_FALSE(degraded.complete);
+  auto back = in_process(3);
+  back.state_path = degraded_state.path();
+  back.resume = true;
+  const auto recovered = campaign::run_campaign(14, unit_payload, back);
+  ASSERT_TRUE(recovered.complete);
+  EXPECT_EQ(recovered.units_from_checkpoint, degraded.units_done);
+  for (std::uint64_t i = 0; i < 14; ++i) EXPECT_EQ(recovered.payloads[i], unit_payload(i));
+}
 
 TEST(Coordinator, CrashedWorkerIsRetriedAndRecovers) {
   auto opts = fast_options();
@@ -248,7 +372,7 @@ TEST(Coordinator, CheckpointAndResumeCoverAllUnits) {
     return unit_payload(unit);
   };
   const auto partial = campaign::run_campaign(12, interrupt_after_one, opts);
-  // The flag is process-wide only in the serial fallback; under fork the
+  // A worker's write reaches only its own copy of the flag, so the
   // coordinator may still finish. Force a useful precondition either way.
   if (!partial.complete) {
     EXPECT_TRUE(partial.interrupted);
@@ -437,10 +561,6 @@ TEST(FuzzCampaign, ConfigRoundTripsAndFingerprints) {
   EXPECT_EQ(decoded.perturb_run, opts.perturb_run);
   // The checkpoint fingerprint is the digest of these bytes.
   EXPECT_EQ(campaign::encode_fuzz_config(decoded), campaign::encode_fuzz_config(opts));
-  // The parallelism knob is deliberately outside the fingerprint.
-  check::FuzzOptions other_jobs = opts;
-  other_jobs.jobs = 16;
-  EXPECT_EQ(campaign::encode_fuzz_config(other_jobs), campaign::encode_fuzz_config(opts));
   check::FuzzOptions other_seed = opts;
   other_seed.seed = 999;
   EXPECT_NE(campaign::encode_fuzz_config(other_seed), campaign::encode_fuzz_config(opts));
@@ -448,21 +568,22 @@ TEST(FuzzCampaign, ConfigRoundTripsAndFingerprints) {
 
 TEST(FuzzCampaign, DigestMatchesInProcessPool) {
   const check::FuzzOptions opts = small_fuzz();
-  const check::FuzzSummary serial = check::run_fuzz(opts);
+  const check::FuzzSummary serial = reference_summary(opts);
 
-  auto copts = fast_options();
-  const auto result = campaign::run_fuzz_campaign(opts, copts);
-  ASSERT_TRUE(result.campaign.complete);
-  EXPECT_EQ(result.summary.digest, serial.digest);
-  EXPECT_EQ(result.summary.failed, serial.failed);
-  EXPECT_EQ(result.summary.runs, serial.runs);
+  for (const campaign::CampaignOptions& lane : {fast_options(), in_process(3)}) {
+    const auto result = campaign::run_fuzz_campaign(opts, lane);
+    ASSERT_TRUE(result.campaign.complete);
+    EXPECT_EQ(result.summary.digest, serial.digest) << "procs " << lane.procs;
+    EXPECT_EQ(result.summary.failed, serial.failed);
+    EXPECT_EQ(result.summary.runs, serial.runs);
+  }
 }
 
 #if MVQOE_TEST_FORK
 
 TEST(FuzzCampaign, DigestSurvivesWorkerCrashAndRetry) {
   const check::FuzzOptions opts = small_fuzz();
-  const check::FuzzSummary serial = check::run_fuzz(opts);
+  const check::FuzzSummary serial = reference_summary(opts);
 
   auto copts = fast_options();
   copts.hooks.abort_unit = 6;
@@ -474,7 +595,7 @@ TEST(FuzzCampaign, DigestSurvivesWorkerCrashAndRetry) {
 
 TEST(FuzzCampaign, KillResumeProducesIdenticalDigest) {
   const check::FuzzOptions opts = small_fuzz();
-  const check::FuzzSummary serial = check::run_fuzz(opts);
+  const check::FuzzSummary serial = reference_summary(opts);
 
   ScratchFile state("killresume");
   // The coordinator SIGKILLs itself right after its first progress
@@ -694,9 +815,9 @@ auto option_fields(const campaign::CampaignOptions& o) {
 }
 
 // Each tool's defaults build the CampaignOptions its own hand-written
-// block built: fuzz shards 8 runs and, like fleet, keeps procs 0 (in
-// process) unless a checkpoint engages the coordinator on one worker;
-// sweep and compare run one group per shard on one worker.
+// block built: fuzz shards 8 runs and, like fleet, keeps procs 0 (the
+// in-process lane) unless a checkpoint engages the coordinator on one
+// worker; sweep and compare run one group per shard on one worker.
 TEST(CampaignCli, CampaignBlockBuildsEachToolsOptions) {
   struct Tool {
     cli::CampaignFlags defaults;
@@ -709,8 +830,8 @@ TEST(CampaignCli, CampaignBlockBuildsEachToolsOptions) {
     flags.add_to(table, tool.sharded);
     EXPECT_EQ(parse(table, {}), "");
     EXPECT_EQ(option_fields(cli::CampaignRun(flags, "units").options),
-              std::make_tuple(1, tool.defaults.shard_size, 3, 120000, 100, std::string(), false,
-                              std::int64_t{-1}, 1, 0, false, true));
+              std::make_tuple(tool.defaults.procs, tool.defaults.shard_size, 3, 120000, 100,
+                              std::string(), false, std::int64_t{-1}, 1, 0, false, true));
     EXPECT_EQ(flags.coordinated(), tool.defaults.procs > 0);
     EXPECT_EQ(parse(table, {"--procs", "0"}).empty(), tool.defaults.procs == 0);
     EXPECT_EQ(parse(table, {"--resume", "r.mvqs"}).empty(), tool.sharded);
@@ -729,6 +850,10 @@ TEST(CampaignCli, CampaignBlockBuildsEachToolsOptions) {
                             std::int64_t{7}, 2, 2, true, true));
   flags.state_path = "s.mvqs";
   EXPECT_THROW(cli::CampaignRun(flags, "runs"), cli::UsageError);
+
+  // A checkpoint alone engages the coordinator, on one worker.
+  const cli::CampaignFlags checkpointed{.procs = 0, .state_path = "s.mvqs"};
+  EXPECT_EQ(cli::CampaignRun(checkpointed, "runs").options.procs, 1);
 }
 
 /// Everything `fn` prints to the FILE it is given.

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "campaign/fuzz_campaign.hpp"
 #include "check/generator.hpp"
 #include "check/harness.hpp"
 #include "check/oracles.hpp"
@@ -644,35 +645,50 @@ TEST(Repro, CommittedMinimizedBlobStillReproduces) {
 
 // ---------- Campaign: digest determinism and the seeded failure demo ---------
 
-check::FuzzOptions small_campaign(int jobs) {
+check::FuzzOptions small_campaign() {
   check::FuzzOptions opts;
   opts.seed = 3;
   opts.runs = 6;
-  opts.jobs = jobs;
   return opts;
 }
 
+/// The serial reference: every run through execute_fuzz_run, in order.
+check::FuzzSummary serial_fuzz(const check::FuzzOptions& opts) {
+  std::vector<check::RunRecord> records;
+  for (int i = 0; i < opts.runs; ++i) records.push_back(check::execute_fuzz_run(opts, i));
+  return check::summarize_records(opts, records);
+}
+
+/// The campaign's in-process lane on `jobs` threads (mvqoe_fuzz without
+/// --procs, --state or --resume).
+check::FuzzSummary in_process_fuzz(const check::FuzzOptions& opts, int jobs) {
+  campaign::CampaignOptions lane;
+  lane.procs = 0;
+  lane.jobs = jobs;
+  return campaign::run_fuzz_campaign(opts, lane).summary;
+}
+
 TEST(Fuzz, SummaryDigestIdenticalAcrossReruns) {
-  const check::FuzzSummary a = check::run_fuzz(small_campaign(1));
-  const check::FuzzSummary b = check::run_fuzz(small_campaign(1));
+  const check::FuzzSummary a = in_process_fuzz(small_campaign(), 1);
+  const check::FuzzSummary b = in_process_fuzz(small_campaign(), 1);
   EXPECT_EQ(a.runs, 6);
   EXPECT_EQ(a.failed, b.failed);
   EXPECT_EQ(a.digest, b.digest);
 }
 
 TEST(Fuzz, SummaryDigestInvariantToJobs) {
-  const check::FuzzSummary serial = check::run_fuzz(small_campaign(1));
-  const check::FuzzSummary parallel = check::run_fuzz(small_campaign(4));
+  const check::FuzzSummary serial = serial_fuzz(small_campaign());
+  const check::FuzzSummary parallel = in_process_fuzz(small_campaign(), 4);
   EXPECT_EQ(serial.failed, parallel.failed);
   EXPECT_EQ(serial.digest, parallel.digest);
 }
 
 TEST(Fuzz, SeededPerturbationIsCaughtAndAttributed) {
-  check::FuzzOptions opts = small_campaign(1);
+  check::FuzzOptions opts = small_campaign();
   opts.runs = 4;
   opts.perturb_run = 2;
   opts.perturb_offset = sim::sec(2);
-  const check::FuzzSummary summary = check::run_fuzz(opts);
+  const check::FuzzSummary summary = in_process_fuzz(opts, 1);
   ASSERT_EQ(summary.failed, 1);
   ASSERT_EQ(summary.failures.size(), 1u);
   EXPECT_EQ(summary.failures.front().run, 2);

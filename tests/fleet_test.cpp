@@ -5,6 +5,7 @@
 // serial / --jobs / --procs / crash-and-resume execution lanes.
 #include <gtest/gtest.h>
 
+#include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <stdexcept>
@@ -66,7 +67,8 @@ fleet::FleetSpec tiny_spec() {
 
 fleet::FleetRunOptions fast_options() { return fleet::FleetRunOptions{}; }
 
-/// The coordinator lane: `procs` worker processes, two units per shard.
+/// The coordinator: `procs` worker processes (0: in process), two units
+/// per shard.
 campaign::CampaignOptions coordinator(int procs) {
   campaign::CampaignOptions opts;
   opts.procs = procs;
@@ -252,9 +254,10 @@ TEST(FleetLanes, ThreadLaneMatchesSerialByteForByte) {
 TEST(FleetLanes, ProgressReachesTotalMonotonically) {
   const fleet::FleetSpec spec = tiny_spec();
   auto opts = fast_options();
+  opts.campaign = coordinator(0);
   std::vector<std::uint64_t> done;
   std::uint64_t total = 0;
-  opts.progress = [&](std::uint64_t d, std::uint64_t t) {
+  opts.campaign->progress = [&](std::uint64_t d, std::uint64_t t) {
     done.push_back(d);
     total = t;
   };
@@ -345,6 +348,52 @@ TEST(FleetLanes, CrashAndResumeMatchesUninterruptedRun) {
   EXPECT_EQ(resumed.aggregate.encode(), reference.aggregate.encode());
   EXPECT_EQ(fleet::fleet_report_json(spec, resumed.aggregate),
             fleet::fleet_report_json(spec, reference.aggregate));
+}
+
+// An interrupted in-process run resumes under worker processes, and a
+// degraded fork-lane run resumes in process, each to the reference
+// digest and aggregate bytes.
+TEST(FleetLanes, CheckpointsResumeAcrossLanes) {
+  const fleet::FleetSpec spec = tiny_spec();
+  const fleet::FleetRunResult reference = fleet::run_fleet(spec, fast_options());
+  ASSERT_TRUE(reference.complete);
+  const auto resume = [&](const std::string& path, int procs) {
+    auto opts = fast_options();
+    opts.campaign = coordinator(procs);
+    opts.campaign->state_path = path;
+    opts.campaign->resume = true;
+    const fleet::FleetRunResult resumed = fleet::run_fleet(spec, opts);
+    ASSERT_TRUE(resumed.complete);
+    EXPECT_GT(resumed.campaign.units_from_checkpoint, 0u);
+    EXPECT_EQ(resumed.digest, reference.digest);
+    EXPECT_EQ(resumed.aggregate.encode(), reference.aggregate.encode());
+  };
+
+  ScratchFile in_process_state("inprocess");
+  static volatile std::sig_atomic_t flag = 0;
+  flag = 0;
+  auto interrupted = fast_options();
+  interrupted.campaign = coordinator(0);
+  interrupted.campaign->state_path = in_process_state.path();
+  interrupted.campaign->interrupt = &flag;
+  interrupted.campaign->progress = [&](std::uint64_t devices, std::uint64_t) {
+    if (devices >= 3 * spec.shard_size) flag = SIGINT;
+  };
+  const fleet::FleetRunResult partial = fleet::run_fleet(spec, interrupted);
+  ASSERT_TRUE(partial.interrupted);
+  EXPECT_EQ(partial.devices_done, 3 * spec.shard_size);
+  EXPECT_EQ(partial.digest, 0u);
+  resume(in_process_state.path(), 2);
+
+  ScratchFile degraded_state("degraded");
+  auto crash = fast_options();
+  crash.campaign = coordinator(2);
+  crash.campaign->max_attempts = 1;
+  crash.campaign->state_path = degraded_state.path();
+  crash.campaign->hooks.abort_unit = 2;
+  crash.campaign->hooks.abort_attempts = 99;
+  ASSERT_FALSE(fleet::run_fleet(spec, crash).complete);
+  resume(degraded_state.path(), 0);
 }
 
 TEST(FleetLanes, ResumeRejectsDifferentFleet) {

@@ -39,6 +39,7 @@
 #include "snapshot/blob.hpp"
 #include "snapshot/bytes.hpp"
 #include "snapshot/digest.hpp"
+#include "snapshot/replay/record.hpp"
 #include "stats/rng.hpp"
 
 namespace mvqoe {
@@ -802,6 +803,42 @@ TEST(ByteCounts, FleetAggregateRefusesSketchCountsItsBytesCannotHold) {
     w.u32(~0u);
   });
   expect_truncated([&] { (void)fleet::FleetAggregate::decode(values); });
+}
+
+TEST(ByteCounts, FleetAggregateRefusesAHistogramBinCountItsBytesCannotHold) {
+  const fleet::FleetAggregate aggregate;
+  const std::string bytes = aggregate.encode();
+  // The first histogram (utilization) starts with lo, hi and the policy byte.
+  snapshot::ByteWriter head;
+  head.f64(aggregate.utilization.low());
+  head.f64(aggregate.utilization.high());
+  head.u8(static_cast<std::uint8_t>(aggregate.utilization.policy()));
+  const std::size_t at = bytes.find(head.view());
+  ASSERT_NE(at, std::string::npos);
+  const std::string bins = with_tail(bytes.substr(0, at + head.size()),
+                                     [](snapshot::ByteWriter& w) { w.u32(~0u); });
+  expect_truncated([&] { (void)fleet::FleetAggregate::decode(bins); });
+}
+
+/// A blob whose `tag` section is a version-1 list with `count` entries
+/// and nothing after the count.
+snapshot::Snapshot counted_section(std::uint32_t tag, std::uint64_t count) {
+  snapshot::ByteWriter w;
+  w.u32(1);  // section version
+  w.u64(count);
+  snapshot::Snapshot blob;
+  blob.put(tag, std::move(w));
+  return blob;
+}
+
+TEST(ByteCounts, DigestTrailRefusesAnEntryCountItsBytesCannotHold) {
+  const snapshot::Snapshot blob = counted_section(snapshot::replay::kTrailTag, ~0ull);
+  expect_truncated([&] { (void)snapshot::replay::load_trail(blob); });
+}
+
+TEST(ByteCounts, SubsystemDigestsRefuseAnEntryCountTheirBytesCannotHold) {
+  const snapshot::Snapshot blob = counted_section(snapshot::replay::kSubsystemDigestsTag, ~0ull);
+  expect_truncated([&] { (void)snapshot::replay::load_subsystem_digests(blob); });
 }
 
 TEST(ByteCounts, FaultPlanRefusesListCountsItsBytesCannotHold) {

@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "campaign/fuzz_campaign.hpp"
 #include "check/harness.hpp"
 #include "net/link.hpp"
 #include "scenario/spec.hpp"
@@ -419,6 +420,13 @@ TEST(ScenarioEncoding, UnknownControllerIsRejectedAtLoad) {
 
 // ---------- Fuzz lane --------------------------------------------------------
 
+/// mvqoe_fuzz's in-process lane, serial.
+check::FuzzSummary in_process_fuzz(const check::FuzzOptions& opts) {
+  campaign::CampaignOptions lane;
+  lane.procs = 0;
+  return campaign::run_fuzz_campaign(opts, lane).summary;
+}
+
 TEST(Fuzz, CcAxisRunsCleanUnderFullSuite) {
   check::FuzzOptions opts;
   opts.seed = 77;
@@ -426,7 +434,7 @@ TEST(Fuzz, CcAxisRunsCleanUnderFullSuite) {
   opts.generator.max_videos = 2;
   opts.generator.max_duration_s = 4;
   opts.generator.ccs = {"fifo", "cubic", "bbr", "c4"};
-  const check::FuzzSummary summary = check::run_fuzz(opts);
+  const check::FuzzSummary summary = in_process_fuzz(opts);
   EXPECT_EQ(summary.failed, 0)
       << (summary.failures.empty()
               ? ""
@@ -444,8 +452,8 @@ TEST(Fuzz, CcAxisDigestDiffersFromFifoOnlyCampaign) {
   base.check.meta_determinism = false;
   check::FuzzOptions with_ccs = base;
   with_ccs.generator.ccs = {"cubic", "bbr", "c4"};
-  const check::FuzzSummary plain = check::run_fuzz(base);
-  const check::FuzzSummary ccs = check::run_fuzz(with_ccs);
+  const check::FuzzSummary plain = in_process_fuzz(base);
+  const check::FuzzSummary ccs = in_process_fuzz(with_ccs);
   EXPECT_EQ(plain.failed, 0);
   EXPECT_EQ(ccs.failed, 0);
   EXPECT_NE(plain.digest, ccs.digest);

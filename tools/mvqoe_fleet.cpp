@@ -110,13 +110,8 @@ int run_or_resume(Args args, bool resume) {
                 static_cast<unsigned long long>(args.spec.devices), args.spec.session_s,
                 static_cast<unsigned long long>(args.spec.shard_size));
   }
-  fleet::FleetRunOptions opts;
-  opts.jobs = args.jobs.value_or(1);
-  opts.interrupt = run.options.interrupt;
-  opts.progress = run.options.progress;
-  if (args.campaign.coordinated()) opts.campaign = run.options;
-
-  const fleet::FleetRunResult result = fleet::run_fleet(args.spec, opts);
+  run.options.jobs = args.jobs.value_or(1);
+  const fleet::FleetRunResult result = fleet::run_fleet(args.spec, {.campaign = run.options});
   run.report_resumed(result.campaign, fleet::fleet_total_units(args.spec), "shards");
   run.report_shards(result.campaign, "units");
   if (const std::optional<int> code =

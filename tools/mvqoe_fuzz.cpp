@@ -12,7 +12,8 @@
 //       repro blobs. The summary digest is invariant to --jobs.
 //       --perturb-run K flips one RNG bit in run K at --perturb-at
 //       seconds (default 2) — a manufactured determinism failure for
-//       demos and tests.
+//       demos and tests. SIGINT/SIGTERM let the runs in flight finish
+//       and exit with 128+signo.
 //
 //   mvqoe_fuzz --minutes N [same flags]
 //       Budgeted campaign: keep running batches (each `--runs` worlds,
@@ -97,9 +98,9 @@ struct Args {
   bool meta = true;
   int perturb_run = -1;
   int perturb_at_s = 2;
-  /// Campaign mode (multi-process, crash-safe): procs 0 keeps the
-  /// in-process --jobs pool unless --state or --resume asks for a
-  /// checkpoint.
+  /// procs 0 runs in process on --jobs threads unless --state or
+  /// --resume asks for a checkpoint (the multi-process, crash-safe
+  /// coordinator).
   cli::CampaignFlags campaign{.procs = 0, .shard_size = 8};
 };
 
@@ -141,7 +142,6 @@ check::FuzzOptions fuzz_options(const Args& args, std::uint64_t seed) {
   check::FuzzOptions opts;
   opts.seed = seed;
   opts.runs = args.runs;
-  opts.jobs = args.jobs.value_or(1);
   opts.generator.max_videos = args.max_videos;
   opts.generator.max_duration_s = args.max_duration;
   opts.generator.policies = args.policies;
@@ -220,43 +220,10 @@ int cmd_repro(const Args& args) {
   return 1;
 }
 
-/// Multi-process crash-safe campaign (--procs / --state / --resume).
-int cmd_campaign(const Args& args) {
-  cli::CampaignRun run(args.campaign, "runs");
-  check::FuzzOptions opts;
-  if (!args.campaign.resume_path.empty()) {
-    opts = campaign::load_resume_config(args.campaign.resume_path, campaign::decode_fuzz_config);
-    std::printf("resume: %s (seed=%llu runs=%d)\n", args.campaign.resume_path.c_str(),
-                static_cast<unsigned long long>(opts.seed), opts.runs);
-  } else {
-    opts = fuzz_options(args, args.seed);
-  }
-
-  const campaign::FuzzCampaignResult result = campaign::run_fuzz_campaign(opts, run.options);
-  run.report_resumed(result.campaign, static_cast<std::uint64_t>(opts.runs), "runs");
-  for (const check::FuzzFailure& failure : result.summary.failures) {
-    handle_failure(args, opts, failure);
-  }
-  run.report_shards(result.campaign, "runs");
-  if (const std::optional<int> code = run.report_interrupt(
-          result.campaign.interrupted, result.campaign.units_done,
-          static_cast<std::uint64_t>(opts.runs))) {
-    return *code;
-  }
-  if (!result.campaign.complete) {
-    std::printf("campaign degraded: %llu/%d runs completed, %d failed among them\n",
-                static_cast<unsigned long long>(result.campaign.units_done), opts.runs,
-                result.summary.failed);
-    std::fflush(stdout);
-    return 3;
-  }
-  std::printf("fuzz summary: seed=%llu runs=%d failed=%d digest=%016llx\n",
-              static_cast<unsigned long long>(opts.seed), result.summary.runs,
-              result.summary.failed, static_cast<unsigned long long>(result.summary.digest));
-  std::fflush(stdout);
-  return result.summary.failed == 0 ? 0 : 1;
-}
-
+/// Run the campaign: in process on --jobs threads, or under the
+/// coordinator with --procs, --state or --resume. A --minutes soak runs
+/// batches (batch b reseeded with derive_seed(seed, 1000000 + b)) until
+/// the deadline.
 int run_campaign(const Args& args) {
   using clock = std::chrono::steady_clock;
   const auto deadline = clock::now() + std::chrono::minutes(args.minutes);
@@ -264,27 +231,45 @@ int run_campaign(const Args& args) {
   int total_failed = 0;
   int batch = 0;
   do {
-    const std::uint64_t batch_seed =
-        args.minutes > 0 ? stats::derive_seed(args.seed, 1000000ULL + static_cast<std::uint64_t>(batch))
-                         : args.seed;
-    check::FuzzOptions opts = fuzz_options(args, batch_seed);
-    campaign::ProgressMeter meter("runs");
-    if (args.campaign.progress) {
-      opts.progress = [&meter](std::uint64_t done, std::uint64_t total) {
-        meter.update(done, total);
-      };
+    cli::CampaignRun run(args.campaign, "runs");
+    run.options.jobs = args.jobs.value_or(1);
+    check::FuzzOptions opts;
+    if (!args.campaign.resume_path.empty()) {
+      opts = campaign::load_resume_config(args.campaign.resume_path, campaign::decode_fuzz_config);
+      std::printf("resume: %s (seed=%llu runs=%d)\n", args.campaign.resume_path.c_str(),
+                  static_cast<unsigned long long>(opts.seed), opts.runs);
+    } else {
+      const std::uint64_t batch_seed =
+          args.minutes > 0
+              ? stats::derive_seed(args.seed, 1000000ULL + static_cast<std::uint64_t>(batch))
+              : args.seed;
+      opts = fuzz_options(args, batch_seed);
     }
-    const check::FuzzSummary summary = check::run_fuzz(opts);
-    meter.finish();
-    for (const check::FuzzFailure& failure : summary.failures) {
+
+    const campaign::FuzzCampaignResult result = campaign::run_fuzz_campaign(opts, run.options);
+    run.report_resumed(result.campaign, static_cast<std::uint64_t>(opts.runs), "runs");
+    for (const check::FuzzFailure& failure : result.summary.failures) {
       handle_failure(args, opts, failure);
     }
-    total_runs += summary.runs;
-    total_failed += summary.failed;
+    run.report_shards(result.campaign, "runs");
+    if (const std::optional<int> code = run.report_interrupt(
+            result.campaign.interrupted, result.campaign.units_done,
+            static_cast<std::uint64_t>(opts.runs))) {
+      return *code;
+    }
+    if (!result.campaign.complete) {
+      std::printf("campaign degraded: %llu/%d runs completed, %d failed among them\n",
+                  static_cast<unsigned long long>(result.campaign.units_done), opts.runs,
+                  result.summary.failed);
+      std::fflush(stdout);
+      return 3;
+    }
     std::printf("fuzz summary: seed=%llu runs=%d failed=%d digest=%016llx\n",
-                static_cast<unsigned long long>(batch_seed), summary.runs, summary.failed,
-                static_cast<unsigned long long>(summary.digest));
+                static_cast<unsigned long long>(opts.seed), result.summary.runs,
+                result.summary.failed, static_cast<unsigned long long>(result.summary.digest));
     std::fflush(stdout);
+    total_runs += result.summary.runs;
+    total_failed += result.summary.failed;
     ++batch;
   } while (args.minutes > 0 && clock::now() < deadline);
   if (args.minutes > 0) {
@@ -305,7 +290,6 @@ int main(int argc, char** argv) {
       mvqoe::net::validate_net_spec({name, {}});
     }
     if (!args.repro_path.empty()) return cmd_repro(args);
-    if (args.campaign.coordinated()) return cmd_campaign(args);
     return run_campaign(args);
   });
 }
