@@ -15,7 +15,7 @@ int main() {
     // 720p: our model expresses the paper's 480p60-Moderate degradation
     // one rung higher; same mechanisms, documented in EXPERIMENTS.md.
     auto driver = std::make_unique<scenario::ScenarioDriver>(
-        scenario::single_video("fig09", 720, 60, duration, state, 11));
+        scenario::single_video("fig09", 720, 60, duration, state, 11), trace::TraceLevel::Full);
     driver->run();
     return driver;
   };

@@ -16,7 +16,7 @@ int main() {
                 "Waheed et al., CoNEXT'22, Fig. 14");
   const int duration = bench::video_duration_s(90);
 
-  core::Testbed testbed(core::nokia1(), 5);
+  core::Testbed testbed(core::nokia1(), 5, {}, {}, trace::TraceLevel::Full);
   testbed.boot();
 
   video::SessionConfig config;

@@ -97,7 +97,8 @@ int main(int argc, char** argv) {
           const auto state =
               i == 0 ? mem::PressureLevel::Normal : mem::PressureLevel::Moderate;
           scenario::ScenarioDriver driver(
-              scenario::single_video("table1", 480, 60, duration, state, 3));
+              scenario::single_video("table1", 480, 60, duration, state, 3),
+              trace::TraceLevel::Full);
           driver.run();
           const video::VideoSession& session = *driver.video().session();
           std::vector<trace::ThreadId> tids = session.client_thread_ids();

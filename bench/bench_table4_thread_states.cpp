@@ -12,7 +12,8 @@ mvqoe::trace::StateTimeTable run_once(mvqoe::mem::PressureLevel state, std::uint
   using namespace mvqoe;
   // 720p: our model expresses the paper's 480p60-Moderate degradation
   // one rung higher; same mechanisms, documented in EXPERIMENTS.md.
-  scenario::ScenarioDriver driver(scenario::single_video("fig09", 720, 60, duration, state, seed));
+  scenario::ScenarioDriver driver(scenario::single_video("fig09", 720, 60, duration, state, seed),
+                                  trace::TraceLevel::Full);
   driver.run();
   // The paper sums the three key client threads: the browser main
   // thread, MediaCodec, and SurfaceFlinger.

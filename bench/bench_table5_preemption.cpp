@@ -13,7 +13,8 @@ mvqoe::trace::PreemptionStats run_once(mvqoe::mem::PressureLevel state, std::uin
   using namespace mvqoe;
   // 720p: our model expresses the paper's 480p60-Moderate degradation
   // one rung higher; same mechanisms, documented in EXPERIMENTS.md.
-  scenario::ScenarioDriver driver(scenario::single_video("fig09", 720, 60, duration, state, seed));
+  scenario::ScenarioDriver driver(scenario::single_video("fig09", 720, 60, duration, state, seed),
+                                  trace::TraceLevel::Full);
   driver.run();
   const video::VideoSession& session = *driver.video().session();
   std::vector<trace::ThreadId> tids = session.client_thread_ids();

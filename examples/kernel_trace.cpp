@@ -15,7 +15,8 @@ int main(int argc, char** argv) {
   const auto pressure =
       static_cast<mem::PressureLevel>(runner::parse_arg(argc, argv, 1, "pressure", 1, 0, 3));
 
-  scenario::ScenarioDriver driver(scenario::single_video("fig09", 480, 60, 60, pressure, 3));
+  scenario::ScenarioDriver driver(scenario::single_video("fig09", 480, 60, 60, pressure, 3),
+                                  trace::TraceLevel::Full);
   const auto result = driver.run().sessions.at(0).result;
   const auto& tracer = driver.testbed().tracer;
   const sim::Time begin = driver.playback_start();

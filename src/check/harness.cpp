@@ -21,7 +21,8 @@ Violation meta_violation(const std::string& oracle, std::string detail, sim::Tim
 
 RunReport check_scenario(const scenario::ScenarioSpec& scen, const CheckOptions& opts) {
   RunReport report;
-  snapshot::replay::ReplayDriver drv(scen);
+  // Full trace: the sched-state oracle reads every closed interval.
+  snapshot::replay::ReplayDriver drv(scen, trace::TraceLevel::Full);
   if (opts.perturb_at) drv.set_perturb_at(*opts.perturb_at);
   drv.start();
   drv.driver().testbed().engine.set_livelock_limit(opts.livelock_limit);
@@ -281,7 +282,7 @@ Localization localize_violation(const scenario::ScenarioSpec& spec, const Violat
   // Oracle violations: re-run the world, warm the stateful oracles up to
   // the slice before the recorded violation, then single-step engine
   // events through the violating slice re-checking after each one.
-  snapshot::replay::ReplayDriver drv(spec);
+  snapshot::replay::ReplayDriver drv(spec, trace::TraceLevel::Full);
   drv.start();
   drv.driver().testbed().engine.set_livelock_limit(opts.livelock_limit);
   WorldObserver observer;

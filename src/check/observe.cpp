@@ -7,6 +7,7 @@ WorldObservation WorldObserver::observe(const scenario::ScenarioDriver& driver, 
   const mem::MemoryManager& memory = bed.memory;
   const sched::Scheduler& scheduler = bed.scheduler;
   const trace::Tracer& tracer = bed.tracer;
+  tracer.require_full("check::WorldObserver");
 
   WorldObservation obs;
   obs.at = bed.engine.now();

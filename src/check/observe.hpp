@@ -110,6 +110,8 @@ struct WorldObservation {
 /// Incremental collector: holds the cursors into the tracer's interval
 /// log and the memory manager's kill-audit log, so each observation
 /// carries only what is new since the last one. One observer per run.
+/// observe() throws std::logic_error on a world whose tracer is not at
+/// `Full`: the sched-state oracle would see no intervals and pass.
 class WorldObserver {
  public:
   WorldObservation observe(const scenario::ScenarioDriver& driver, bool final_obs = false);

@@ -6,8 +6,9 @@
 namespace mvqoe::core {
 
 Testbed::Testbed(DeviceProfile profile, std::uint64_t seed, mem::MemPolicySpec mem_policy,
-                 net::NetSpec net)
-    : scheduler(engine, tracer, profile.scheduler),
+                 net::NetSpec net, trace::TraceLevel trace_level)
+    : tracer(trace_level),
+      scheduler(engine, tracer, profile.scheduler),
       storage(engine, scheduler, profile.storage),
       memory(engine, profile.memory, scheduler, storage, tracer, mem_policy),
       link(engine, net::LinkConfig{}, std::move(net)),

@@ -1,7 +1,9 @@
 // One fully-wired simulated device: engine, tracer, CPU scheduler,
 // storage (mmcqd), memory manager (kswapd/lmkd), WiFi link and activity
 // manager. Each experiment run constructs a fresh Testbed — the
-// simulation equivalent of rebooting the phone between runs.
+// simulation equivalent of rebooting the phone between runs. Its tracer
+// records at `Counters` unless the caller dissects thread states and
+// asks for `Full` (trace/tracer.hpp).
 #pragma once
 
 #include <cstdint>
@@ -26,7 +28,8 @@ class SystemActivity;
 class Testbed {
  public:
   explicit Testbed(DeviceProfile profile, std::uint64_t seed = 1,
-                   mem::MemPolicySpec mem_policy = {}, net::NetSpec net = {});
+                   mem::MemPolicySpec mem_policy = {}, net::NetSpec net = {},
+                   trace::TraceLevel trace_level = trace::TraceLevel::Counters);
   ~Testbed();
 
   Testbed(const Testbed&) = delete;

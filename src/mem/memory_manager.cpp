@@ -596,10 +596,7 @@ double MemoryManager::pressure_P() const noexcept {
   // Same instant as the last sample: the decay below is pow(0.5, 0),
   // exactly 1, and batches read P several times per instant.
   if (engine_.now() <= last_pressure_sample_) return pressure_ema_;
-  const double age_s = sim::to_seconds(engine_.now() - last_pressure_sample_);
-  // Half-life of 1.5 s once scanning stops.
-  const double decay = std::pow(0.5, std::max(0.0, age_s) / 1.5);
-  return pressure_ema_ * decay;
+  return pressure_ema_ * pressure_decay_.factor(engine_.now() - last_pressure_sample_);
 }
 
 void MemoryManager::record_pressure(const ReclaimOutcome& outcome) {

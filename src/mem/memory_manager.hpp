@@ -36,6 +36,9 @@
 //     (signal rates, dwell times, available memory) matters.
 #pragma once
 
+#include <array>
+#include <cmath>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <string>
@@ -50,6 +53,34 @@
 #include "trace/tracer.hpp"
 
 namespace mvqoe::mem {
+
+/// P's decay after `age` µs without a scan batch, pow(0.5, age_s / 1.5)
+/// (a 1.5 s half-life), memoized on the exact age in a 64-entry
+/// direct-mapped table. It depends only on the integer age, and batches
+/// recur at a few fixed spacings, so most reads repeat a recent age and
+/// skip the libm call. Each slot holds a value std::pow itself returned,
+/// so the memo is bit-exact; it is a cache, never part of a snapshot.
+class PressureDecay {
+ public:
+  double factor(sim::Time age) const noexcept {
+    Entry& entry = entries_[slot(age)];
+    if (entry.age != age) entry = Entry{age, std::pow(0.5, sim::to_seconds(age) / 1.5)};
+    return entry.factor;
+  }
+  /// Fibonacci hash of the age onto the table.
+  static std::size_t slot(sim::Time age) noexcept {
+    return static_cast<std::size_t>((static_cast<std::uint64_t>(age) * 0x9E3779B97F4A7C15ULL) >>
+                                    (64 - kSlotBits));
+  }
+  static constexpr int kSlotBits = 6;
+
+ private:
+  struct Entry {
+    sim::Time age = 0;
+    double factor = 1.0;  // pow(0.5, 0): an empty slot is already exact
+  };
+  mutable std::array<Entry, std::size_t{1} << kSlotBits> entries_{};
+};
 
 class MemoryManager {
  public:
@@ -243,6 +274,7 @@ class MemoryManager {
 
   double pressure_ema_ = 0.0;
   sim::Time last_pressure_sample_ = 0;
+  PressureDecay pressure_decay_;
   PressureLevel level_ = PressureLevel::Normal;
 
   sched::ThreadId kswapd_tid_ = 0;

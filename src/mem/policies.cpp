@@ -56,8 +56,7 @@ void plan_reclaim(const MemoryConfig& config, ReclaimView& view, ReclaimPlan& pl
   const Pages candidates = sums.candidates + view.file_dirty;
   const double efficiency =
       candidates > 0 ? static_cast<double>(reclaimable) / static_cast<double>(candidates) : 0.0;
-  Pages remaining = static_cast<Pages>(
-      std::ceil(static_cast<double>(budget) * std::min(1.0, efficiency)));
+  Pages remaining = sim::ceil_int(static_cast<double>(budget) * std::min(1.0, efficiency));
 
   // 1. Drop clean file pages, coldest/lowest-priority processes first.
   if (remaining > 0 && droppable_left > 0) {

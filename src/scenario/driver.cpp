@@ -23,9 +23,11 @@ int severity(core::RunStatus status) {
 
 }  // namespace
 
-ScenarioDriver::ScenarioDriver(ScenarioSpec spec) : spec_(std::move(spec)) {
-  testbed_ = std::make_unique<core::Testbed>(
-      device_for(spec_), spec_.world_seed.value_or(spec_.seed), spec_.mem_policy, spec_.net);
+ScenarioDriver::ScenarioDriver(ScenarioSpec spec, trace::TraceLevel trace_level)
+    : spec_(std::move(spec)) {
+  testbed_ = std::make_unique<core::Testbed>(device_for(spec_),
+                                             spec_.world_seed.value_or(spec_.seed),
+                                             spec_.mem_policy, spec_.net, trace_level);
   // The scenario-level pressure regime comes first (it must be
   // established before any session starts — §4.1); the spec's workload
   // list follows in order. The legacy experiment always ran a synthetic

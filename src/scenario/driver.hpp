@@ -40,7 +40,12 @@ struct ScenarioResult {
 
 class ScenarioDriver {
  public:
-  explicit ScenarioDriver(ScenarioSpec spec);
+  /// The world's tracer records at `trace_level`: `Counters` keeps the
+  /// instants and counter samples every QoE reader uses; the §5
+  /// dissections and the oracles ask for `Full`. The level is not part of
+  /// the spec and enters no snapshot byte or digest.
+  explicit ScenarioDriver(ScenarioSpec spec,
+                          trace::TraceLevel trace_level = trace::TraceLevel::Counters);
   ~ScenarioDriver();
 
   /// prepare + start + advance to completion + finalize.

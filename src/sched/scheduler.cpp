@@ -229,7 +229,7 @@ void Scheduler::enqueue(ThreadId tid, std::size_t core_idx, bool preempt_check) 
                              occupant.spec.priority < t.spec.priority;
     if (preemptible) {
       deschedule(core_idx, trace::ThreadState::RunnablePreempted, tid);
-      core.rt_queue.push_front(tid);
+      core.rt_queue.insert(core.rt_queue.begin(), tid);
       dispatch(core_idx);
       return;
     }
@@ -246,7 +246,7 @@ void Scheduler::enqueue(ThreadId tid, std::size_t core_idx, bool preempt_check) 
 }
 
 void Scheduler::queue_rt(Core& core, ThreadId tid) {
-  // The queue is sorted at every insert (a preemptor's push_front is popped
+  // The queue is sorted at every insert (a preemptor's front insert is popped
   // at once; a steal fills an empty queue), so inserting before the first
   // lower-priority thread keeps it sorted and FIFO within a priority level.
   const int priority = thread(tid).spec.priority;
@@ -269,7 +269,7 @@ void Scheduler::arm_core_event(std::size_t core_idx) {
   const double consumed = static_cast<double>(ran) * freq;
   const double remaining = std::max(core.run_start_work - consumed, 0.0);
   const sim::Time completion =
-      engine_.now() + std::max<sim::Time>(1, static_cast<sim::Time>(std::ceil(remaining / freq)));
+      engine_.now() + std::max<sim::Time>(1, sim::ceil_int(remaining / freq));
 
   sim::Time when = completion;
   bool is_slice = false;
@@ -306,7 +306,7 @@ void Scheduler::dispatch(std::size_t core_idx) {
   ThreadId next = trace::kNoThread;
   if (!core.rt_queue.empty()) {
     next = core.rt_queue.front();
-    core.rt_queue.pop_front();
+    core.rt_queue.erase(core.rt_queue.begin());
   } else if (!core.fair_queue.empty()) {
     auto best = core.fair_queue.begin();
     for (auto it = core.fair_queue.begin(); it != core.fair_queue.end(); ++it) {
@@ -318,7 +318,7 @@ void Scheduler::dispatch(std::size_t core_idx) {
     steal_for(core_idx);
     if (!core.rt_queue.empty()) {
       next = core.rt_queue.front();
-      core.rt_queue.pop_front();
+      core.rt_queue.erase(core.rt_queue.begin());
     } else if (!core.fair_queue.empty()) {
       auto best = core.fair_queue.begin();
       for (auto it = core.fair_queue.begin(); it != core.fair_queue.end(); ++it) {
@@ -345,7 +345,7 @@ void Scheduler::dispatch(std::size_t core_idx) {
   core.running = next;
   core.run_start = engine_.now();
   core.run_start_work = t.remaining_work;
-  note_started_running(next);
+  if (tracer_.full()) note_started_running(next);
   arm_core_event(core_idx);
 }
 
@@ -367,14 +367,14 @@ void Scheduler::deschedule(std::size_t core_idx, trace::ThreadState next_state,
   t.counters.cpu_refus_consumed += consumed;
   if (t.spec.sched_class == SchedClass::Fair && t.weight > 0.0) t.vruntime += consumed / t.weight;
 
-  note_stopped_running(tid, ran);
+  if (tracer_.full()) note_stopped_running(tid, ran);
   core.running = trace::kNoThread;
   t.core = -1;
   t.state = next_state;
   tracer_.state_change(tid, engine_.now(), next_state, preemptor);
   if (next_state == trace::ThreadState::RunnablePreempted) {
     ++t.counters.preemptions_suffered;
-    if (preemptor != trace::kNoThread) open_preemption(tid, preemptor);
+    if (tracer_.full() && preemptor != trace::kNoThread) open_preemption(tid, preemptor);
     // The victim remains runnable: requeue on this core (no preempt check
     // — it just lost the CPU).
     if (t.spec.sched_class == SchedClass::Realtime) {
@@ -397,7 +397,7 @@ void Scheduler::complete(std::size_t core_idx) {
     t.vruntime += core.run_start_work / t.weight;
   }
   t.remaining_work = 0.0;
-  note_stopped_running(tid, ran);
+  if (tracer_.full()) note_stopped_running(tid, ran);
   core.running = trace::kNoThread;
   t.core = -1;
   t.state = trace::ThreadState::Sleeping;
@@ -473,8 +473,9 @@ void Scheduler::steal_for(std::size_t core_idx) {
     }
   }
   if (src < cores_.size()) {
-    const ThreadId tid = cores_[src].rt_queue.front();
-    cores_[src].rt_queue.pop_front();
+    auto& queue = cores_[src].rt_queue;
+    const ThreadId tid = queue.front();
+    queue.erase(queue.begin());
     target.rt_queue.push_back(tid);
     return;
   }

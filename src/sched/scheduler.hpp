@@ -25,11 +25,11 @@
 // emitted for wake-preemptions — i.e. a thread taking the CPU the moment
 // it wakes, which in this model only RT threads do. This matches the
 // paper's observation that the CPU is "almost never preempted for
-// kswapd" while mmcqd preempts constantly.
+// kswapd" while mmcqd preempts constantly. The episode bookkeeping behind
+// those records runs only when the tracer records at `Full`.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <string>
@@ -173,7 +173,10 @@ class Scheduler {
     sim::Time run_start = 0;          // when current thread started this stint
     double run_start_work = 0.0;      // remaining work at stint start
     sim::EventId pending_event = sim::kInvalidEvent;
-    std::deque<ThreadId> rt_queue;    // FIFO, kept sorted by priority desc
+    // FIFO, kept sorted by priority desc. A vector: a wake-preemption
+    // inserts at the front and dispatch takes it straight back off, so
+    // the queue reuses its capacity instead of allocating per preemption.
+    std::vector<ThreadId> rt_queue;
     std::vector<ThreadId> fair_queue; // unsorted; min-vruntime scan on pick
   };
 
@@ -213,6 +216,8 @@ class Scheduler {
   static void on_hand_off(void* ctx, std::uint64_t arg);
   double min_vruntime(const Core& core) const;
 
+  /// Preemption-episode bookkeeping; called only while the tracer keeps
+  /// preemption records (level `Full`).
   void open_preemption(ThreadId victim, ThreadId preemptor);
   void note_started_running(ThreadId tid);
   void note_stopped_running(ThreadId tid, sim::Time ran_for);

@@ -24,4 +24,13 @@ constexpr double to_seconds(Time t) noexcept { return static_cast<double>(t) * 1
 constexpr double to_millis(Time t) noexcept { return static_cast<double>(t) * 1e-3; }
 constexpr Time from_seconds(double s) noexcept { return static_cast<Time>(s * 1e6); }
 
+/// static_cast<std::int64_t>(std::ceil(x)), exactly, for any finite `x`
+/// whose ceiling fits in 64 bits, without the libm call std::ceil
+/// compiles to on the baseline x86-64 target. Truncation already rounds
+/// a negative `x` up; a positive fraction needs one more.
+constexpr std::int64_t ceil_int(double x) noexcept {
+  const auto truncated = static_cast<std::int64_t>(x);
+  return truncated + (static_cast<double>(truncated) < x ? 1 : 0);
+}
+
 }  // namespace mvqoe::sim

@@ -7,7 +7,8 @@
 
 namespace mvqoe::snapshot::replay {
 
-ReplayDriver::ReplayDriver(mvqoe::scenario::ScenarioSpec scen) : driver_(std::move(scen)) {}
+ReplayDriver::ReplayDriver(mvqoe::scenario::ScenarioSpec scen, trace::TraceLevel trace_level)
+    : driver_(std::move(scen), trace_level) {}
 
 void ReplayDriver::start() {
   driver_.prepare();

@@ -26,7 +26,8 @@ namespace mvqoe::snapshot::replay {
 
 class ReplayDriver {
  public:
-  explicit ReplayDriver(scenario::ScenarioSpec scen);
+  explicit ReplayDriver(scenario::ScenarioSpec scen,
+                        trace::TraceLevel trace_level = trace::TraceLevel::Counters);
 
   const scenario::ScenarioSpec& scenario() const noexcept { return driver_.spec(); }
 

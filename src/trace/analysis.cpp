@@ -16,7 +16,7 @@ double overlap_seconds(sim::Time a0, sim::Time a1, sim::Time b0, sim::Time b1) n
 }
 
 sim::Time trace_end(const Tracer& tracer) noexcept {
-  sim::Time end = 0;
+  sim::Time end = tracer.finalized_at();
   for (const auto& iv : tracer.intervals()) end = std::max(end, iv.end);
   for (const auto& ev : tracer.instants()) end = std::max(end, ev.at);
   for (const auto& cs : tracer.counters()) end = std::max(end, cs.at);
@@ -27,6 +27,7 @@ sim::Time trace_end(const Tracer& tracer) noexcept {
 
 StateTimeTable state_times(const Tracer& tracer, const std::vector<ThreadId>& tids,
                            sim::Time begin, sim::Time end) {
+  tracer.require_full("trace::state_times");
   const std::unordered_set<ThreadId> wanted(tids.begin(), tids.end());
   StateTimeTable table;
   for (const auto& iv : tracer.intervals()) {
@@ -47,6 +48,7 @@ StateTimeTable state_times(const Tracer& tracer, const std::vector<ThreadId>& ti
 
 std::vector<ThreadRunTime> top_running_threads(const Tracer& tracer, sim::Time begin,
                                                sim::Time end) {
+  tracer.require_full("trace::top_running_threads");
   std::unordered_map<ThreadId, double> running;
   for (const auto& iv : tracer.intervals()) {
     if (iv.state != ThreadState::Running) continue;
@@ -83,6 +85,7 @@ std::size_t running_rank(const Tracer& tracer, const std::string& thread_name, s
 
 PreemptionStats preemption_stats(const Tracer& tracer, const std::vector<ThreadId>& victims,
                                  const std::string& preemptor_name) {
+  tracer.require_full("trace::preemption_stats");
   const std::unordered_set<ThreadId> wanted(victims.begin(), victims.end());
   PreemptionStats stats;
   for (const auto& rec : tracer.preemptions()) {
@@ -98,6 +101,7 @@ PreemptionStats preemption_stats(const Tracer& tracer, const std::vector<ThreadI
 
 std::map<std::string, double> state_fractions(const Tracer& tracer, ThreadId tid, sim::Time begin,
                                               sim::Time end) {
+  tracer.require_full("trace::state_fractions");
   std::map<std::string, double> seconds;
   double total = 0.0;
   for (const auto& iv : tracer.intervals()) {
@@ -143,6 +147,7 @@ std::vector<std::size_t> instants_per_second(const Tracer& tracer, InstantKind k
 }
 
 std::vector<double> running_fraction_per_second(const Tracer& tracer, ThreadId tid) {
+  tracer.require_full("trace::running_fraction_per_second");
   const sim::Time end = trace_end(tracer);
   std::vector<double> out(static_cast<std::size_t>(end / sim::sec(1)) + 1, 0.0);
   for (const auto& iv : tracer.intervals()) {

@@ -1,4 +1,9 @@
 // Trace analyzers — the queries the paper ran over its Perfetto traces.
+//
+// The readers of state intervals and preemption records (state_times,
+// top_running_threads, running_rank, preemption_stats, state_fractions,
+// running_fraction_per_second) throw std::logic_error naming the level
+// on a `Counters` trace; the instant and counter readers work at both.
 #pragma once
 
 #include <map>

@@ -1,5 +1,8 @@
 #include "trace/tracer.hpp"
 
+#include <algorithm>
+#include <stdexcept>
+
 namespace mvqoe::trace {
 
 const char* to_string(ThreadState s) noexcept {
@@ -11,6 +14,14 @@ const char* to_string(ThreadState s) noexcept {
     case ThreadState::Sleeping: return "Sleeping";
     case ThreadState::BlockedIo: return "Blocked I/O";
     case ThreadState::Terminated: return "Terminated";
+  }
+  return "?";
+}
+
+const char* to_string(TraceLevel level) noexcept {
+  switch (level) {
+    case TraceLevel::Counters: return "Counters";
+    case TraceLevel::Full: return "Full";
   }
   return "?";
 }
@@ -41,6 +52,15 @@ const char* to_string(InstantKind kind) noexcept {
   return "?";
 }
 
+void Tracer::require_full(const char* reader) const {
+  if (!full()) {
+    throw std::logic_error(std::string(reader) +
+                           " reads state intervals or preemption records, but the tracer "
+                           "records at level " + to_string(level_) +
+                           "; build the world at TraceLevel::Full");
+  }
+}
+
 void Tracer::register_thread(const ThreadMeta& meta) { threads_[meta.tid] = meta; }
 
 const ThreadMeta* Tracer::thread(ThreadId tid) const noexcept {
@@ -48,7 +68,8 @@ const ThreadMeta* Tracer::thread(ThreadId tid) const noexcept {
   return it == threads_.end() ? nullptr : &it->second;
 }
 
-void Tracer::state_change(ThreadId tid, sim::Time at, ThreadState next, ThreadId preemptor) {
+void Tracer::record_state_change(ThreadId tid, sim::Time at, ThreadState next,
+                                 ThreadId preemptor) {
   if (tid >= open_.size()) open_.resize(tid + 1);
   auto& open = open_[tid];
   if (open.open && at > open.begin) {
@@ -60,8 +81,6 @@ void Tracer::state_change(ThreadId tid, sim::Time at, ThreadState next, ThreadId
   open.open = next != ThreadState::Terminated;
 }
 
-void Tracer::preemption(const PreemptionRecord& rec) { preemptions_.push_back(rec); }
-
 void Tracer::instant(InstantKind kind, sim::Time at, ThreadId tid, std::int64_t value) {
   instants_.push_back(InstantEvent{kind, at, tid, value});
 }
@@ -71,6 +90,7 @@ void Tracer::counter(const std::string& name, sim::Time at, double value) {
 }
 
 void Tracer::finalize(sim::Time at) {
+  finalized_at_ = std::max(finalized_at_, at);
   for (ThreadId tid = 0; tid < open_.size(); ++tid) {
     OpenInterval& open = open_[tid];
     if (open.open && at > open.begin) {

@@ -5,6 +5,11 @@
 // per-thread state dwell times (Table 4), top running threads, preemption
 // statistics (Table 5), kswapd state breakdown (Fig 13), kill/crash
 // timelines (Figs 14/15).
+//
+// A tracer records at one of two levels, fixed at construction. `Full`
+// keeps everything. `Counters` keeps instants and counter samples but no
+// state intervals or preemption records: the drop-rate sweeps read only
+// frame counters, and intervals are most of a session's trace cost.
 #pragma once
 
 #include <cstdint>
@@ -35,6 +40,13 @@ enum class ThreadState : std::uint8_t {
 };
 
 const char* to_string(ThreadState s) noexcept;
+
+enum class TraceLevel : std::uint8_t {
+  Counters,  ///< instants and counter samples only
+  Full,      ///< also state intervals and preemption records (§5 analysis)
+};
+
+const char* to_string(TraceLevel level) noexcept;
 
 struct ThreadMeta {
   ThreadId tid = kNoThread;
@@ -111,15 +123,30 @@ struct CounterSample {
 
 class Tracer {
  public:
+  explicit Tracer(TraceLevel level = TraceLevel::Full) noexcept : level_(level) {}
+
+  TraceLevel level() const noexcept { return level_; }
+  bool full() const noexcept { return level_ == TraceLevel::Full; }
+  /// For readers of intervals and preemption records: throws
+  /// std::logic_error naming `reader` and the level unless it is `Full`,
+  /// so a trace that never kept them is not read as an idle one.
+  void require_full(const char* reader) const;
+
   void register_thread(const ThreadMeta& meta);
   const ThreadMeta* thread(ThreadId tid) const noexcept;
 
   /// Close the thread's current state interval at `at` and open a new one.
-  /// `preemptor` is meaningful only for RunnablePreempted.
+  /// `preemptor` is meaningful only for RunnablePreempted. No-op at
+  /// `Counters`.
   void state_change(ThreadId tid, sim::Time at, ThreadState next,
-                    ThreadId preemptor = kNoThread);
+                    ThreadId preemptor = kNoThread) {
+    if (full()) record_state_change(tid, at, next, preemptor);
+  }
 
-  void preemption(const PreemptionRecord& rec);
+  /// No-op at `Counters`.
+  void preemption(const PreemptionRecord& rec) {
+    if (full()) preemptions_.push_back(rec);
+  }
   void instant(InstantKind kind, sim::Time at, ThreadId tid = kNoThread,
                std::int64_t value = 0);
   void counter(const std::string& name, sim::Time at, double value);
@@ -128,15 +155,21 @@ class Tracer {
   /// at end of run before analysis; idempotent for already-terminated
   /// threads).
   void finalize(sim::Time at);
+  /// The latest time finalize() ran at (0 before): where the trace ends
+  /// at either level, since a `Counters` trace has no interval to say so.
+  sim::Time finalized_at() const noexcept { return finalized_at_; }
 
   /// Closed intervals in the order they closed. A deque: appending never
-  /// copies the intervals already recorded.
+  /// copies the intervals already recorded. Empty at `Counters`, as is
+  /// preemptions().
   const std::deque<StateInterval>& intervals() const noexcept { return intervals_; }
   const std::vector<PreemptionRecord>& preemptions() const noexcept { return preemptions_; }
   const std::vector<InstantEvent>& instants() const noexcept { return instants_; }
   const std::vector<CounterSample>& counters() const noexcept { return counters_; }
 
  private:
+  void record_state_change(ThreadId tid, sim::Time at, ThreadState next, ThreadId preemptor);
+
   struct OpenInterval {
     sim::Time begin = 0;
     ThreadState state = ThreadState::Created;
@@ -144,6 +177,8 @@ class Tracer {
     bool open = false;
   };
 
+  TraceLevel level_;
+  sim::Time finalized_at_ = 0;
   std::unordered_map<ThreadId, ThreadMeta> threads_;
   std::vector<OpenInterval> open_;  // index = tid (the scheduler's dense ids)
   std::deque<StateInterval> intervals_;

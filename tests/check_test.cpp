@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -393,7 +394,8 @@ TEST(OracleCorruption, PendingEventLeakTripsOnlyEngine) {
 // events trips the engine oracle and nothing else.
 TEST(OracleObservation, PendingEventLeakInLiveWorldTripsOnlyEngine) {
   scenario::ScenarioDriver driver(
-      scenario::single_video("fig16", 240, 30, 4, mem::PressureLevel::Normal, 1));
+      scenario::single_video("fig16", 240, 30, 4, mem::PressureLevel::Normal, 1),
+      trace::TraceLevel::Full);
   driver.prepare();
   driver.start();
   sim::Engine& engine = driver.testbed().engine;
@@ -406,6 +408,17 @@ TEST(OracleObservation, PendingEventLeakInLiveWorldTripsOnlyEngine) {
   EXPECT_EQ(obs.engine.pending_events, own + check::EngineOracle::kMaxPendingEvents + 1);
   check::OracleSuite suite;
   expect_only(suite, obs, "engine");
+}
+
+// The sched-state oracle reads tracer intervals, so the observer refuses
+// a world that records none instead of letting that oracle pass blind.
+TEST(OracleObservation, WorldObserverRefusesACountersWorld) {
+  scenario::ScenarioDriver driver(
+      scenario::single_video("fig16", 240, 30, 4, mem::PressureLevel::Normal, 1));
+  driver.start();
+  ASSERT_EQ(driver.testbed().tracer.level(), trace::TraceLevel::Counters);
+  check::WorldObserver observer;
+  EXPECT_THROW(observer.observe(driver), std::logic_error);
 }
 
 // ---------- Net oracle corruption (cc-mode link invariants) ------------------

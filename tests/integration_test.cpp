@@ -4,10 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <tuple>
 #include <vector>
 
 #include "runner/video_batch.hpp"
+#include "runner/warm_sweep.hpp"
 #include "snapshot/digest.hpp"
 #include "trace/analysis.hpp"
 #include "video/abr_policy.hpp"
@@ -81,14 +83,15 @@ TEST(Integration, CrashAlwaysLeavesKillAndCrashEvents) {
 }
 
 TEST(Integration, TraceIntervalsArePerThreadContiguous) {
-  scenario::ScenarioDriver driver(
-      quick_spec(core::nexus5(), 480, 60, PressureLevel::Moderate));
+  scenario::ScenarioDriver driver(quick_spec(core::nexus5(), 480, 60, PressureLevel::Moderate),
+                                  trace::TraceLevel::Full);
   driver.run();
   auto& tracer = driver.testbed().tracer;
   tracer.finalize(driver.testbed().engine.now());
   // For every thread, intervals must be non-overlapping and contiguous
   // in time order (the scheduler never leaves accounting gaps).
   std::map<trace::ThreadId, sim::Time> last_end;
+  ASSERT_FALSE(tracer.intervals().empty());
   for (const auto& interval : tracer.intervals()) {
     ASSERT_LE(interval.begin, interval.end);
     const auto it = last_end.find(interval.tid);
@@ -102,11 +105,12 @@ TEST(Integration, TraceIntervalsArePerThreadContiguous) {
 
 TEST(Integration, OnlyOneThreadRunsPerCoreAtATime) {
   scenario::ScenarioDriver driver(
-      quick_spec(core::nokia1(), 480, 60, PressureLevel::Moderate, 16));
+      quick_spec(core::nokia1(), 480, 60, PressureLevel::Moderate, 16), trace::TraceLevel::Full);
   driver.run();
   auto& tracer = driver.testbed().tracer;
   tracer.finalize(driver.testbed().engine.now());
   // Total Running time across all threads can never exceed cores x wall.
+  ASSERT_FALSE(tracer.intervals().empty());
   double running = 0.0;
   sim::Time end = 0;
   for (const auto& interval : tracer.intervals()) {
@@ -227,7 +231,8 @@ TEST(Integration, TrimSignalsReachSubscribersDuringExperiments) {
 // preemption records and instants are hashed in recorded order.
 TEST(Integration, CriticalWorldTraceContentIsPinned) {
   scenario::ScenarioDriver driver(
-      scenario::single_video("fig16", 480, 30, 10, PressureLevel::Critical, 1));
+      scenario::single_video("fig16", 480, 30, 10, PressureLevel::Critical, 1),
+      trace::TraceLevel::Full);
   driver.run();  // ends with tracer.finalize(now)
   const auto& tracer = driver.testbed().tracer;
 
@@ -261,6 +266,66 @@ TEST(Integration, CriticalWorldTraceContentIsPinned) {
   ASSERT_GT(tracer.preemptions().size(), 0u);
   EXPECT_EQ(intervals.size(), 33985u);
   EXPECT_EQ(h.value(), 0xcebe6de15ab584c1ULL);
+}
+
+std::uint64_t outcome_digest(const qoe::RunOutcome& outcome) {
+  snapshot::ByteWriter w;
+  runner::encode_cell_outcome(w, runner::CellRunOutcome{true, outcome, {}});
+  return snapshot::digest_bytes(w.view());
+}
+
+// The trace level only decides what is recorded. A fig09 Critical 720p60
+// world built at Counters and at Full passes through the same state at
+// every slice, ends with the same outcome and records the same instants
+// and counter samples; only Full keeps intervals and preemption records,
+// and the interval readers refuse the Counters world.
+TEST(Integration, TraceLevelChangesWhatIsRecordedNotTheWorld) {
+  const auto spec = scenario::single_video("fig09", 720, 60, 10, PressureLevel::Critical, 1);
+  scenario::ScenarioDriver counters(spec);
+  scenario::ScenarioDriver full(spec, trace::TraceLevel::Full);
+  counters.start();
+  full.start();
+  ASSERT_EQ(counters.state_digest(), full.state_digest());
+  int slices = 0;
+  for (bool more = true; more; ++slices) {
+    more = counters.advance_slice();
+    ASSERT_EQ(full.advance_slice(), more);
+    ASSERT_EQ(counters.state_digest(), full.state_digest()) << "slice " << slices;
+  }
+  EXPECT_GT(slices, 3);
+  const scenario::ScenarioResult a = counters.finalize();
+  const scenario::ScenarioResult b = full.finalize();
+  ASSERT_EQ(a.sessions.size(), 1u);
+  ASSERT_EQ(b.sessions.size(), 1u);
+  EXPECT_EQ(a.status, b.status);
+  EXPECT_EQ(outcome_digest(a.sessions[0].result.outcome),
+            outcome_digest(b.sessions[0].result.outcome));
+
+  const trace::Tracer& lean = counters.testbed().tracer;
+  const trace::Tracer& rich = full.testbed().tracer;
+  EXPECT_EQ(lean.intervals().size(), 0u);
+  EXPECT_EQ(lean.preemptions().size(), 0u);
+  EXPECT_GT(rich.intervals().size(), 0u);
+  EXPECT_GT(rich.preemptions().size(), 0u);
+  ASSERT_EQ(lean.instants().size(), rich.instants().size());
+  for (std::size_t i = 0; i < lean.instants().size(); ++i) {
+    const trace::InstantEvent& x = lean.instants()[i];
+    const trace::InstantEvent& y = rich.instants()[i];
+    EXPECT_EQ(std::tie(x.kind, x.at, x.tid, x.value), std::tie(y.kind, y.at, y.tid, y.value))
+        << "instant " << i;
+  }
+  ASSERT_EQ(lean.counters().size(), rich.counters().size());
+  for (std::size_t i = 0; i < lean.counters().size(); ++i) {
+    const trace::CounterSample& x = lean.counters()[i];
+    const trace::CounterSample& y = rich.counters()[i];
+    EXPECT_EQ(std::tie(x.name, x.at, x.value), std::tie(y.name, y.at, y.value))
+        << "counter sample " << i;
+  }
+
+  const video::VideoSession& session = *counters.video().session();
+  EXPECT_THROW(trace::state_times(lean, session.client_thread_ids()), std::logic_error);
+  EXPECT_THROW(trace::preemption_stats(lean, session.client_thread_ids(), "mmcqd"),
+               std::logic_error);
 }
 
 }  // namespace

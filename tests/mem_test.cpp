@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
@@ -63,6 +65,37 @@ MemoryConfig small_config() {
 }
 
 // -------- Registry ---------------------------------------------------------
+
+// P's decay memo returns what std::pow returns, bit for bit, whatever
+// the order of reads: fresh ages, repeats, and ages that evict each other
+// from one slot of the table.
+TEST(PressureDecay, MemoMatchesStdPowBitForBit) {
+  const auto reference = [](sim::Time age) {
+    return std::bit_cast<std::uint64_t>(std::pow(0.5, sim::to_seconds(age) / 1.5));
+  };
+  const PressureDecay memo;
+  const auto check = [&](sim::Time age) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(memo.factor(age)), reference(age)) << "age " << age;
+  };
+
+  std::vector<sim::Time> same_slot;
+  for (sim::Time age = 1; same_slot.size() < 3; ++age) {
+    if (PressureDecay::slot(age) == PressureDecay::slot(sim::msec(3))) same_slot.push_back(age);
+  }
+  ASSERT_EQ(PressureDecay::slot(same_slot[0]), PressureDecay::slot(same_slot[2]));
+  for (const std::size_t i : {0, 1, 0, 2, 1, 1, 0, 2, 2, 0}) check(same_slot[i]);
+
+  check(0);  // an empty slot already holds pow(0.5, 0)
+  std::uint64_t state = 12345;
+  for (int i = 0; i < 20000; ++i) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    // Mostly a few recurring batch spacings, sometimes a fresh age up to
+    // about an hour, so slots both hit and get overwritten.
+    const sim::Time age = (state >> 60) < 12 ? sim::usec(250) * static_cast<sim::Time>(1 + (state >> 61))
+                                             : static_cast<sim::Time>(1 + (state >> 32) % sim::hours(1));
+    check(age);
+  }
+}
 
 TEST(ProcessRegistry, AddFindRemove) {
   ProcessRegistry registry;

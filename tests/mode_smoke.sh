@@ -6,7 +6,7 @@
 # tool also gets a command-line check: a malformed flag exits 2 naming it,
 # and so does a coordinator-only flag on an in-process fuzz or fleet run.
 #
-#   tests/mode_smoke.sh fuzz   MVQOE_FUZZ       # 200 fuzz runs
+#   tests/mode_smoke.sh fuzz   MVQOE_FUZZ       # 48 fuzz runs, 6 shards of 8
 #   tests/mode_smoke.sh fleet  MVQOE_FLEET      # + the `report` round trip
 #   tests/mode_smoke.sh policy MVQOE_POLICY     # the four policy lanes
 #   tests/mode_smoke.sh cc     MVQOE_CAMPAIGN   # one sweep per controller
@@ -100,7 +100,14 @@ case "$CASE" in
       --kill-after-checkpoints; do
       check_cli "$flag" --runs 1 "$flag" 3
     done
-    check_modes fuzz 2 "--seed 5 --runs 200" "--resume" "--no-meta --out ." "" no
+    check_modes fuzz 2 "--seed 5 --runs 48" "--resume" "--no-meta --out ." "" no
+    # 6 shards of 8 on 4 workers, killed at the second finished shard: at
+    # most 5 shards have started, so the resume must take some of the 48
+    # runs from the checkpoint ("resumed: D/T runs ...") but never all.
+    taken=$(sed -n 's|^resumed: \([0-9]*\)/48 .*|\1|p' "$WORK/fuzz/resumed.log")
+    [ -n "$taken" ] && [ "$taken" -lt 48 ] ||
+      fail "fuzz: the resume took ${taken:-no}/48 runs from the checkpoint, not some but not all"
+    echo "ok: fuzz resumed $taken of 48 runs from the checkpoint"
     ;;
   fleet)
     check_cli --devices run --devices 1e6

@@ -454,5 +454,51 @@ TEST(Scheduler, SteadyBurstLoopAllocatesLessThanOncePerFourBursts) {
   EXPECT_LT(allocations * 4, bursts) << allocations << " allocations over " << bursts << " bursts";
 }
 
+/// An RT thread that wakes on a flat timer `period` µs after each burst
+/// completes, so every burst is a fresh wake.
+struct RtWaker {
+  sim::Engine* engine = nullptr;
+  Scheduler* sched = nullptr;
+  ThreadId tid = trace::kNoThread;
+  sim::Time period = 0;
+  std::uint64_t bursts = 0;
+
+  static void wake(void* ctx, std::uint64_t) {
+    auto* self = static_cast<RtWaker*>(ctx);
+    self->sched->run_work(self->tid, 50.0, [self] {
+      ++self->bursts;
+      self->engine->schedule_flat(self->period, &RtWaker::wake, self);
+    });
+  }
+};
+
+// The same gate with a preemption in every burst: an RT thread wakes
+// every 250 µs on the one core a long-running fair thread keeps busy, so
+// each wake preempts it, goes to the front of the RT queue and is
+// dispatched at once. At `Counters` the scheduler keeps no preemption
+// episodes, so the queue itself must not allocate per preemption.
+TEST(Scheduler, WakePreemptionLoopAllocatesLessThanOncePerFourBursts) {
+  sim::Engine engine;
+  trace::Tracer tracer(trace::TraceLevel::Counters);
+  Scheduler sched(engine, tracer, single_core(1.0));
+  BurstLoop busy{&sched, sched.create_thread(fair_spec("busy")), 20000.0};
+  RtWaker waker{&engine, &sched, sched.create_thread(rt_spec("mmcqd", 50)), usec(200)};
+  busy.submit();
+  RtWaker::wake(&waker, 0);
+
+  engine.run_until(sec(1));  // warm-up: buffers reach their working size
+  const std::uint64_t bursts_before = waker.bursts;
+  const std::uint64_t preempted_before = sched.counters(busy.tid).preemptions_suffered;
+  const std::uint64_t allocations_before = g_heap_allocations;
+  engine.run_until(sec(2));
+  const std::uint64_t allocations = g_heap_allocations - allocations_before;
+  const std::uint64_t bursts = waker.bursts - bursts_before;
+
+  ASSERT_GE(bursts, 3000u);
+  EXPECT_GE(sched.counters(busy.tid).preemptions_suffered - preempted_before, bursts - 1);
+  EXPECT_TRUE(tracer.preemptions().empty());
+  EXPECT_LT(allocations * 4, bursts) << allocations << " allocations over " << bursts << " bursts";
+}
+
 }  // namespace
 }  // namespace mvqoe::sched

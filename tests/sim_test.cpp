@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <utility>
 #include <vector>
@@ -21,6 +24,32 @@ TEST(Time, Conversions) {
   EXPECT_DOUBLE_EQ(to_seconds(sec(3)), 3.0);
   EXPECT_DOUBLE_EQ(to_millis(msec(7)), 7.0);
   EXPECT_EQ(from_seconds(2.5), sec(2) + msec(500));
+}
+
+// ceil_int replaces static_cast<int64_t>(std::ceil(x)) on the scheduler's
+// completion times and the reclaim budget, so it must agree everywhere:
+// integers, fractions, the 2^52 edge where doubles stop holding
+// fractions, denormals, signed zeros and negatives.
+TEST(Time, CeilIntMatchesStdCeil) {
+  const double two52 = 4503599627370496.0;
+  std::vector<double> xs = {0.0,   -0.0,  std::numeric_limits<double>::denorm_min(),
+                            1e-300, 0.5,  1.0,
+                            std::nextafter(1.0, 2.0), std::nextafter(1.0, 0.0),
+                            2.5,   1e6 + 0.25, -0.5, -1.0, -2.75, -1e-300};
+  for (double base : {two52, 2.0 * two52, 4.0 * two52}) {
+    for (double d = -4.0; d <= 4.0; d += 0.5) xs.push_back(base + d);
+    xs.push_back(std::nextafter(base, 0.0));
+    xs.push_back(std::nextafter(base, 2.0 * base));
+  }
+  std::uint64_t state = 0x9E3779B97F4A7C15ULL;
+  for (int i = 0; i < 20000; ++i) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    const double unit = static_cast<double>(state >> 11) * 0x1.0p-53;
+    xs.push_back(unit * std::ldexp(1.0, static_cast<int>(state % 60)));
+  }
+  for (const double x : xs) {
+    EXPECT_EQ(ceil_int(x), static_cast<std::int64_t>(std::ceil(x))) << std::hexfloat << x;
+  }
 }
 
 TEST(Engine, EventsFireInTimeOrder) {

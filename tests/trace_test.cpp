@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "trace/analysis.hpp"
 #include "trace/tracer.hpp"
 
@@ -56,6 +59,68 @@ TEST(Tracer, TerminatedClosesForGood) {
   tracer.finalize(sec(5));
   ASSERT_EQ(tracer.intervals().size(), 1u);
   EXPECT_EQ(tracer.intervals()[0].end, sec(1));
+}
+
+/// One stream of events for a tracer at either level: two threads, a
+/// preemption, an instant and a counter sample, finalized at 4.5 s.
+void feed(Tracer& tracer) {
+  tracer.register_thread(meta(1, "victim"));
+  tracer.register_thread(meta(2, "mmcqd", "kernel"));
+  tracer.state_change(1, 0, ThreadState::Running);
+  tracer.state_change(1, sec(1), ThreadState::RunnablePreempted, 2);
+  tracer.state_change(2, sec(1), ThreadState::Running);
+  tracer.state_change(2, msec(1200), ThreadState::Sleeping);
+  tracer.state_change(1, msec(1200), ThreadState::Running);
+  tracer.preemption({1, 2, sec(1), msec(200), msec(200)});
+  tracer.instant(InstantKind::ProcessKilled, msec(300), 1, 900);
+  tracer.counter("fps", msec(2100), 30.0);
+  tracer.finalize(msec(4500));
+}
+
+TEST(Tracer, CountersLevelKeepsOnlyInstantsAndCounterSamples) {
+  Tracer full;
+  Tracer counters(TraceLevel::Counters);
+  EXPECT_EQ(full.level(), TraceLevel::Full);
+  feed(full);
+  feed(counters);
+
+  EXPECT_EQ(full.intervals().size(), 5u);
+  EXPECT_EQ(full.preemptions().size(), 1u);
+  EXPECT_TRUE(counters.intervals().empty());
+  EXPECT_TRUE(counters.preemptions().empty());
+  ASSERT_EQ(counters.instants().size(), 1u);
+  ASSERT_EQ(counters.counters().size(), 1u);
+  EXPECT_EQ(counters.instants()[0].value, 900);
+  EXPECT_EQ(counters.counters()[0].value, 30.0);
+  ASSERT_NE(counters.thread(2), nullptr);
+  EXPECT_EQ(counters.thread(2)->name, "mmcqd");
+
+  // A trace ends where it was finalized at either level, so per-second
+  // instant and counter series come out the same length.
+  EXPECT_EQ(counters.finalized_at(), msec(4500));
+  EXPECT_EQ(instants_per_second(counters, InstantKind::ProcessKilled),
+            instants_per_second(full, InstantKind::ProcessKilled));
+  EXPECT_EQ(cumulative_instants(counters, InstantKind::ProcessKilled).size(), 5u);
+  EXPECT_EQ(per_second_series(counters, "fps"), per_second_series(full, "fps"));
+}
+
+TEST(Analysis, IntervalReadersRefuseACountersTrace) {
+  Tracer tracer(TraceLevel::Counters);
+  feed(tracer);
+  const auto expect_refused = [](const auto& read) {
+    try {
+      read();
+      ADD_FAILURE() << "a Counters trace was read as if it were Full";
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find("Counters"), std::string::npos) << e.what();
+    }
+  };
+  expect_refused([&] { state_times(tracer, {1}); });
+  expect_refused([&] { top_running_threads(tracer); });
+  expect_refused([&] { running_rank(tracer, "victim"); });
+  expect_refused([&] { preemption_stats(tracer, {1}, "mmcqd"); });
+  expect_refused([&] { state_fractions(tracer, 1); });
+  expect_refused([&] { running_fraction_per_second(tracer, 2); });
 }
 
 TEST(Analysis, StateTimesSumPerState) {
