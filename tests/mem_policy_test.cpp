@@ -18,6 +18,7 @@
 #include <limits>
 #include <map>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -922,6 +923,77 @@ TEST(PolicyDifferential, PoliciesProducePairwiseDistinctKillSequences) {
       EXPECT_NE(runs[a].digest, runs[b].digest)
           << mem::mem_policy_names()[a] << " vs " << mem::mem_policy_names()[b];
     }
+  }
+}
+
+// --- pinned policy state -----------------------------------------------------
+
+// Each policy's reference world ends in the state recorded when ariadne
+// kept its hotness in std::maps rebuilt every batch: however a policy
+// stores its state, every byte the world saves stays equal.
+TEST(PolicyPin, ReferenceWorldDigestsArePinned) {
+  const std::vector<std::pair<std::string, std::uint64_t>> expected = {
+      {"baseline", 0x44664984445f07b0},
+      {"swam", 0x4940acf627cc0217},
+      {"ariadne", 0x72678225015c55be},
+      {"partitioned", 0x96de6bfe142f1c80},
+  };
+  for (const auto& [name, digest] : expected) {
+    const ReferenceRun run = run_reference(name);
+    EXPECT_EQ(run.digest, digest) << name << " digest 0x" << std::hex << run.digest;
+  }
+}
+
+// Ariadne's MPOL section and the whole world's state after start and at
+// every 1 s slice of fig16 worlds under synthetic (Normal, Critical) and
+// organic pressure, folded into one hash per world, pinned as recorded
+// with the per-batch maps. Every world compresses pages, so its hotness
+// order and tiers are exercised, and its MPOL digest moves.
+TEST(PolicyPin, AriadneStateIsPinnedAtEverySlice) {
+  struct World {
+    mem::PressureLevel state;
+    int organic_apps;
+    int height;
+    std::uint64_t seed;
+    std::uint64_t expected;
+  };
+  const std::vector<World> worlds = {
+      {mem::PressureLevel::Normal, 0, 720, 11, 0x20d8eb8b7eb4ea6b},
+      {mem::PressureLevel::Critical, 0, 480, 12, 0xa3c846a1ddaf2409},
+      {mem::PressureLevel::Normal, 6, 720, 13, 0xa4e80fb2b4da86eb},
+      {mem::PressureLevel::Critical, 6, 480, 14, 0x76d79ac8da7eadce},
+  };
+  for (const World& world : worlds) {
+    scenario::ScenarioSpec spec =
+        scenario::single_video("fig16", world.height, 30, 30, world.state, world.seed);
+    spec.organic_background_apps = world.organic_apps;
+    spec.mem_policy.name = "ariadne";
+    scenario::ScenarioDriver driver(spec);
+    snapshot::StateHash hash;
+    std::size_t slices = 0;
+    std::set<std::uint64_t> mpol_digests;
+    const auto fold = [&] {
+      for (const auto& [name, digest] : driver.subsystem_digests()) {
+        if (name != "mem-policy") continue;
+        hash.mix(digest);
+        mpol_digests.insert(digest);
+      }
+      hash.mix(driver.state_digest());
+    };
+    driver.prepare();
+    driver.start();
+    fold();
+    while (driver.advance_slice()) {
+      ++slices;
+      fold();
+    }
+    driver.finalize();
+    const std::string label = std::string(mem::to_string(world.state)) + "/" +
+                              std::to_string(world.organic_apps);
+    EXPECT_GE(slices, 10u) << label;
+    EXPECT_GT(mpol_digests.size(), 1u) << label;
+    EXPECT_GT(driver.testbed().memory.vmstat().pswpout, 0u) << label;
+    EXPECT_EQ(hash.value(), world.expected) << label << " hash 0x" << std::hex << hash.value();
   }
 }
 
