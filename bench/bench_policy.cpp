@@ -4,8 +4,12 @@
 // grid — one Low-state fig16 cell, every registered reclaim/kill policy
 // — and records compare throughput (sweep groups/sec) plus one QoE
 // summary row per policy lane, so the cost of the policy indirection
-// gets a trajectory like BENCH_fleet.json. Two invariants are checked
-// on every run, not just smoke:
+// gets a trajectory like BENCH_fleet.json. Each lane's row also carries
+// its wall time per group: units are policy-major and land in unit order
+// from the compare's one worker process, so a lane's time is the gap
+// between the arrival of its last unit and of the previous lane's last
+// (the first lane's also holds the worker's fork). Two invariants are
+// checked on every run, not just smoke:
 //
 //   * the compare digest is identical across repetitions — a policy
 //     whose decisions depend on wall clock or address layout would
@@ -68,6 +72,7 @@ struct LaneSummary {
   double crash_percent = 0.0;
   double peak_pss_mb = 0.0;
   std::uint64_t digest = 0;
+  double ms_per_group = 0.0;  ///< best over the repetitions
 };
 
 LaneSummary summarize(const campaign::PolicyLane& lane, int runs, std::uint64_t seed) {
@@ -104,13 +109,20 @@ int main(int argc, char** argv) {
   std::uint64_t digest = 0;
   bool digest_stable = true;
   std::vector<LaneSummary> lanes;
+  const std::uint64_t groups_per_lane = groups / spec.policies.size();
   for (int r = 0; r < reps; ++r) {
+    std::vector<double> arrivals_ms;  // unit order: one worker lands them in order
+    campaign::CampaignOptions options;
     const auto t0 = std::chrono::steady_clock::now();
-    const campaign::PolicyCompareResult result =
-        campaign::run_policy_compare(spec, campaign::CampaignOptions{});
+    options.progress = [&](std::uint64_t, std::uint64_t) {
+      arrivals_ms.push_back(
+          std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
+              .count());
+    };
+    const campaign::PolicyCompareResult result = campaign::run_policy_compare(spec, options);
     const double wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
                               .count();
-    if (!result.campaign.complete) {
+    if (!result.campaign.complete || arrivals_ms.size() != groups) {
       std::fprintf(stderr, "FAIL: policy compare campaign did not complete\n");
       return 1;
     }
@@ -122,6 +134,12 @@ int main(int argc, char** argv) {
       }
     } else if (result.digest != digest) {
       digest_stable = false;
+    }
+    for (std::size_t i = 0; i < lanes.size(); ++i) {
+      const double start_ms = i == 0 ? 0.0 : arrivals_ms[i * groups_per_lane - 1];
+      const double ms_per_group = (arrivals_ms[(i + 1) * groups_per_lane - 1] - start_ms) /
+                                  static_cast<double>(groups_per_lane);
+      if (r == 0 || ms_per_group < lanes[i].ms_per_group) lanes[i].ms_per_group = ms_per_group;
     }
     const double groups_per_sec = static_cast<double>(groups) / wall_s;
     if (groups_per_sec > best_groups_per_sec) {
@@ -145,9 +163,10 @@ int main(int argc, char** argv) {
     }
   }
   for (const LaneSummary& lane : lanes) {
-    std::printf("  %-12s drop %8.4f%%  crash %6.2f%%  peak PSS %7.2f MB  lane=%016llx\n",
-                lane.policy.c_str(), lane.drop_percent, lane.crash_percent, lane.peak_pss_mb,
-                static_cast<unsigned long long>(lane.digest));
+    std::printf(
+        "  %-12s drop %8.4f%%  crash %6.2f%%  peak PSS %7.2f MB  %6.2f ms/group  lane=%016llx\n",
+        lane.policy.c_str(), lane.drop_percent, lane.crash_percent, lane.peak_pss_mb,
+        lane.ms_per_group, static_cast<unsigned long long>(lane.digest));
   }
 
   runner::JsonWriter json;
@@ -180,6 +199,7 @@ int main(int argc, char** argv) {
         .field("drop_percent", lane.drop_percent)
         .field("crash_percent", lane.crash_percent)
         .field("peak_pss_mb", lane.peak_pss_mb)
+        .field("ms_per_group", lane.ms_per_group)
         .field("digest", lane_hex)
         .end_object();
   }

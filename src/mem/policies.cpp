@@ -201,16 +201,8 @@ class AriadneReclaim final : public ReclaimPolicy {
 
   Pages zram_physical(Pages stored) const noexcept override {
     (void)stored;  // == cold_stored_ + warm_stored_ (conservation-checked)
-    Pages physical = 0;
-    if (cold_stored_ > 0) {
-      physical += static_cast<Pages>(
-          std::ceil(static_cast<double>(cold_stored_) / cold_ratio_));
-    }
-    if (warm_stored_ > 0) {
-      physical += static_cast<Pages>(
-          std::ceil(static_cast<double>(warm_stored_) / warm_ratio_));
-    }
-    return physical;
+    return sim::ceil_int(static_cast<double>(cold_stored_) / cold_ratio_) +
+           sim::ceil_int(static_cast<double>(warm_stored_) / warm_ratio_);
   }
 
   void note_swap_out(ProcessId pid, Pages pages, int tier) override {
@@ -250,60 +242,97 @@ class AriadneReclaim final : public ReclaimPolicy {
       w.i64(count.cold);
       w.i64(count.warm);
     }
-    w.u64(hotness_.size());
-    for (const auto& [pid, hot] : hotness_) {
-      w.u32(pid);
-      w.f64(hot);
+    // The hotness EMAs, then the CPU totals, each in pid order.
+    w.u64(rows_.size());
+    for (const HotRow& row : rows_) {
+      w.u32(row.pid);
+      w.f64(row.hot);
     }
-    w.u64(prev_cpu_.size());
-    for (const auto& [pid, cpu] : prev_cpu_) {
-      w.u32(pid);
-      w.f64(cpu);
+    w.u64(rows_.size());
+    for (const HotRow& row : rows_) {
+      w.u32(row.pid);
+      w.f64(row.prev_cpu);
     }
   }
 
  private:
+  /// One process's hotness state. rows_ is sorted by pid, the order
+  /// save() writes them in.
+  struct HotRow {
+    ProcessId pid = 0;
+    double prev_cpu = 0.0;  ///< the CPU total the last sample read
+    double hot = 0.0;       ///< hotness EMA
+    double cpu = 0.0;       ///< this sample's CPU total
+  };
+  /// coldest_first()'s sort key, read once per process.
+  struct ColdKey {
+    double hot;
+    std::uint64_t lru_seq;
+    const ProcessMem* process;
+  };
+
+  /// The row of `pid`, or where it would be inserted.
+  std::vector<HotRow>::const_iterator find_row(ProcessId pid) const noexcept {
+    return std::lower_bound(rows_.begin(), rows_.end(), pid,
+                            [](const HotRow& row, ProcessId p) { return row.pid < p; });
+  }
+
   double hotness_of(ProcessId pid) const noexcept {
-    const auto it = hotness_.find(pid);
-    return it == hotness_.end() ? 0.0 : it->second;
+    const auto it = find_row(pid);
+    return it != rows_.end() && it->pid == pid ? it->hot : 0.0;
   }
 
   /// Compression order: coldest process first (hotness asc, unique
-  /// lru_seq breaks ties → deterministic total order). Refills one
-  /// reused vector.
+  /// lru_seq breaks ties → deterministic total order). Refills two
+  /// reused vectors.
   const std::vector<const ProcessMem*>& coldest_first(ProcessRegistry& registry) {
-    order_.clear();
+    keys_.clear();
     for (const ProcessMem* process : registry.reclaim_order()) {
-      if (!process->unevictable) order_.push_back(process);
+      if (!process->unevictable) {
+        keys_.push_back({hotness_of(process->pid), process->lru_seq, process});
+      }
     }
-    std::sort(order_.begin(), order_.end(), [this](const ProcessMem* a, const ProcessMem* b) {
-      const double ha = hotness_of(a->pid);
-      const double hb = hotness_of(b->pid);
-      if (ha != hb) return ha < hb;
-      return a->lru_seq < b->lru_seq;
+    std::sort(keys_.begin(), keys_.end(), [](const ColdKey& a, const ColdKey& b) {
+      return a.hot != b.hot ? a.hot < b.hot : a.lru_seq < b.lru_seq;
     });
+    order_.clear();
+    for (const ColdKey& key : keys_) order_.push_back(key.process);
     return order_;
   }
 
   /// Fold the scheduler's cumulative per-thread CPU counters into a
-  /// per-process hotness EMA (one sample per batch). Ascending-tid
-  /// iteration makes the per-process fold deterministic; terminated
-  /// threads keep their final counters, so deltas stay non-negative.
+  /// per-process hotness EMA (one sample per batch). A row's total adds
+  /// its threads' counters in ascending tid order, which fixes how each
+  /// total rounds; terminated threads keep their final counters, so
+  /// deltas stay non-negative.
   void sample_hotness() {
     if (scheduler_ == nullptr) return;  // Immediate mode: LRU order only
-    std::map<ProcessId, double> cumulative;
-    const auto count = static_cast<sched::ThreadId>(scheduler_->thread_count());
-    for (sched::ThreadId tid = 1; tid <= count; ++tid) {
-      cumulative[static_cast<ProcessId>(scheduler_->pid_of(tid))] +=
-          scheduler_->counters(tid).cpu_refus_consumed;
+    const std::size_t threads = scheduler_->thread_count();
+    while (row_of_tid_.size() < threads) {
+      index_thread(scheduler_->pid_of(static_cast<sched::ThreadId>(row_of_tid_.size() + 1)));
     }
-    for (const auto& [pid, total] : cumulative) {
-      double& prev = prev_cpu_[pid];
-      const double delta = total - prev;
-      prev = total;
-      double& hot = hotness_[pid];
-      hot = 0.5 * hot + 0.5 * delta;
+    for (HotRow& row : rows_) row.cpu = 0.0;
+    for (std::size_t i = 0; i < threads; ++i) {
+      rows_[row_of_tid_[i]].cpu +=
+          scheduler_->counters(static_cast<sched::ThreadId>(i + 1)).cpu_refus_consumed;
     }
+    for (HotRow& row : rows_) {
+      const double delta = row.cpu - row.prev_cpu;
+      row.prev_cpu = row.cpu;
+      row.hot = 0.5 * row.hot + 0.5 * delta;
+    }
+  }
+
+  /// Map the next tid to its pid's row, inserting the row in pid order
+  /// when the pid is new.
+  void index_thread(ProcessId pid) {
+    const auto it = find_row(pid);
+    const auto row = static_cast<std::uint32_t>(it - rows_.cbegin());
+    if (it == rows_.end() || it->pid != pid) {
+      rows_.insert(it, HotRow{pid});
+      for (std::uint32_t& other : row_of_tid_) other += other >= row ? 1 : 0;
+    }
+    row_of_tid_.push_back(row);
   }
 
   struct TierCount {
@@ -320,9 +349,10 @@ class AriadneReclaim final : public ReclaimPolicy {
   Pages cold_stored_ = 0;
   Pages warm_stored_ = 0;
   std::map<ProcessId, TierCount> stored_;
-  std::map<ProcessId, double> hotness_;
-  std::map<ProcessId, double> prev_cpu_;
-  std::vector<const ProcessMem*> order_;  ///< coldest_first()'s buffer
+  std::vector<HotRow> rows_;
+  std::vector<std::uint32_t> row_of_tid_;  ///< [tid - 1] → index into rows_
+  std::vector<ColdKey> keys_;              ///< coldest_first()'s buffers
+  std::vector<const ProcessMem*> order_;
 };
 
 // --- factory -----------------------------------------------------------------

@@ -1,7 +1,6 @@
 #include "mem/policy.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "snapshot/digest.hpp"
@@ -62,8 +61,7 @@ int replay_kill_floor(const KillCharter& charter, double pressure, Pages availab
 
 Pages ReclaimPolicy::zram_physical(Pages stored) const noexcept {
   if (stored <= 0) return 0;
-  return static_cast<Pages>(
-      std::ceil(static_cast<double>(stored) / config_.zram_compression));
+  return sim::ceil_int(static_cast<double>(stored) / config_.zram_compression);
 }
 
 std::optional<ProcessId> KillPolicy::pick_victim(ProcessRegistry& registry, int min_adj) {

@@ -23,16 +23,6 @@ Scheduler::Scheduler(sim::Engine& engine, trace::Tracer& tracer, SchedulerConfig
   for (std::size_t i = 0; i < cores_.size(); ++i) cores_[i].config = config_.cores[i];
 }
 
-Scheduler::Thread& Scheduler::thread(ThreadId tid) {
-  assert(tid >= 1 && tid <= threads_.size());
-  return threads_[tid - 1];
-}
-
-const Scheduler::Thread& Scheduler::thread(ThreadId tid) const {
-  assert(tid >= 1 && tid <= threads_.size());
-  return threads_[tid - 1];
-}
-
 double Scheduler::weight_for_nice(int nice) const noexcept {
   // Linux CFS weights scale ~1.25x per nice step; normalize nice 0 -> 1.0.
   return std::pow(1.25, -nice);
@@ -63,10 +53,6 @@ bool Scheduler::is_idle(ThreadId tid) const {
 }
 
 trace::ThreadState Scheduler::state(ThreadId tid) const { return thread(tid).state; }
-
-const ThreadCounters& Scheduler::counters(ThreadId tid) const { return thread(tid).counters; }
-
-ProcessId Scheduler::pid_of(ThreadId tid) const { return thread(tid).spec.pid; }
 
 double Scheduler::vruntime(ThreadId tid) const { return thread(tid).vruntime; }
 

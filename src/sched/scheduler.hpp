@@ -29,6 +29,7 @@
 // those records runs only when the tracer records at `Full`.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -118,9 +119,9 @@ class Scheduler {
   bool is_idle(ThreadId tid) const;
   bool exists(ThreadId tid) const;
   trace::ThreadState state(ThreadId tid) const;
-  const ThreadCounters& counters(ThreadId tid) const;
+  const ThreadCounters& counters(ThreadId tid) const { return thread(tid).counters; }
   /// Owning process of a thread (hotness attribution in mem policies).
-  ProcessId pid_of(ThreadId tid) const;
+  ProcessId pid_of(ThreadId tid) const { return thread(tid).spec.pid; }
   std::size_t core_count() const noexcept { return cores_.size(); }
   /// Threads ever created; ids are dense starting at 1, so valid tids are
   /// exactly [1, thread_count()] (terminated ones included — check
@@ -186,8 +187,14 @@ class Scheduler {
     bool wait_filled = false;
   };
 
-  Thread& thread(ThreadId tid);
-  const Thread& thread(ThreadId tid) const;
+  Thread& thread(ThreadId tid) {
+    assert(tid >= 1 && tid <= threads_.size());
+    return threads_[tid - 1];
+  }
+  const Thread& thread(ThreadId tid) const {
+    assert(tid >= 1 && tid <= threads_.size());
+    return threads_[tid - 1];
+  }
 
   bool can_run_on(const Thread& t, std::size_t core) const;
   double weight_for_nice(int nice) const noexcept;

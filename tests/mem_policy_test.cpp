@@ -536,6 +536,206 @@ TEST(ReclaimPlanner, WalksStopWhereTheKeptSumsRunOut) {
   }
 }
 
+// --- the zRAM store's physical size ------------------------------------------
+
+// The store's physical size is an integer ceiling computed without libm,
+// equal to the std::ceil formula for every stored count up to the
+// store's capacity: the single-tier default at the preset ratio, and
+// each of ariadne's tiers at its 3.9 and 2.2.
+TEST(ZramPhysical, IntegerCeilingMatchesStdCeilUpToCapacity) {
+  const mem::MemoryConfig config;
+  const auto formula = [](mem::Pages stored, double ratio) {
+    return static_cast<mem::Pages>(std::ceil(static_cast<double>(stored) / ratio));
+  };
+  const auto single = mem::make_mem_policy({"baseline", {}}, config);
+  const auto cold = mem::make_mem_policy({"ariadne", {}}, config);
+  const auto warm = mem::make_mem_policy({"ariadne", {}}, config);
+  EXPECT_EQ(single->reclaim().zram_physical(0), 0);
+  EXPECT_EQ(cold->reclaim().zram_physical(0), 0);
+  std::optional<mem::Pages> first_mismatch;
+  for (mem::Pages stored = 1; stored <= config.zram_capacity; ++stored) {
+    cold->reclaim().note_swap_out(1, 1, 0);
+    warm->reclaim().note_swap_out(1, 1, 1);
+    if (single->reclaim().zram_physical(stored) != formula(stored, config.zram_compression) ||
+        cold->reclaim().zram_physical(stored) != formula(stored, 3.9) ||
+        warm->reclaim().zram_physical(stored) != formula(stored, 2.2)) {
+      first_mismatch = first_mismatch.value_or(stored);
+    }
+  }
+  EXPECT_EQ(first_mismatch, std::nullopt) << "first at " << first_mismatch.value_or(0);
+}
+
+// --- ariadne's hotness table -------------------------------------------------
+
+// Ariadne's state as the policy kept it in std::maps: every batch sums
+// each pid's thread counters into a fresh map in ascending tid order,
+// then probes the EMA and previous-total maps once per pid. With
+// reference_plan's sort, which looks both processes up per comparison,
+// and the MPOL bytes these maps wrote, it is the policy as it was.
+struct MapAriadne {
+  std::map<mem::ProcessId, double> hotness;
+  std::map<mem::ProcessId, double> prev_cpu;
+  std::map<mem::ProcessId, std::pair<mem::Pages, mem::Pages>> stored;  // cold, warm
+  mem::Pages cold = 0;
+  mem::Pages warm = 0;
+
+  void sample(const sched::Scheduler& scheduler) {
+    std::map<mem::ProcessId, double> cumulative;
+    for (sched::ThreadId tid = 1; tid <= scheduler.thread_count(); ++tid) {
+      cumulative[scheduler.pid_of(tid)] += scheduler.counters(tid).cpu_refus_consumed;
+    }
+    for (const auto& [pid, total] : cumulative) {
+      double& prev = prev_cpu[pid];
+      const double delta = total - prev;
+      prev = total;
+      double& hot = hotness[pid];
+      hot = 0.5 * hot + 0.5 * delta;
+    }
+  }
+
+  void swap_out(mem::ProcessId pid, mem::Pages pages, int tier) {
+    (tier == 0 ? stored[pid].first : stored[pid].second) += pages;
+    (tier == 0 ? cold : warm) += pages;
+  }
+
+  std::string mpol_bytes() const {
+    snapshot::ByteWriter w;
+    w.u32(1);
+    mem::save_policy_spec(w, {"ariadne", {}});
+    w.u32(1);
+    w.i64(cold);
+    w.i64(warm);
+    w.u64(stored.size());
+    for (const auto& [pid, tiers] : stored) {
+      w.u32(pid);
+      w.i64(tiers.first);
+      w.i64(tiers.second);
+    }
+    for (const auto* map : {&hotness, &prev_cpu}) {
+      w.u64(map->size());
+      for (const auto& [pid, value] : *map) {
+        w.u32(pid);
+        w.f64(value);
+      }
+    }
+    return std::string(w.view());
+  }
+};
+
+// The flat table against the maps on seeded thread histories: threads
+// created for new pids above and below the known ones and late threads
+// for old pids, bursts of fractional work on cores of two speeds (so a
+// pid's total depends on the order of its additions), zero-work bursts,
+// terminated threads and batches that land mid-burst. At every batch the
+// plan (order, tiers, cpu_refus bits) and the MPOL bytes are equal.
+TEST(AriadneHotness, FlatTableEqualsThePerBatchMapsPlanForPlan) {
+  const mem::MemoryConfig config;
+  const mem::Pages batch = config.kswapd_batch;
+  const ReferencePolicy reference{
+      {batch, batch * 2}, [](const mem::ProcessMem&) { return true; }, true, {34.0, 14.0}};
+  int new_low_pids = 0;
+  int late_threads = 0;
+  int terminated = 0;
+  int zero_bursts = 0;
+  std::array<int, 2> tier_takes = {0, 0};
+  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+    stats::Rng rng(seed);
+    sim::Engine engine;
+    trace::Tracer tracer(trace::TraceLevel::Counters);
+    sched::Scheduler scheduler(
+        engine, tracer, {.cores = {sched::CoreConfig{1.0}, sched::CoreConfig{1.7}}});
+    const auto policy = mem::make_mem_policy({"ariadne", {}}, config);
+    policy->reclaim().attach_scheduler(&scheduler);
+    MapAriadne maps;
+    mem::ProcessRegistry registry;
+    std::vector<sched::ThreadId> threads;
+    std::set<mem::ProcessId> sampled_pids;  // pids with a thread at the last batch
+    mem::ReclaimPlan plan;
+    for (int step = 0; step < 20; ++step) {
+      // Pids come from 20..30 at first, then from 1..30: new pids land
+      // below the table's rows as well as above and between them.
+      const std::int64_t lowest_pid = step < 5 ? 20 : 1;
+      for (int action = 0; action < 6; ++action) {
+        switch (rng.uniform_int(0, 4)) {
+          case 0: {
+            const auto pid = static_cast<sched::ProcessId>(rng.uniform_int(lowest_pid, 30));
+            if (!sampled_pids.empty() && pid < *sampled_pids.begin()) ++new_low_pids;
+            if (sampled_pids.count(pid) != 0) ++late_threads;
+            sched::ThreadSpec spec;
+            spec.pid = pid;
+            threads.push_back(scheduler.create_thread(spec));
+            break;
+          }
+          case 1:
+          case 2:
+          case 3: {
+            if (threads.empty()) break;
+            const sched::ThreadId tid =
+                threads[static_cast<std::size_t>(rng.uniform_int(0, threads.size() - 1))];
+            if (!scheduler.exists(tid) || !scheduler.is_idle(tid)) break;
+            const bool zero = rng.bernoulli(0.15);
+            zero_bursts += zero;
+            scheduler.run_work(tid, zero ? 0.0 : rng.uniform(1.0, 4000.0), [] {});
+            break;
+          }
+          case 4: {
+            if (threads.empty() || !rng.bernoulli(0.5)) break;
+            const sched::ThreadId tid =
+                threads[static_cast<std::size_t>(rng.uniform_int(0, threads.size() - 1))];
+            if (!scheduler.exists(tid)) break;
+            scheduler.terminate(tid);
+            ++terminated;
+            break;
+          }
+        }
+      }
+      engine.run_until(engine.now() + rng.uniform_int(0, 12000));
+      // Registry processes for some of the same pids, reshaped each step.
+      for (int m = 0; m < 4; ++m) {
+        const auto pid = static_cast<mem::ProcessId>(rng.uniform_int(1, 32));
+        const mem::ProcessMem* process = registry.find(pid);
+        if (process == nullptr) {
+          process = &registry.add(pid, "p", rng.bernoulli(0.5) ? mem::OomAdj::kCached
+                                                               : mem::OomAdj::kService);
+        }
+        registry.move_pages(*process, {.anon_resident = rng.uniform_int(0, 24),
+                                       .file_resident = rng.uniform_int(0, 8)});
+        registry.set_hot_pages(pid, rng.uniform_int(0, 40));
+        if (rng.bernoulli(0.3)) registry.touch(pid);
+        if (rng.bernoulli(0.1)) registry.set_unevictable(pid, rng.bernoulli(0.5));
+      }
+
+      const mem::Pages available = config.minfree_service + (rng.bernoulli(0.3) ? -1 : 1);
+      mem::ReclaimView view{registry, available, maps.cold + maps.warm, 0, 0};
+      policy->reclaim().plan_batch(view, plan);
+      maps.sample(scheduler);
+      ASSERT_EQ(render_plan(plan), render_plan(reference_plan(config, view, reference,
+                                                               maps.hotness)))
+          << "seed " << seed << " step " << step;
+      for (const auto& take : plan.compress) {
+        registry.move_pages(*take.process,
+                            {.anon_resident = -take.pages, .anon_swapped = take.pages});
+        policy->reclaim().note_swap_out(take.process->pid, take.pages, take.tier);
+        maps.swap_out(take.process->pid, take.pages, take.tier);
+        ++tier_takes[take.tier];
+      }
+      snapshot::ByteWriter mpol;
+      policy->save(mpol);
+      ASSERT_EQ(mpol.view(), maps.mpol_bytes()) << "seed " << seed << " step " << step;
+      for (sched::ThreadId tid = 1; tid <= scheduler.thread_count(); ++tid) {
+        sampled_pids.insert(scheduler.pid_of(tid));
+      }
+    }
+  }
+  // The histories reach every case the table handles.
+  EXPECT_GT(new_low_pids, 0);
+  EXPECT_GT(late_threads, 0);
+  EXPECT_GT(terminated, 0);
+  EXPECT_GT(zero_bursts, 0);
+  EXPECT_GT(tier_takes[0], 0);
+  EXPECT_GT(tier_takes[1], 0);
+}
+
 // --- serialization of the policy axis ---------------------------------------
 
 TEST(PolicySpec, RoundTripsThroughBytesWithParams) {

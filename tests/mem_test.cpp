@@ -524,6 +524,58 @@ TEST(MemoryManagerScheduled, DirectReclaimStallsAllocatingThread) {
   EXPECT_GT(fx.manager.vmstat().direct_reclaim_entries, 0u);
 }
 
+// Ariadne's batches allocate nothing once its hotness table has a row
+// for every thread: in a long scheduled-mode reclaim (small batches,
+// kswapd running batch after batch, two threads per process) the table
+// is refilled in place, and the world stays far below one heap
+// allocation per 100 batches.
+TEST(MemoryManagerScheduled, AriadneBatchesAllocateLessThanOncePerHundred) {
+  sim::Engine engine;
+  trace::Tracer tracer(trace::TraceLevel::Counters);
+  sched::Scheduler scheduler(engine, tracer, ScheduledFixture::sched_config());
+  storage::StorageDevice storage(engine, scheduler, storage::StorageConfig{});
+  MemoryConfig config = small_config();
+  config.kswapd_batch = 2;
+  // Room in zRAM for every anonymous page: each batch then takes its
+  // whole budget and frees at least a page, so kswapd never stops early.
+  config.zram_capacity = pages_from_mb(256);
+  MemoryManager manager(engine, config, scheduler, storage, tracer, {"ariadne", {}});
+  for (const ProcessId pid : {100u, 200u, 300u}) {
+    manager.register_process(pid, "app", pid == 100 ? OomAdj::kForeground : OomAdj::kCached);
+    manager.registry().set_killable(pid, false);
+    for (const double work : {1000.0, 3000.0}) {
+      sched::ThreadSpec spec;
+      spec.pid = pid;
+      scheduler.run_work(scheduler.create_thread(spec), work, [] {});
+    }
+  }
+  manager.alloc_anon(200, pages_from_mb(40), 0, nullptr);
+  manager.alloc_anon(300, pages_from_mb(40), 0, nullptr);
+  // Warm-up: one reclaim to the high watermark indexes every thread.
+  manager.alloc_anon(100, pages_from_mb(104), 0, nullptr);
+  ASSERT_LT(manager.free_pages(), config.watermark_low);
+  engine.run_until(sec(1));
+  ASSERT_GE(manager.free_pages(), config.watermark_high);
+
+  const VmStat before = manager.vmstat();
+  const std::uint64_t allocations_before = g_heap_allocations;
+  manager.alloc_anon(100, manager.free_pages() - config.watermark_min - 1, 0, nullptr);
+  engine.run_until(sec(2));
+  const std::uint64_t allocations = g_heap_allocations - allocations_before;
+  const VmStat& after = manager.vmstat();
+  // A desperate batch scans twice the batch, so this undercounts.
+  const std::uint64_t batches =
+      (after.pgscan_kswapd - before.pgscan_kswapd) / static_cast<std::uint64_t>(2 * config.kswapd_batch);
+
+  ASSERT_GE(manager.free_pages(), config.watermark_high);
+  ASSERT_GE(batches, 1000u);
+  EXPECT_EQ(after.direct_reclaim_entries, before.direct_reclaim_entries);
+  EXPECT_EQ(after.kills_lmkd, 0u);
+  EXPECT_LT(allocations * 100, batches) << allocations << " allocations over " << batches
+                                        << " batches";
+  EXPECT_TRUE(manager.check_conservation().ok) << manager.check_conservation().detail;
+}
+
 TEST(MemoryManagerScheduled, WritebackGoesThroughMmcqd) {
   ScheduledFixture fx;
   fx.manager.register_process(100, "app", OomAdj::kForeground);
