@@ -19,9 +19,9 @@
 //     a no-op (a factory wiring regression, not a tuning question).
 //
 // `--smoke` is the bench ctest tier: it additionally fails when compare
-// throughput falls below a conservative floor (about a fifth of what
-// the reference 1-core box sustains), so a per-group cost regression in
-// the policy plumbing fails the suite instead of silently landing.
+// throughput falls below a conservative floor (well under a fifth of what
+// a shared 4-vCPU VM sustains), so a per-group cost regression in the
+// policy plumbing fails the suite instead of silently landing.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -221,10 +221,10 @@ int main(int argc, char** argv) {
   }
   if (!lanes_distinct) return 1;
   if (smoke && !MVQOE_BENCH_SANITIZED) {
-    // Regression tripwire: the reference 1-core box sustains ~75-85
-    // groups/sec on the smoke grid; a fifth of that means a per-group
-    // cost regression (policy factory churn in the world loop, a
-    // reclaim plan allocation storm, ...).
+    // Regression tripwire: a shared 4-vCPU VM sustains about 100-230
+    // groups/sec on the smoke grid (Release, GCC 12.2); under 15 means a
+    // per-group cost regression (policy factory churn in the world loop,
+    // a reclaim plan allocation storm, ...).
     if (best_groups_per_sec < 15.0) {
       std::fprintf(stderr, "FAIL: policy compare throughput %.1f groups/sec < 15 floor\n",
                    best_groups_per_sec);

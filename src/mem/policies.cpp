@@ -262,7 +262,12 @@ class AriadneReclaim final : public ReclaimPolicy {
     ProcessId pid = 0;
     double prev_cpu = 0.0;  ///< the CPU total the last sample read
     double hot = 0.0;       ///< hotness EMA
-    double cpu = 0.0;       ///< this sample's CPU total
+  };
+  /// A thread and its process. pid_threads_ is sorted by (pid, tid), so
+  /// each row's threads form one run, in ascending tid order.
+  struct PidThread {
+    ProcessId pid;
+    sched::ThreadId tid;
   };
   /// coldest_first()'s sort key, read once per process.
   struct ColdKey {
@@ -307,32 +312,30 @@ class AriadneReclaim final : public ReclaimPolicy {
   /// deltas stay non-negative.
   void sample_hotness() {
     if (scheduler_ == nullptr) return;  // Immediate mode: LRU order only
-    const std::size_t threads = scheduler_->thread_count();
-    while (row_of_tid_.size() < threads) {
-      index_thread(scheduler_->pid_of(static_cast<sched::ThreadId>(row_of_tid_.size() + 1)));
+    while (pid_threads_.size() < scheduler_->thread_count()) {
+      index_thread(static_cast<sched::ThreadId>(pid_threads_.size() + 1));
     }
-    for (HotRow& row : rows_) row.cpu = 0.0;
-    for (std::size_t i = 0; i < threads; ++i) {
-      rows_[row_of_tid_[i]].cpu +=
-          scheduler_->counters(static_cast<sched::ThreadId>(i + 1)).cpu_refus_consumed;
-    }
+    auto thread = pid_threads_.cbegin();
     for (HotRow& row : rows_) {
-      const double delta = row.cpu - row.prev_cpu;
-      row.prev_cpu = row.cpu;
+      double total = 0.0;
+      for (; thread != pid_threads_.cend() && thread->pid == row.pid; ++thread) {
+        total += scheduler_->counters(thread->tid).cpu_refus_consumed;
+      }
+      const double delta = total - row.prev_cpu;
+      row.prev_cpu = total;
       row.hot = 0.5 * row.hot + 0.5 * delta;
     }
   }
 
-  /// Map the next tid to its pid's row, inserting the row in pid order
-  /// when the pid is new.
-  void index_thread(ProcessId pid) {
-    const auto it = find_row(pid);
-    const auto row = static_cast<std::uint32_t>(it - rows_.cbegin());
-    if (it == rows_.end() || it->pid != pid) {
-      rows_.insert(it, HotRow{pid});
-      for (std::uint32_t& other : row_of_tid_) other += other >= row ? 1 : 0;
-    }
-    row_of_tid_.push_back(row);
+  /// Index a new thread behind its process's others, and give a new pid
+  /// its row in pid order.
+  void index_thread(sched::ThreadId tid) {
+    const ProcessId pid = scheduler_->pid_of(tid);
+    pid_threads_.insert(std::upper_bound(pid_threads_.begin(), pid_threads_.end(), pid,
+                                         [](ProcessId p, const PidThread& t) { return p < t.pid; }),
+                        {pid, tid});
+    const auto row = find_row(pid);
+    if (row == rows_.end() || row->pid != pid) rows_.insert(row, {pid});
   }
 
   struct TierCount {
@@ -350,8 +353,8 @@ class AriadneReclaim final : public ReclaimPolicy {
   Pages warm_stored_ = 0;
   std::map<ProcessId, TierCount> stored_;
   std::vector<HotRow> rows_;
-  std::vector<std::uint32_t> row_of_tid_;  ///< [tid - 1] → index into rows_
-  std::vector<ColdKey> keys_;              ///< coldest_first()'s buffers
+  std::vector<PidThread> pid_threads_;
+  std::vector<ColdKey> keys_;  ///< coldest_first()'s buffers
   std::vector<const ProcessMem*> order_;
 };
 
