@@ -23,6 +23,16 @@ Scheduler::Scheduler(sim::Engine& engine, trace::Tracer& tracer, SchedulerConfig
   for (std::size_t i = 0; i < cores_.size(); ++i) cores_[i].config = config_.cores[i];
 }
 
+Scheduler::Thread& Scheduler::thread(ThreadId tid) {
+  assert(tid >= 1 && tid <= threads_.size());
+  return threads_[tid - 1];
+}
+
+const Scheduler::Thread& Scheduler::thread(ThreadId tid) const {
+  assert(tid >= 1 && tid <= threads_.size());
+  return threads_[tid - 1];
+}
+
 double Scheduler::weight_for_nice(int nice) const noexcept {
   // Linux CFS weights scale ~1.25x per nice step; normalize nice 0 -> 1.0.
   return std::pow(1.25, -nice);

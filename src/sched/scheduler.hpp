@@ -119,9 +119,17 @@ class Scheduler {
   bool is_idle(ThreadId tid) const;
   bool exists(ThreadId tid) const;
   trace::ThreadState state(ThreadId tid) const;
-  const ThreadCounters& counters(ThreadId tid) const { return thread(tid).counters; }
+  /// Inline, with pid_of: ariadne's reclaim batches read both for every
+  /// thread.
+  const ThreadCounters& counters(ThreadId tid) const {
+    assert(tid >= 1 && tid <= threads_.size());
+    return threads_[tid - 1].counters;
+  }
   /// Owning process of a thread (hotness attribution in mem policies).
-  ProcessId pid_of(ThreadId tid) const { return thread(tid).spec.pid; }
+  ProcessId pid_of(ThreadId tid) const {
+    assert(tid >= 1 && tid <= threads_.size());
+    return threads_[tid - 1].spec.pid;
+  }
   std::size_t core_count() const noexcept { return cores_.size(); }
   /// Threads ever created; ids are dense starting at 1, so valid tids are
   /// exactly [1, thread_count()] (terminated ones included — check
@@ -187,14 +195,8 @@ class Scheduler {
     bool wait_filled = false;
   };
 
-  Thread& thread(ThreadId tid) {
-    assert(tid >= 1 && tid <= threads_.size());
-    return threads_[tid - 1];
-  }
-  const Thread& thread(ThreadId tid) const {
-    assert(tid >= 1 && tid <= threads_.size());
-    return threads_[tid - 1];
-  }
+  Thread& thread(ThreadId tid);
+  const Thread& thread(ThreadId tid) const;
 
   bool can_run_on(const Thread& t, std::size_t core) const;
   double weight_for_nice(int nice) const noexcept;

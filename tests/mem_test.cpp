@@ -564,8 +564,8 @@ TEST(MemoryManagerScheduled, AriadneBatchesAllocateLessThanOncePerHundred) {
   const std::uint64_t allocations = g_heap_allocations - allocations_before;
   const VmStat& after = manager.vmstat();
   // A desperate batch scans twice the batch, so this undercounts.
-  const std::uint64_t batches =
-      (after.pgscan_kswapd - before.pgscan_kswapd) / static_cast<std::uint64_t>(2 * config.kswapd_batch);
+  const std::uint64_t batches = (after.pgscan_kswapd - before.pgscan_kswapd) /
+                                static_cast<std::uint64_t>(2 * config.kswapd_batch);
 
   ASSERT_GE(manager.free_pages(), config.watermark_high);
   ASSERT_GE(batches, 1000u);
