@@ -618,6 +618,31 @@ TEST(Localization, NamesFirstDivergingEventOfPerturbedRun) {
   EXPECT_GE(loc.event_time, sim::sec(2));
 }
 
+// The harness tests above check oracle names only. These pin the exact
+// violation and localization of the perturbed failing_spec(), so that
+// moving the bit flip by one slice or one event fails.
+TEST(ReplayPin, PerturbedCheckViolationIsPinned) {
+  const check::RunReport report = check::check_scenario(failing_spec(), perturbed_options());
+  ASSERT_FALSE(report.ok);
+  EXPECT_EQ(report.violation->oracle, "meta-determinism");
+  EXPECT_EQ(report.violation->offset, sim::sec(2));
+  EXPECT_EQ(report.violation->detail,
+            "re-run MISMATCH at checkpoint 2 (t=+2s): expected 5e68c34ba2aac69, got "
+            "f7f491e6fecdbf6");
+}
+
+TEST(ReplayPin, PerturbedLocalizationIsPinned) {
+  const scenario::ScenarioSpec spec = failing_spec();
+  const check::RunReport report = check::check_scenario(spec, perturbed_options());
+  ASSERT_FALSE(report.ok);
+  const check::Localization loc =
+      check::localize_violation(spec, *report.violation, sim::sec(2));
+  ASSERT_TRUE(loc.located) << loc.detail;
+  EXPECT_EQ(loc.event_time, 309'400'655);
+  EXPECT_EQ(loc.event_seq, 131857u);
+  EXPECT_EQ(loc.subsystem, "sysact");
+}
+
 TEST(Repro, BlobRoundTripsAndReplays) {
   check::Repro repro;
   repro.spec = failing_spec();

@@ -186,6 +186,41 @@ TEST(Replay, BisectPinpointsInjectedPerturbation) {
   EXPECT_GT(report.event_seq, 0u);
 }
 
+// VerifyPassesCleanAndCatchesPerturbation and
+// BisectPinpointsInjectedPerturbation check offsets and intervals only.
+// These pin every field of the same perturbed verify and bisection, so
+// that moving the bit flip by one slice or one event fails even where the
+// interval stays the same.
+TEST(ReplayPin, PerturbedVerifyMismatchIsPinned) {
+  const ScenarioSpec scen =
+      single_video("fig16", 720, 48, 12, mem::PressureLevel::Normal, 7);
+  const Snapshot blob = replay::record_run(scen, {sec(4), std::nullopt});
+
+  const auto report = replay::verify_replay(blob, sec(6));
+  ASSERT_FALSE(report.ok);
+  EXPECT_EQ(report.mismatch_index, 2u);
+  EXPECT_EQ(report.mismatch_offset, sec(8));
+  EXPECT_EQ(report.reached_offset, sec(8));
+  EXPECT_EQ(report.expected, 0x5fa352a0c036d1a0ULL);
+  EXPECT_EQ(report.actual, 0x43fc2bc1081b3e9eULL);
+}
+
+TEST(ReplayPin, BisectDivergenceIsPinned) {
+  const ScenarioSpec scen =
+      single_video("fig16", 720, 48, 12, mem::PressureLevel::Normal, 7);
+  const Snapshot blob = replay::record_run(scen, {sec(4), std::nullopt});
+
+  const auto report = replay::bisect_divergence(blob, sec(6));
+  ASSERT_TRUE(report.diverged);
+  EXPECT_EQ(report.interval_index, 2u);
+  EXPECT_EQ(report.interval_start, sec(4));
+  EXPECT_EQ(report.interval_end, sec(8));
+  EXPECT_EQ(report.event_time, 8'201'979);
+  EXPECT_EQ(report.event_seq, 4778u);
+  EXPECT_EQ(report.probes, 3);
+  EXPECT_EQ(report.subsystem, "sysact");
+}
+
 TEST(Replay, RecordedBlobSurvivesSerializeParse) {
   fault::FaultPlan plan;
   plan.link_outages.push_back({sec(2), sec(1)});
