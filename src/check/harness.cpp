@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "scenario/driver.hpp"
 #include "snapshot/digest.hpp"
 #include "stats/rng.hpp"
 
@@ -22,15 +23,15 @@ Violation meta_violation(const std::string& oracle, std::string detail, sim::Tim
 RunReport check_scenario(const scenario::ScenarioSpec& scen, const CheckOptions& opts) {
   RunReport report;
   // Full trace: the sched-state oracle reads every closed interval.
-  snapshot::replay::ReplayDriver drv(scen, trace::TraceLevel::Full);
-  if (opts.perturb_at) drv.set_perturb_at(*opts.perturb_at);
+  scenario::ScenarioDriver drv(scen, trace::TraceLevel::Full);
+  if (opts.perturb_at) drv.perturb_at(*opts.perturb_at);
   drv.start();
-  drv.driver().testbed().engine.set_livelock_limit(opts.livelock_limit);
+  drv.testbed().engine.set_livelock_limit(opts.livelock_limit);
 
   WorldObserver observer;
   OracleSuite suite;
   const auto sample = [&](bool final_obs) {
-    const WorldObservation obs = observer.observe(drv.driver(), final_obs);
+    const WorldObservation obs = observer.observe(drv, final_obs);
     const auto v = final_obs ? suite.final_check(obs) : suite.check(obs);
     if (v) {
       report.ok = false;
@@ -39,12 +40,12 @@ RunReport check_scenario(const scenario::ScenarioSpec& scen, const CheckOptions&
     return report.ok;
   };
 
-  report.trail.push_back({drv.offset(), drv.digest()});
+  report.trail.push_back({drv.offset(), drv.state_digest()});
   if (!sample(false)) return report;
   while (!drv.done()) {
-    drv.advance_to_offset(drv.offset() + sim::sec(1));
+    drv.advance_to(drv.offset() + sim::sec(1));
     ++report.slices;
-    report.trail.push_back({drv.offset(), drv.digest()});
+    report.trail.push_back({drv.offset(), drv.state_digest()});
     if (!sample(false)) return report;
   }
   report.final_digest = report.trail.back().digest;
@@ -282,13 +283,14 @@ Localization localize_violation(const scenario::ScenarioSpec& spec, const Violat
   // Oracle violations: re-run the world, warm the stateful oracles up to
   // the slice before the recorded violation, then single-step engine
   // events through the violating slice re-checking after each one.
-  snapshot::replay::ReplayDriver drv(spec, trace::TraceLevel::Full);
+  scenario::ScenarioDriver drv(spec, trace::TraceLevel::Full);
   drv.start();
-  drv.driver().testbed().engine.set_livelock_limit(opts.livelock_limit);
+  sim::Engine& engine = drv.testbed().engine;
+  engine.set_livelock_limit(opts.livelock_limit);
   WorldObserver observer;
   OracleSuite suite;
   const auto trip = [&](bool final_obs) {
-    const WorldObservation obs = observer.observe(drv.driver(), final_obs);
+    const WorldObservation obs = observer.observe(drv, final_obs);
     return final_obs ? suite.final_check(obs) : suite.check(obs);
   };
 
@@ -298,7 +300,7 @@ Localization localize_violation(const scenario::ScenarioSpec& spec, const Violat
   }
   const sim::Time warm_to = violation.offset > 0 ? violation.offset - sim::sec(1) : 0;
   while (drv.offset() < warm_to && !drv.done()) {
-    drv.advance_to_offset(drv.offset() + sim::sec(1));
+    drv.advance_to(drv.offset() + sim::sec(1));
     if (auto v = trip(false)) {
       loc.detail = "violation reproduced earlier than recorded (offset " +
                    std::to_string(drv.offset()) + "us)";
@@ -309,13 +311,14 @@ Localization localize_violation(const scenario::ScenarioSpec& spec, const Violat
   constexpr int kMaxSteps = 2'000'000;
   const sim::Time slice_end = drv.video_start() + violation.offset;
   for (int steps = 1; steps <= kMaxSteps; ++steps) {
-    const auto next = drv.next_event();
-    if (!next || next->first > slice_end) break;
-    if (!drv.step_event()) break;
+    const auto live = engine.live_events();
+    if (live.empty() || live.front().first > slice_end) break;
+    const auto [event_time, event_seq] = live.front();
+    if (!engine.step()) break;
     if (auto v = trip(false)) {
       loc.located = true;
-      loc.event_time = next->first;
-      loc.event_seq = next->second;
+      loc.event_time = event_time;
+      loc.event_seq = event_seq;
       loc.subsystem = v->oracle;
       loc.probes = steps;
       loc.detail = v->detail;

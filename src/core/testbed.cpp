@@ -52,13 +52,6 @@ void Testbed::add_background_duty(mem::ProcessId pid, sim::Time period) {
   if (system_activity_ != nullptr) system_activity_->add_process(pid, period);
 }
 
-Workload& Testbed::add_workload(std::unique_ptr<Workload> workload) {
-  workloads_.push_back(std::move(workload));
-  Workload& added = *workloads_.back();
-  added.register_components(components_);
-  return added;
-}
-
 void Testbed::boot() {
   am.boot(profile_.system_scale, profile_.baseline_cached);
   am.enable_respawn(engine, profile_.baseline_cached);

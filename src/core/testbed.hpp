@@ -8,11 +8,9 @@
 
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "core/device.hpp"
 #include "core/registry.hpp"
-#include "core/workload.hpp"
 #include "mem/memory_manager.hpp"
 #include "net/link.hpp"
 #include "proc/activity_manager.hpp"
@@ -52,18 +50,11 @@ class Testbed {
   const SystemActivity* system_activity() const noexcept { return system_activity_.get(); }
 
   /// Snapshot component registry. The six wired subsystems register at
-  /// construction, SystemActivity at boot(), workloads when added — so
-  /// save_state()/digest paths never depend on a hand-maintained list.
+  /// construction, SystemActivity at boot(), a scenario's workloads as
+  /// they attach or start — so save_state()/digest paths never depend on
+  /// a hand-maintained list.
   ComponentRegistry& components() noexcept { return components_; }
   const ComponentRegistry& components() const noexcept { return components_; }
-
-  /// Host a workload; registers its snapshot components and returns a
-  /// reference valid for the Testbed's lifetime. The ScenarioDriver
-  /// phases workloads through attach/start/advance/finalize in this
-  /// vector's order.
-  Workload& add_workload(std::unique_ptr<Workload> workload);
-  const std::vector<std::unique_ptr<Workload>>& workloads() const noexcept { return workloads_; }
-  std::vector<std::unique_ptr<Workload>>& workloads() noexcept { return workloads_; }
 
   sim::Engine engine;
   trace::Tracer tracer;
@@ -78,7 +69,6 @@ class Testbed {
   std::uint64_t seed_;
   std::unique_ptr<SystemActivity> system_activity_;
   ComponentRegistry components_;
-  std::vector<std::unique_ptr<Workload>> workloads_;
 };
 
 }  // namespace mvqoe::core

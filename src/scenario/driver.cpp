@@ -34,10 +34,10 @@ ScenarioDriver::ScenarioDriver(ScenarioSpec spec, trace::TraceLevel trace_level)
   // inducer (even at a Normal target), so the scenario does too.
   std::size_t inducers = 0;
   if (spec_.organic_background_apps > 0) {
-    testbed_->add_workload(
+    workloads_.push_back(
         std::make_unique<BackgroundDutyWorkload>("organic", spec_.organic_background_apps));
   } else {
-    testbed_->add_workload(
+    workloads_.push_back(
         std::make_unique<PressureInducerWorkload>("pressure", spec_.state, inducers++));
   }
   // Fail at construction, not at start(): the numbered fourcc tags
@@ -49,18 +49,18 @@ ScenarioDriver::ScenarioDriver(ScenarioSpec spec, trace::TraceLevel trace_level)
   std::size_t cross_traffic = 0;
   for (const WorkloadSpec& workload : spec_.workloads) {
     if (const auto* video = std::get_if<VideoWorkloadSpec>(&workload)) {
-      auto& added = testbed_->add_workload(std::make_unique<VideoSessionWorkload>(
-          *video, platform_for(spec_, *video), video_index++));
-      videos_.push_back(static_cast<VideoSessionWorkload*>(&added));
+      auto session = std::make_unique<VideoSessionWorkload>(*video, platform_for(spec_, *video),
+                                                            video_index++);
+      videos_.push_back(session.get());
+      workloads_.push_back(std::move(session));
     } else if (const auto* apps = std::get_if<BackgroundAppsWorkloadSpec>(&workload)) {
-      testbed_->add_workload(std::make_unique<BackgroundDutyWorkload>(apps->label, apps->count));
+      workloads_.push_back(std::make_unique<BackgroundDutyWorkload>(apps->label, apps->count));
     } else if (const auto* pressure = std::get_if<PressureWorkloadSpec>(&workload)) {
-      testbed_->add_workload(std::make_unique<PressureInducerWorkload>(pressure->label,
-                                                                       pressure->target,
-                                                                       inducers++));
+      workloads_.push_back(std::make_unique<PressureInducerWorkload>(
+          pressure->label, pressure->target, inducers++));
     } else {
       const auto& cross = std::get<CrossTrafficWorkloadSpec>(workload);
-      testbed_->add_workload(std::make_unique<CrossTrafficWorkload>(cross, cross_traffic++));
+      workloads_.push_back(std::make_unique<CrossTrafficWorkload>(cross, cross_traffic++));
     }
   }
 }
@@ -79,7 +79,7 @@ void ScenarioDriver::prepare() {
   if (prepared_) return;
   prepared_ = true;
   testbed_->boot();
-  for (auto& workload : testbed_->workloads()) {
+  for (auto& workload : workloads_) {
     workload->attach(*testbed_);
     start_level_ = std::max(start_level_, workload->observed_level());
   }
@@ -101,7 +101,7 @@ void ScenarioDriver::start() {
   // advance the engine (the Workload contract), so engine.now() is
   // constant across the loop.
   video_start_ = tb.engine.now();
-  for (auto& workload : tb.workloads()) {
+  for (auto& workload : workloads_) {
     workload->start(tb);
   }
 
@@ -116,7 +116,7 @@ void ScenarioDriver::start() {
 
 bool ScenarioDriver::done() const noexcept {
   bool all_done = true;
-  for (const auto& workload : testbed_->workloads()) {
+  for (const auto& workload : workloads_) {
     all_done = all_done && workload->done();
   }
   return all_done || testbed_->engine.now() >= horizon_;
@@ -125,9 +125,6 @@ bool ScenarioDriver::done() const noexcept {
 bool ScenarioDriver::advance_slice() {
   if (done()) return false;
   testbed_->engine.run_until(testbed_->engine.now() + sim::sec(1));
-  for (auto& workload : testbed_->workloads()) {
-    workload->advance_slice(*testbed_);
-  }
   return true;
 }
 
@@ -135,7 +132,7 @@ ScenarioResult ScenarioDriver::finalize() {
   core::Testbed& tb = *testbed_;
   ScenarioResult result;
   result.start_level = start_level_;
-  for (auto& workload : tb.workloads()) {
+  for (auto& workload : workloads_) {
     workload->finalize(tb);
   }
   tb.tracer.finalize(tb.engine.now());
@@ -151,6 +148,32 @@ ScenarioResult ScenarioDriver::finalize() {
     result.sessions.push_back(std::move(report));
   }
   return result;
+}
+
+bool ScenarioDriver::advance_to(sim::Time offset) {
+  const sim::Time target = video_start_ + offset;
+  while (testbed_->engine.now() < target) {
+    maybe_perturb();
+    if (!advance_slice()) return false;
+  }
+  maybe_perturb();
+  return true;
+}
+
+void ScenarioDriver::perturb_now() {
+  core::SystemActivity* activity = testbed_->system_activity();
+  if (activity == nullptr) {
+    throw std::runtime_error("scenario: cannot perturb before the testbed booted");
+  }
+  stats::Rng::State state = activity->rng().save_state();
+  state.s[1] ^= 1ULL << 23;
+  activity->rng().restore_state(state);
+  perturbed_ = true;
+}
+
+void ScenarioDriver::maybe_perturb() {
+  if (!perturb_at_.has_value() || perturbed_) return;
+  if (testbed_->engine.now() >= video_start_ + *perturb_at_) perturb_now();
 }
 
 void ScenarioDriver::save_state(snapshot::Snapshot& snap) const {

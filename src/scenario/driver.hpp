@@ -1,19 +1,28 @@
-// Scenario execution driver (DESIGN.md §11).
+// Scenario execution driver (DESIGN.md §11) — the only driver of a
+// scenario world.
 //
-// Runs N workloads on one Testbed through a phased prepare/start/
-// advance/finalize API: every workload attaches during the world phase
-// (pressure regimes block until established), every session starts at
-// the same instant, and one 1-second slice cadence advances them all —
-// so concurrent video sessions contend for the same pages, CPU and link
-// inside a single simulated device. The §5 trace-analysis benches run a
-// scenario to completion and then dissect testbed() and video().
+// Owns the workloads and runs them on one Testbed through a phased
+// prepare/start/advance/finalize API: every workload attaches during the
+// world phase (pressure regimes block until established), every session
+// starts at the same instant, and one 1-second slice cadence advances
+// them all — so concurrent video sessions contend for the same pages,
+// CPU and link inside a single simulated device. The §5 trace-analysis
+// benches run a scenario to completion and then dissect testbed() and
+// video().
 //
-// The single-video event sequence is pinned by the golden-blob replay
-// test (tests/data/golden_fig16.blob); the snapshot surface walks the
+// Restoring a checkpoint is replay, not deserialization (DESIGN.md §10):
+// the engine's queue holds closures that cannot be serialized, so a blob
+// stores the scenario plus a digest trail, and "restore to T" re-runs
+// the scenario with advance_to(T). The slice boundaries are observable
+// state (the clock lands on them even when no event does), so every
+// record, verify and bisect walk steps through this driver's slices. The
+// single-video event sequence is pinned by the golden-blob replay test
+// (tests/data/golden_fig16.blob); the snapshot surface walks the
 // Testbed's component registry.
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -74,6 +83,25 @@ class ScenarioDriver {
   /// results.
   ScenarioResult finalize();
 
+  // --- Replay stepping (DESIGN.md §10) -------------------------------------
+  /// Offset of the clock from video start.
+  sim::Time offset() const noexcept { return testbed_->engine.now() - video_start_; }
+  /// Advance in 1-second slices until video start + `offset` (a whole
+  /// number of seconds). Returns false if the scenario finished (or hit
+  /// its horizon) before the target — the clock then rests on the last
+  /// slice boundary reached. A pending perturbation is applied here
+  /// only: before each slice once the clock is at or past its offset, and
+  /// on reaching the target.
+  bool advance_to(sim::Time offset);
+  /// Test/bisection hook: at the first slice boundary >= video start +
+  /// `offset` that advance_to() reaches, flip one bit of the
+  /// SystemActivity RNG state — the smallest possible state corruption,
+  /// invisible until the stream is next consumed. Set before start().
+  void perturb_at(sim::Time offset) { perturb_at_ = offset; }
+  /// Apply the one-bit RNG perturbation immediately.
+  void perturb_now();
+  bool perturbed() const noexcept { return perturbed_; }
+
   // --- Snapshot surface (component registry; DESIGN.md §11) ---------------
   void save_state(snapshot::Snapshot& snap) const;
   std::uint64_t state_digest() const;
@@ -94,12 +122,17 @@ class ScenarioDriver {
   sim::Time playback_start(std::size_t index = 0) const;
   /// Simulated time start() ran at (-1 before then).
   sim::Time video_start() const noexcept { return video_start_; }
-  sim::Time horizon() const noexcept { return horizon_; }
 
  private:
+  void maybe_perturb();
+
   ScenarioSpec spec_;
   std::unique_ptr<core::Testbed> testbed_;
-  /// Views into testbed_->workloads(), in spec order.
+  /// Phased in this order. Declared after testbed_ so that the workloads
+  /// are destroyed first: their PeriodicTasks and armed FaultInjectors
+  /// cancel engine events in their destructors.
+  std::vector<std::unique_ptr<Workload>> workloads_;
+  /// Views into workloads_, in spec order.
   std::vector<VideoSessionWorkload*> videos_;
 
   bool prepared_ = false;
@@ -107,6 +140,8 @@ class ScenarioDriver {
   mem::PressureLevel start_level_ = mem::PressureLevel::Normal;
   sim::Time video_start_ = -1;
   sim::Time horizon_ = -1;
+  std::optional<sim::Time> perturb_at_;
+  bool perturbed_ = false;
 };
 
 /// Convenience single run.

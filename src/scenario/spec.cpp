@@ -109,10 +109,10 @@ void require_serializable(const ScenarioSpec& scen) {
   for (const WorkloadSpec& workload : scen.workloads) {
     const auto* video = std::get_if<VideoWorkloadSpec>(&workload);
     if (video == nullptr) continue;
-    if (video->abr != nullptr || video->session_override.has_value() ||
-        video->asset_override.has_value() || video->recovery.has_value()) {
+    if (video->abr != nullptr || video->asset_override.has_value() ||
+        video->recovery.has_value()) {
       throw std::invalid_argument(
-          "scenario: runtime-only video knobs (abr/session/asset/recovery overrides) are not "
+          "scenario: runtime-only video knobs (abr/asset/recovery overrides) are not "
           "serializable");
     }
   }

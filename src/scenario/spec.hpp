@@ -29,8 +29,8 @@
 namespace mvqoe::scenario {
 
 /// One video playback session. Serializable except for the runtime-only
-/// hooks (abr / session_override / asset_override / recovery) —
-/// save_scenario throws if a spec carrying those is recorded.
+/// hooks (abr / asset_override / recovery) — save_scenario throws if a
+/// spec carrying those is recorded.
 struct VideoWorkloadSpec {
   std::string label = "video";
   int height = 1080;
@@ -47,7 +47,6 @@ struct VideoWorkloadSpec {
   /// Asset override; unset = dubai_flow_motion(duration_s).
   std::optional<video::VideoAsset> asset_override;
   video::AbrPolicy* abr = nullptr;
-  std::optional<video::SessionConfig> session_override;
   std::optional<video::RecoveryConfig> recovery;
 };
 

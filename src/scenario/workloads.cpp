@@ -35,8 +35,6 @@ VideoSessionWorkload::VideoSessionWorkload(VideoWorkloadSpec spec, video::Player
 
 VideoSessionWorkload::~VideoSessionWorkload() = default;
 
-void VideoSessionWorkload::attach(core::Testbed& testbed) { (void)testbed; }
-
 void VideoSessionWorkload::set_cell(int height, int fps, std::uint64_t video_seed) {
   if (session_ != nullptr) {
     throw std::logic_error("scenario: set_cell after the session started");
@@ -50,19 +48,13 @@ void VideoSessionWorkload::start(core::Testbed& testbed) {
   if (session_ != nullptr) return;
   core::Testbed& tb = testbed;
 
-  video::SessionConfig config = spec_.session_override.value_or(video::SessionConfig{});
-  if (!spec_.session_override.has_value()) {
-    config.asset = spec_.asset_override.value_or(video::dubai_flow_motion(spec_.duration_s));
-    config.profile = video::PlayerProfile::for_platform(platform_);
-    const auto rung = config.ladder.find(spec_.height, spec_.fps);
-    config.initial_rung = rung.value_or(config.ladder.rungs().front());
-    config.seed = stats::derive_seed(spec_.seed, 0xBEEF);
-  }
-  if (spec_.recovery.has_value()) config.recovery = *spec_.recovery;
-  if (!config.next_pid) {
-    config.next_pid = [&tb] { return tb.am.next_pid(); };
-  }
-  config_ = config;
+  config_.asset = spec_.asset_override.value_or(video::dubai_flow_motion(spec_.duration_s));
+  config_.profile = video::PlayerProfile::for_platform(platform_);
+  const auto rung = config_.ladder.find(spec_.height, spec_.fps);
+  config_.initial_rung = rung.value_or(config_.ladder.rungs().front());
+  config_.seed = stats::derive_seed(spec_.seed, 0xBEEF);
+  if (spec_.recovery.has_value()) config_.recovery = *spec_.recovery;
+  config_.next_pid = [&tb] { return tb.am.next_pid(); };
 
   session_ = std::make_unique<video::VideoSession>(tb.engine, tb.scheduler, tb.memory, tb.link,
                                                    tb.tracer, config_, spec_.abr);

@@ -1,6 +1,7 @@
-// First-party Workload implementations (DESIGN.md §11): the video
-// session, the organic background-app cohort and the synthetic pressure
-// inducer — composable in any number per scenario.
+// The workload interface and its first-party implementations (DESIGN.md
+// §11): the video session, the organic background-app cohort, the
+// synthetic pressure inducer and cross traffic — composable in any
+// number per scenario.
 #pragma once
 
 #include <functional>
@@ -12,16 +13,51 @@
 #include "core/pressure_inducer.hpp"
 #include "core/run_spec.hpp"
 #include "core/testbed.hpp"
-#include "core/workload.hpp"
 #include "scenario/spec.hpp"
 #include "stats/rng.hpp"
 
 namespace mvqoe::scenario {
 
+/// One independently specified actor on the simulated device. The
+/// ScenarioDriver owns an ordered vector of them and phases them all
+/// through four hooks:
+///
+///   attach()    world phase, after boot. Pressure workloads block here
+///               until their regime is established (the §4.1 "start the
+///               video after the pressure signal" rule). Between it and
+///               start(), ScenarioDriver::set_cell may retarget the video
+///               cell.
+///   start()     arm faults, build sessions, begin playback. Must not
+///               advance the engine: every workload starts at one
+///               instant.
+///   done()      true when the workload has nothing left to do. Blocking
+///               workloads (video sessions) gate the run; ambient ones
+///               (background duty) report true always.
+///   finalize()  disarm faults, settle accounting. No engine time.
+///
+/// A workload whose state enters snapshots adds its save()/digest() hooks
+/// to the testbed's component registry in attach() or start().
+class Workload {
+ public:
+  virtual ~Workload() = default;
+
+  virtual std::string label() const = 0;
+
+  virtual void attach(core::Testbed& testbed) { (void)testbed; }
+  virtual void start(core::Testbed& testbed) { (void)testbed; }
+  virtual bool done() const = 0;
+  virtual void finalize(core::Testbed& testbed) { (void)testbed; }
+
+  /// Worst pressure level this workload observed while establishing its
+  /// regime during attach(); the scenario's start_level is the max over
+  /// workloads.
+  virtual mem::PressureLevel observed_level() const { return mem::PressureLevel::Normal; }
+};
+
 /// One video playback session. Blob sections VIDE/FALT for session 0 —
 /// byte-compatible with the legacy experiment — and VIDn/FLTn for later
 /// sessions (n = 1..9).
-class VideoSessionWorkload final : public core::Workload {
+class VideoSessionWorkload final : public Workload {
  public:
   /// `index` is the session's position among the scenario's video
   /// workloads (drives snapshot tags and registry ordering keys);
@@ -30,11 +66,9 @@ class VideoSessionWorkload final : public core::Workload {
   ~VideoSessionWorkload() override;
 
   std::string label() const override { return spec_.label; }
-  void attach(core::Testbed& testbed) override;
   void start(core::Testbed& testbed) override;
   bool done() const override { return finished_; }
   void finalize(core::Testbed& testbed) override;
-  mem::PressureLevel observed_level() const override { return mem::PressureLevel::Normal; }
 
   /// Retarget the video cell before start() (ScenarioDriver::set_cell).
   void set_cell(int height, int fps, std::uint64_t video_seed);
@@ -65,13 +99,12 @@ class VideoSessionWorkload final : public core::Workload {
 /// after lmkd kills) for the whole run. Owns no snapshot sections — its
 /// state lives in the memory manager / activity manager / system
 /// activity sections.
-class BackgroundDutyWorkload final : public core::Workload {
+class BackgroundDutyWorkload final : public Workload {
  public:
   BackgroundDutyWorkload(std::string label, int count);
 
   std::string label() const override { return label_; }
   void attach(core::Testbed& testbed) override;
-  void start(core::Testbed& testbed) override { (void)testbed; }
   bool done() const override { return true; }
   mem::PressureLevel observed_level() const override { return observed_; }
 
@@ -88,14 +121,13 @@ class BackgroundDutyWorkload final : public core::Workload {
 /// MP-Simulator-style synthetic pressure (paper §4.1): allocate until
 /// the target pressure signal arrives, then maintain it. Blob section
 /// INDC for inducer 0 (legacy-compatible), INDn for later ones.
-class PressureInducerWorkload final : public core::Workload {
+class PressureInducerWorkload final : public Workload {
  public:
   PressureInducerWorkload(std::string label, mem::PressureLevel target, std::size_t index);
   ~PressureInducerWorkload() override;
 
   std::string label() const override { return label_; }
   void attach(core::Testbed& testbed) override;
-  void start(core::Testbed& testbed) override { (void)testbed; }
   bool done() const override { return true; }
   mem::PressureLevel observed_level() const override { return observed_; }
 
@@ -117,17 +149,15 @@ class PressureInducerWorkload final : public core::Workload {
 /// genuinely compete with the video session's segment fetches; on a
 /// fifo link they simply queue ahead of it. Blob section XTRC for
 /// workload 0, XTRn for later ones (registry key 130+i).
-class CrossTrafficWorkload final : public core::Workload {
+class CrossTrafficWorkload final : public Workload {
  public:
   CrossTrafficWorkload(CrossTrafficWorkloadSpec spec, std::size_t index);
   ~CrossTrafficWorkload() override;
 
   std::string label() const override { return spec_.label; }
-  void attach(core::Testbed& testbed) override { (void)testbed; }
   void start(core::Testbed& testbed) override;
   bool done() const override { return true; }
   void finalize(core::Testbed& testbed) override;
-  mem::PressureLevel observed_level() const override { return mem::PressureLevel::Normal; }
 
   const CrossTrafficWorkloadSpec& spec() const noexcept { return spec_; }
 

@@ -4,6 +4,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "scenario/driver.hpp"
+
 namespace mvqoe::snapshot::replay {
 
 namespace {
@@ -25,16 +27,16 @@ Snapshot record_run(const scenario::ScenarioSpec& scen, const RecordOptions& opt
   if (options.interval <= 0 || options.interval % sim::sec(1) != 0) {
     throw std::invalid_argument("snapshot: checkpoint interval must be whole positive seconds");
   }
-  ReplayDriver driver(scen);
-  if (options.perturb_at.has_value()) driver.set_perturb_at(*options.perturb_at);
+  scenario::ScenarioDriver driver(scen);
+  if (options.perturb_at.has_value()) driver.perturb_at(*options.perturb_at);
   driver.start();
 
   std::vector<TrailEntry> trail;
-  trail.push_back(TrailEntry{0, driver.digest()});
+  trail.push_back(TrailEntry{0, driver.state_digest()});
   while (!driver.done()) {
     if (options.stop != nullptr && *options.stop != 0) break;
-    driver.advance_to_offset(driver.offset() + options.interval);
-    trail.push_back(TrailEntry{driver.offset(), driver.digest()});
+    driver.advance_to(driver.offset() + options.interval);
+    trail.push_back(TrailEntry{driver.offset(), driver.state_digest()});
   }
 
   Snapshot snap;
@@ -45,10 +47,10 @@ Snapshot record_run(const scenario::ScenarioSpec& scen, const RecordOptions& opt
   }
   // Subsystem state sections at the final trail point — captured before
   // finalize(), which disarms the injector and would shift the digests.
-  driver.save(snap);
-  const auto subsystem = driver.digests();
+  driver.save_state(snap);
+  const auto subsystem = driver.subsystem_digests();
   const sim::Time video_start = driver.video_start();
-  const mvqoe::scenario::ScenarioResult result = driver.finalize();
+  const scenario::ScenarioResult result = driver.finalize();
   {
     ByteWriter w;
     w.u32(1);  // section version
@@ -133,16 +135,16 @@ scenario::ScenarioSpec load_blob_scenario(const Snapshot& blob) {
 
 VerifyReport verify_trail(const scenario::ScenarioSpec& scen, const std::vector<TrailEntry>& trail,
                           std::optional<sim::Time> perturb_at) {
-  ReplayDriver driver(scen);
-  if (perturb_at.has_value()) driver.set_perturb_at(*perturb_at);
+  scenario::ScenarioDriver driver(scen);
+  if (perturb_at.has_value()) driver.perturb_at(*perturb_at);
   driver.start();
 
   VerifyReport report;
   for (std::size_t i = 0; i < trail.size(); ++i) {
     const TrailEntry& entry = trail[i];
-    if (entry.offset > driver.offset()) driver.advance_to_offset(entry.offset);
+    if (entry.offset > driver.offset()) driver.advance_to(entry.offset);
     ++report.checked;
-    const std::uint64_t actual = driver.digest();
+    const std::uint64_t actual = driver.state_digest();
     if (driver.offset() != entry.offset || actual != entry.digest) {
       report.mismatch_index = i;
       report.mismatch_offset = entry.offset;
@@ -198,34 +200,38 @@ DivergenceReport bisect_divergence(const Snapshot& blob, sim::Time perturb_at) {
   // event-by-event. The perturbation applies once the clock passes
   // perturb_at — exactly the slice semantics: events at time <= S run
   // clean, the first event after S sees the corrupted stream.
-  ReplayDriver clean(scen);
-  ReplayDriver dirty(scen);
+  scenario::ScenarioDriver clean(scen);
+  scenario::ScenarioDriver dirty(scen);
   clean.start();
   dirty.start();
   if (report.interval_start > 0) {
-    clean.advance_to_offset(report.interval_start);
-    dirty.advance_to_offset(report.interval_start);
+    clean.advance_to(report.interval_start);
+    dirty.advance_to(report.interval_start);
   }
+  sim::Engine& clean_engine = clean.testbed().engine;
+  sim::Engine& dirty_engine = dirty.testbed().engine;
   const sim::Time s_abs = dirty.video_start() + perturb_at;
   while (true) {
-    const auto next = dirty.next_event();
-    if (!dirty.perturbed() && (!next.has_value() || next->first > s_abs)) {
+    // The (time, seq) of the next live event; none once the queue drained.
+    const auto live = dirty_engine.live_events();
+    const bool drained = live.empty();
+    if (!dirty.perturbed() && (drained || live.front().first > s_abs)) {
       dirty.perturb_now();
     }
     if (dirty.perturbed()) {
       // Until the perturbation lands the two drivers are identical by
       // construction; digest comparison only starts afterwards.
-      const auto diff = first_digest_diff(clean.digests(), dirty.digests());
+      const auto diff = first_digest_diff(clean.subsystem_digests(), dirty.subsystem_digests());
       if (diff.has_value()) {
-        report.event_time = next.has_value() ? next->first : dirty.now();
-        report.event_seq = next.has_value() ? next->second : 0;
+        report.event_time = drained ? dirty_engine.now() : live.front().first;
+        report.event_seq = drained ? 0 : live.front().second;
         report.subsystem = *diff;
         return report;
       }
     }
-    if (!next.has_value()) break;  // queues drained without divergence
-    clean.step_event();
-    dirty.step_event();
+    if (drained) break;  // queues drained without divergence
+    clean_engine.step();
+    dirty_engine.step();
   }
   // Boundary digests disagreed but the lockstep walk found no differing
   // subsystem — should be unreachable; report the interval alone.

@@ -21,7 +21,6 @@
 
 #include "scenario/spec.hpp"
 #include "snapshot/blob.hpp"
-#include "snapshot/replay/driver.hpp"
 
 namespace mvqoe::snapshot::replay {
 

@@ -5,8 +5,8 @@
 
 #include "core/testbed.hpp"
 #include "fault/fault_injector.hpp"
+#include "scenario/driver.hpp"
 #include "scenario/spec.hpp"
-#include "snapshot/replay/driver.hpp"
 
 namespace mvqoe::fault {
 namespace {
@@ -249,8 +249,6 @@ TEST(FaultInjector, GilbertElliottBadPeriodsMixOutagesAndRateCollapses) {
 // "Restore" is replay (DESIGN.md §10): a fresh driver advanced to the
 // same offset must carry an identical injector schedule and digest.
 TEST(FaultInjector, CheckpointMidOutageRestoresRemainingSchedule) {
-  using snapshot::replay::ReplayDriver;
-
   FaultPlan plan;
   plan.link_outages.push_back({sec(4), sec(4)});           // open [4, 8]
   plan.link_outages.push_back({sec(10), sec(2)});          // entirely ahead
@@ -258,10 +256,10 @@ TEST(FaultInjector, CheckpointMidOutageRestoresRemainingSchedule) {
   const scenario::ScenarioSpec scen =
       scenario::single_video("fig16", 480, 30, 16, mem::PressureLevel::Normal, 11, plan);
 
-  ReplayDriver a(scen);
+  scenario::ScenarioDriver a(scen);
   a.start();
-  ASSERT_TRUE(a.advance_to_offset(sec(6)));  // inside both open windows
-  fault::FaultInjector* inj_a = a.driver().injector();
+  ASSERT_TRUE(a.advance_to(sec(6)));  // inside both open windows
+  fault::FaultInjector* inj_a = a.injector();
   ASSERT_NE(inj_a, nullptr);
   EXPECT_EQ(inj_a->open_outages(), 1);
   EXPECT_EQ(inj_a->open_storage_windows(), 1);
@@ -273,10 +271,10 @@ TEST(FaultInjector, CheckpointMidOutageRestoresRemainingSchedule) {
   EXPECT_EQ(sched_a.front().at, video_start + sec(8));
   EXPECT_EQ(sched_a.back().at, video_start + sec(12));
 
-  ReplayDriver b(scen);
+  scenario::ScenarioDriver b(scen);
   b.start();
-  ASSERT_TRUE(b.advance_to_offset(sec(6)));
-  fault::FaultInjector* inj_b = b.driver().injector();
+  ASSERT_TRUE(b.advance_to(sec(6)));
+  fault::FaultInjector* inj_b = b.injector();
   ASSERT_NE(inj_b, nullptr);
   const auto sched_b = inj_b->pending_schedule();
   ASSERT_EQ(sched_b.size(), sched_a.size());
@@ -285,15 +283,15 @@ TEST(FaultInjector, CheckpointMidOutageRestoresRemainingSchedule) {
     EXPECT_EQ(sched_a[i].id, sched_b[i].id) << "entry " << i;
   }
   EXPECT_EQ(inj_a->digest(), inj_b->digest());
-  EXPECT_EQ(a.digest(), b.digest());
+  EXPECT_EQ(a.state_digest(), b.state_digest());
 
   // Running on from the checkpoint closes the windows identically: the
   // replayed world is indistinguishable from the original to the end.
-  while (!a.done()) a.advance_to_offset(a.offset() + sec(2));
-  while (!b.done()) b.advance_to_offset(b.offset() + sec(2));
+  while (!a.done()) a.advance_to(a.offset() + sec(2));
+  while (!b.done()) b.advance_to(b.offset() + sec(2));
   EXPECT_EQ(inj_a->open_outages(), 0);
   EXPECT_EQ(inj_a->log().size(), inj_b->log().size());
-  EXPECT_EQ(a.digest(), b.digest());
+  EXPECT_EQ(a.state_digest(), b.state_digest());
 }
 
 }  // namespace

@@ -83,7 +83,6 @@ TEST_P(GeneratedScenarioProperties, FieldsWithinGeneratorBounds) {
     EXPECT_TRUE(ladder.find(video.height, video.fps).has_value()) << video.label;
     // Runtime-only hooks must never be sampled (specs stay serializable).
     EXPECT_EQ(video.abr, nullptr);
-    EXPECT_FALSE(video.session_override.has_value());
     EXPECT_FALSE(video.recovery.has_value());
   }
   EXPECT_FALSE(scen.device_override.has_value());

@@ -2,8 +2,9 @@
 // round-trips through the SCEN section (v2, with v1 back-compat, and the
 // retired watchdog byte and out-of-range enum bytes refused),
 // multi-session contention scenarios replay deterministically with
-// per-session QoE attribution, and the component registry rejects
-// section-tag collisions.
+// per-session QoE attribution, the component registry rejects
+// section-tag collisions, and a ScenarioDriver destroyed after prepare,
+// mid-session or after finalize leaves no workload behind its testbed.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -284,6 +285,43 @@ TEST(Registry, MoreThanTenSessionsOfOneKindRejected) {
     scen.workloads.emplace_back(std::move(extra));
   }
   EXPECT_THROW(ScenarioDriver driver(scen), std::invalid_argument);
+}
+
+// The driver owns its workloads and must destroy them before its testbed:
+// a session's PeriodicTasks and an armed FaultInjector cancel engine
+// events in their destructors. A driver whose workloads outlived the
+// testbed would touch the freed engine, which ASan reports in the
+// mid-session case (ctest --preset asan-ubsan-snapshot runs these).
+ScenarioSpec outage_spec() {
+  fault::FaultPlan plan;
+  plan.link_outages.push_back({sec(8), sec(4)});  // open over [+8 s, +12 s]
+  return single_video("fig16", 480, 30, 20, mem::PressureLevel::Normal, 17, plan);
+}
+
+TEST(ScenarioDriverTeardown, AfterPrepareOnly) {
+  ScenarioDriver driver(outage_spec());
+  driver.prepare();
+  EXPECT_EQ(driver.video_start(), -1);
+  EXPECT_EQ(driver.injector(), nullptr);
+}
+
+TEST(ScenarioDriverTeardown, MidSessionWithAnOutageOpen) {
+  ScenarioDriver driver(outage_spec());
+  driver.start();
+  ASSERT_TRUE(driver.advance_to(sec(10)));
+  ASSERT_NE(driver.injector(), nullptr);
+  EXPECT_EQ(driver.injector()->open_outages(), 1);
+  EXPECT_TRUE(driver.testbed().link.down());
+  // Playback began, so the session's PSS sampler and UI tick are armed.
+  EXPECT_GE(driver.playback_start(), 0);
+  EXPECT_FALSE(driver.video().done());
+}
+
+TEST(ScenarioDriverTeardown, AfterFinalize) {
+  ScenarioDriver driver(outage_spec());
+  const ScenarioResult result = driver.run();
+  EXPECT_EQ(result.status, core::RunStatus::Completed);
+  EXPECT_FALSE(driver.testbed().link.down());
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "scenario/driver.hpp"
 #include "scenario/spec.hpp"
 #include "snapshot/blob.hpp"
 #include "snapshot/digest.hpp"
@@ -16,7 +17,7 @@
 namespace mvqoe::snapshot {
 namespace {
 
-using replay::ReplayDriver;
+using scenario::ScenarioDriver;
 using scenario::ScenarioSpec;
 using scenario::single_video;
 using sim::sec;
@@ -86,23 +87,23 @@ TEST(Replay, RoundTripInvariantAcrossAllFamilies) {
 
     for (const sim::Time t : {sec(4), sec(8), sec(12)}) {
       SCOPED_TRACE(family + " T=" + std::to_string(sim::to_seconds(t)));
-      ReplayDriver driver(scen);
+      ScenarioDriver driver(scen);
       driver.start();
-      ASSERT_TRUE(driver.advance_to_offset(t));
+      ASSERT_TRUE(driver.advance_to(t));
       // "Restore to T": the replayed state must digest-match the trail...
       std::size_t index = trail.size();
       for (std::size_t i = 0; i < trail.size(); ++i) {
         if (trail[i].offset == t) index = i;
       }
       ASSERT_LT(index, trail.size());
-      EXPECT_EQ(driver.digest(), trail[index].digest);
+      EXPECT_EQ(driver.state_digest(), trail[index].digest);
       // ...and running on from the restored state must land exactly on
       // the straight run's final state.
       while (!driver.done()) {
-        driver.advance_to_offset(driver.offset() + sec(4));
+        driver.advance_to(driver.offset() + sec(4));
       }
       EXPECT_EQ(driver.offset(), meta.end_offset);
-      EXPECT_EQ(driver.digest(), meta.final_digest);
+      EXPECT_EQ(driver.state_digest(), meta.final_digest);
     }
   }
 }
