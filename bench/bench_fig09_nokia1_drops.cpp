@@ -10,7 +10,7 @@ int main(int argc, char** argv) {
                 "Waheed et al., CoNEXT'22, Fig. 9 and Table 2");
   const int runs = bench::runs_per_cell();
   const int duration = bench::video_duration_s();
-  const int jobs = bench::jobs_from_args(argc, argv);
+  const int jobs = runner::jobs_from_args(argc, argv);
 
   bench::SweepSpec sweep;
   sweep.family = "fig09";

@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
                 "Waheed et al., CoNEXT'22, Fig. 12");
   const int runs = bench::runs_per_cell(3);
   const int duration = bench::video_duration_s(40);
-  const int jobs = bench::jobs_from_args(argc, argv);
+  const int jobs = runner::jobs_from_args(argc, argv);
 
   const auto suite = video::genre_suite(duration);
   const int heights[] = {480, 720, 1080};

@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   bench::header("Figure 16 - encoded frame rate vs rendered FPS per resolution (Nokia 1)",
                 "Waheed et al., CoNEXT'22, Fig. 16 / Sec. 6");
   const int duration = bench::video_duration_s(48);
-  const int jobs = bench::jobs_from_args(argc, argv);
+  const int jobs = runner::jobs_from_args(argc, argv);
   const std::vector<int> heights = {480, 720, 1080};
   constexpr int kEncoded[] = {60, 48, 24};
 

@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   bench::header("Table 1 - key insights summary", "Waheed et al., CoNEXT'22, Table 1");
   const int duration = bench::video_duration_s();
   const int runs = bench::runs_per_cell(3);
-  const int jobs = bench::jobs_from_args(argc, argv);
+  const int jobs = runner::jobs_from_args(argc, argv);
 
   bench::section("rows 1-2: user study (memory pressure in the wild)");
   {

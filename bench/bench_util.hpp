@@ -46,13 +46,6 @@ inline int video_duration_s(int fallback = 60) {
   return env != nullptr ? runner::parse_positive<int>(env, "MVQOE_DURATION_S") : fallback;
 }
 
-/// Worker threads for the sweep benches: --jobs N / --jobs=N on the
-/// command line, else MVQOE_JOBS, else every hardware thread. jobs == 1
-/// is the serial fallback (byte-identical per-run results by contract).
-inline int jobs_from_args(int argc, char** argv) {
-  return runner::jobs_from_args(argc, argv);
-}
-
 /// Shared sweep for the Fig 9/11/18/19 drop panels and Table 2/3 crash
 /// tables: one scenario family (device x platform) x {resolutions} x
 /// {30,60} x pressure states.
@@ -69,40 +62,29 @@ struct SweepSpec {
   std::uint64_t base_seed = 1000;
 };
 
-struct SweepCell {
-  int height = 0;
-  int fps = 0;
-  mem::PressureLevel state{};
-  qoe::RunAggregate aggregate;
-};
-
 /// Run the grid on the batch runner: (cell, run) tasks fan out across
 /// `jobs` workers, results reduce in deterministic grid/run order. When a
 /// json_name is given the cells are also dumped to BENCH_<json_name>.json.
-inline std::vector<SweepCell> run_sweep(const SweepSpec& sweep, int runs, int duration_s,
-                                        int jobs = 0, const char* json_name = nullptr) {
+inline std::vector<runner::SweepCellResult> run_sweep(const SweepSpec& sweep, int runs,
+                                                      int duration_s, int jobs = 0,
+                                                      const char* json_name = nullptr) {
   // Each grid cell retargets the proto's height/fps/state/seed.
   const auto proto = scenario::single_video(sweep.family, 1080, 30, duration_s,
                                             mem::PressureLevel::Normal, sweep.base_seed);
-  const auto grid = runner::run_sweep_grid(proto, sweep.states, sweep.fps, sweep.heights, runs,
-                                           jobs, sweep.base_seed);
+  auto grid = runner::run_sweep_grid(proto, sweep.states, sweep.fps, sweep.heights, runs,
+                                     jobs, sweep.base_seed);
   if (json_name != nullptr) {
     const std::string path =
         runner::write_sweep_json(json_name, grid, runs, runner::resolve_jobs(jobs),
                                  sweep.base_seed);
     if (!path.empty()) std::printf("machine-readable: %s\n", path.c_str());
   }
-  std::vector<SweepCell> cells;
-  cells.reserve(grid.size());
-  for (const auto& cell : grid) {
-    cells.push_back(SweepCell{cell.height, cell.fps, cell.state, cell.aggregate});
-  }
-  return cells;
+  return grid;
 }
 
 inline const char* state_name(mem::PressureLevel level) { return mem::to_string(level); }
 
-inline void print_drop_panel(const std::vector<SweepCell>& cells) {
+inline void print_drop_panel(const std::vector<runner::SweepCellResult>& cells) {
   section("mean frame-drop rate, % (95% CI), played portion");
   std::printf("  %-9s %-4s", "state", "fps");
   for (const auto& cell : cells) {
@@ -125,7 +107,7 @@ inline void print_drop_panel(const std::vector<SweepCell>& cells) {
   std::printf("\n");
 }
 
-inline void print_crash_panel(const std::vector<SweepCell>& cells) {
+inline void print_crash_panel(const std::vector<runner::SweepCellResult>& cells) {
   section("client crash rate, % of runs");
   mem::PressureLevel state = cells.front().state;
   int fps = -1;
@@ -141,8 +123,8 @@ inline void print_crash_panel(const std::vector<SweepCell>& cells) {
   std::printf("\n");
 }
 
-inline const SweepCell* find_cell(const std::vector<SweepCell>& cells, int height, int fps,
-                                  mem::PressureLevel state) {
+inline const runner::SweepCellResult* find_cell(const std::vector<runner::SweepCellResult>& cells,
+                                                int height, int fps, mem::PressureLevel state) {
   for (const auto& cell : cells) {
     if (cell.height == height && cell.fps == fps && cell.state == state) return &cell;
   }
