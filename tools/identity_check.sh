@@ -4,8 +4,8 @@
 #   tools/identity_check.sh PARENT_BUILD CHANGE_BUILD
 #
 # Runs every paper bench (bench_fig*, bench_table*, bench_ablation*),
-# every example binary and each tool on a small fixed input (`tool_runs`)
-# of both build trees with MVQOE_JOBS=4, each tree writing into its own
+# every example binary and each tool on a small fixed input (`runs`) of
+# both build trees with MVQOE_JOBS=4, each tree writing into its own
 # directory, then compares stdout, exit status, every BENCH_*.json and
 # every written file byte for byte. Only host time is masked: the fleet
 # lines' wall, devices/s and peak-RSS figures. Use it to prove that a
@@ -13,8 +13,12 @@
 # as it was; build both trees the same way (e.g.
 # -DCMAKE_BUILD_TYPE=Release).
 #
-# Exit status: 0 identical, 1 any difference or failing binary (listed on
-# stdout), 2 usage.
+# Each run must end with the exit status its name carries after a colon
+# (`tool_bisect:1`), 0 when it carries none, so the replay and fuzz paths
+# that report a manufactured divergence are compared too.
+#
+# Exit status: 0 identical, 1 any difference or a run ending with another
+# status than its own (listed on stdout), 2 usage.
 set -u
 
 if [ $# -ne 2 ] || [ ! -d "$1" ] || [ ! -d "$2" ]; then
@@ -27,10 +31,11 @@ work=$(mktemp -d "${TMPDIR:-/tmp}/identity_check.XXXXXX") || exit 2
 trap 'rm -rf "$work"' EXIT
 trap 'exit 2' INT TERM
 
-# NAME PATH ARGS per run, PATH relative to the build root: every bench
-# and example binary of the parent tree (one missing from the change tree
-# counts as a difference below), then each tool on a small fixed input
-# writing its files to files/ and its BENCH json to json/.
+# NAME[:STATUS] PATH ARGS per run, PATH relative to the build root: every
+# bench and example binary of the parent tree (one missing from the change
+# tree counts as a difference below), then each tool on a small fixed
+# input writing its files to files/ and its BENCH json to json/. Runs go
+# in list order, so the replay runs read the blob tool_record wrote.
 runs=""
 for path in "$parent"/bench/bench_fig* "$parent"/bench/bench_table* \
             "$parent"/bench/bench_ablation* "$parent"/examples/*; do
@@ -50,7 +55,11 @@ tool_compare tools/mvqoe_policy compare --duration 6 --seed 5 --out lab
 tool_fleet tools/mvqoe_fleet run --devices 256 --session-s 3 --sample-period 2 --report files/fleet.json
 tool_fleet_cc tools/mvqoe_fleet run --devices 128 --session-s 3 --sample-period 2 --cc cubic --report files/fleet_cc.json
 tool_record tools/mvqoe_replay record files/replay.mvqs --duration=6 --interval=2
-tool_info tools/mvqoe_replay info files/replay.mvqs"
+tool_info tools/mvqoe_replay info files/replay.mvqs
+tool_verify tools/mvqoe_replay verify files/replay.mvqs
+tool_verify_perturbed:1 tools/mvqoe_replay verify files/replay.mvqs --perturb-at=2
+tool_bisect:1 tools/mvqoe_replay bisect files/replay.mvqs --perturb-at=2
+tool_fuzz_perturbed:1 tools/mvqoe_fuzz --seed 1 --runs 4 --perturb-run 1 --out files"
 
 mask() {  # mask FILE SED_SCRIPT
   sed "$2" "$1" > "$1.masked" && mv "$1.masked" "$1"
@@ -60,6 +69,7 @@ run_tree() {  # run_tree BUILD OUT
   mkdir -p "$2/json" "$2/files"
   echo "$runs" | while read -r name rel args; do
     [ -n "$name" ] || continue
+    name=${name%%:*}
     if [ ! -x "$1/$rel" ]; then
       echo "missing" > "$2/$name.status"
       continue
@@ -89,17 +99,20 @@ report() {  # report WHAT PARENT_FILE CHANGE_FILE
 }
 
 count=0
-for name in $(echo "$runs" | cut -d' ' -f1); do
+for entry in $(echo "$runs" | cut -d' ' -f1); do
   count=$((count + 1))
+  name=${entry%%:*}
+  expect=0
+  [ "$name" = "$entry" ] || expect=${entry#*:}
   for kind in status stdout; do
     if ! cmp -s "$work/parent/$name.$kind" "$work/change/$name.$kind"; then
       report "$kind of $name" "$work/parent/$name.$kind" "$work/change/$name.$kind"
     fi
   done
   # A binary failing the same way in both trees is still a failure.
-  if [ "$(cat "$work/change/$name.status")" != 0 ]; then
+  if [ "$(cat "$work/change/$name.status")" != "$expect" ]; then
     differences=$((differences + 1))
-    echo "FAIL $name exited $(cat "$work/change/$name.status")"
+    echo "FAIL $name exited $(cat "$work/change/$name.status"), expected $expect"
     tail -n 5 "$work/change/$name.stderr" 2>/dev/null
   fi
 done
