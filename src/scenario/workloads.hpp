@@ -81,7 +81,6 @@ class VideoSessionWorkload final : public Workload {
   fault::FaultInjector* injector() noexcept { return injector_.get(); }
   const VideoWorkloadSpec& spec() const noexcept { return spec_; }
   const video::SessionConfig& config() const noexcept { return config_; }
-  sim::Time video_start() const noexcept { return video_start_; }
 
  private:
   VideoWorkloadSpec spec_;
@@ -131,8 +130,6 @@ class PressureInducerWorkload final : public Workload {
   bool done() const override { return true; }
   mem::PressureLevel observed_level() const override { return observed_; }
 
-  core::PressureInducer* inducer() noexcept { return inducer_.get(); }
-
  private:
   std::string label_;
   mem::PressureLevel target_;
@@ -158,8 +155,6 @@ class CrossTrafficWorkload final : public Workload {
   void start(core::Testbed& testbed) override;
   bool done() const override { return true; }
   void finalize(core::Testbed& testbed) override;
-
-  const CrossTrafficWorkloadSpec& spec() const noexcept { return spec_; }
 
   void save(snapshot::ByteWriter& w) const;
   std::uint64_t digest() const;
