@@ -77,7 +77,8 @@ void PressureInducer::step() {
     // Ramp phase: allocate until the target signal is delivered (the
     // listener in start() flips reached_).
     if (testbed_.memory.level() >= target_ || held_ >= cap_) {
-      testbed_.scheduler.sleep_for(tid_, kStepPeriod, [this] { step(); });
+      testbed_.scheduler.sleep_for(tid_, kStepPeriod, sim::flat_method<&PressureInducer::step>,
+                                   this);
       return;
     }
   } else {
@@ -94,7 +95,8 @@ void PressureInducer::step() {
                                     : held_at_reached_ + held_at_reached_ / 7;
     const mem::Pages target_avail = target_available();
     if (avail <= target_avail + mem::pages_from_mb(6) || held_ >= std::min(cap_, hold_cap)) {
-      testbed_.scheduler.sleep_for(tid_, kStepPeriod * 4, [this] { step(); });
+      testbed_.scheduler.sleep_for(tid_, kStepPeriod * 4,
+                                   sim::flat_method<&PressureInducer::step>, this);
       return;
     }
   }
@@ -104,21 +106,24 @@ void PressureInducer::step() {
   // Simulator's stop-at-first-signal behaviour.
   const bool near_pressure =
       testbed_.memory.kswapd_active() || avail < target_available() + mem::pages_from_mb(64);
-  const mem::Pages step_pages = near_pressure ? kStepPages / 8 : kStepPages;
-  const sim::Time wait = near_pressure ? kStepPeriod * 3 : kStepPeriod;
-  testbed_.scheduler.run_work(
-      tid_, static_cast<double>(step_pages) * kTouchRefusPerPage, [this, step_pages, wait] {
-        testbed_.memory.alloc_anon(pid_, step_pages, tid_, [this, step_pages, wait](bool ok) {
-          if (!running_) return;
-          if (ok) {
-            held_ += step_pages;
-            // The MP Simulator keeps its allocations resident (it touches
-            // them natively): fully hot, never compressible.
-            testbed_.memory.set_hot_pages(pid_, held_);
-          }
-          testbed_.scheduler.sleep_for(tid_, wait, [this] { step(); });
-        });
-      });
+  step_pages_ = near_pressure ? kStepPages / 8 : kStepPages;
+  step_wait_ = near_pressure ? kStepPeriod * 3 : kStepPeriod;
+  testbed_.scheduler.run_work(tid_, static_cast<double>(step_pages_) * kTouchRefusPerPage,
+                              sim::flat_method<&PressureInducer::touched>, this);
+}
+
+void PressureInducer::touched() {
+  testbed_.memory.alloc_anon(pid_, step_pages_, tid_, [this](bool ok) {
+    if (!running_) return;
+    if (ok) {
+      held_ += step_pages_;
+      // The MP Simulator keeps its allocations resident (it touches
+      // them natively): fully hot, never compressible.
+      testbed_.memory.set_hot_pages(pid_, held_);
+    }
+    testbed_.scheduler.sleep_for(tid_, step_wait_, sim::flat_method<&PressureInducer::step>,
+                                 this);
+  });
 }
 
 void PressureInducer::stop() {

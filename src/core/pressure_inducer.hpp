@@ -40,6 +40,8 @@ class PressureInducer {
 
  private:
   void step();
+  /// The touch burst of a step ended: allocate its pages.
+  void touched();
   mem::Pages target_available() const;
 
   std::shared_ptr<bool> keepalive_ = std::make_shared<bool>(true);
@@ -52,6 +54,9 @@ class PressureInducer {
   mem::Pages held_ = 0;
   mem::Pages held_at_reached_ = 0;
   mem::Pages cap_;
+  // The step in flight: its pages and the pause after it.
+  mem::Pages step_pages_ = 0;
+  sim::Time step_wait_ = 0;
   std::function<void()> on_reached_;
 };
 

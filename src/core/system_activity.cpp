@@ -8,7 +8,12 @@ namespace mvqoe::core {
 SystemActivity::SystemActivity(Testbed& testbed, SystemActivityConfig config)
     : testbed_(testbed), config_(config), rng_(stats::derive_seed(testbed.seed(), 0x5157)) {}
 
-SystemActivity::~SystemActivity() { *alive_ = false; }
+SystemActivity::~SystemActivity() {
+  *alive_ = false;
+  // The duty threads outlive this driver: forget the bursts and sleeps
+  // that would call back into it.
+  for (const Duty& duty : duties_) testbed_.scheduler.drop_continuation(duty.tid);
+}
 
 void SystemActivity::start() {
   if (running_) return;
@@ -62,27 +67,31 @@ void SystemActivity::loop(std::size_t index) {
   if (!running_) return;
   const Duty& duty = duties_[index];
   if (!testbed_.scheduler.exists(duty.tid) || !testbed_.scheduler.is_idle(duty.tid)) return;
-  testbed_.scheduler.run_work(duty.tid, config_.duty_cpu_refus, [this, index, alive = alive_] {
-    if (!*alive || !running_) return;
-    const Duty& duty = duties_[index];
-    const mem::ProcessMem* process = testbed_.memory.registry().find(duty.pid);
-    if (process == nullptr) return;  // killed; duty retires
-    const auto anon_touch = static_cast<mem::Pages>(
-        config_.heap_fraction *
-        static_cast<double>(process->anon_resident + process->anon_swapped));
-    const auto file_touch = static_cast<mem::Pages>(
-        config_.code_fraction * static_cast<double>(process->file_working_set));
-    testbed_.memory.touch_working_set(
-        duty.pid, duty.tid, anon_touch, file_touch, [this, index, alive](bool) {
-          if (!*alive || !running_) return;
-          const Duty& duty = duties_[index];
-          if (!testbed_.scheduler.exists(duty.tid)) return;
-          testbed_.scheduler.sleep_for(duty.tid, duty.period,
-                                       [this, index, alive] {
-                                         if (*alive && running_) loop(index);
-                                       });
-        });
-  });
+  testbed_.scheduler.run_work(duty.tid, config_.duty_cpu_refus,
+                              sim::flat_method<&SystemActivity::duty_done>, this, index);
+}
+
+void SystemActivity::duty_done(std::uint64_t index) {
+  if (!running_) return;
+  const Duty& duty = duties_[index];
+  const mem::ProcessMem* process = testbed_.memory.registry().find(duty.pid);
+  if (process == nullptr) return;  // killed; duty retires
+  const auto anon_touch = static_cast<mem::Pages>(
+      config_.heap_fraction * static_cast<double>(process->anon_resident + process->anon_swapped));
+  const auto file_touch = static_cast<mem::Pages>(
+      config_.code_fraction * static_cast<double>(process->file_working_set));
+  testbed_.memory.touch_working_set(
+      duty.pid, duty.tid, anon_touch, file_touch, [this, index, alive = alive_](bool) {
+        if (!*alive || !running_) return;
+        const Duty& duty = duties_[index];
+        if (!testbed_.scheduler.exists(duty.tid)) return;
+        testbed_.scheduler.sleep_for(duty.tid, duty.period,
+                                     sim::flat_method<&SystemActivity::duty_woke>, this, index);
+      });
+}
+
+void SystemActivity::duty_woke(std::uint64_t index) {
+  if (running_) loop(index);
 }
 
 void SystemActivity::save(snapshot::ByteWriter& w) const {

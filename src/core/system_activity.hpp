@@ -59,6 +59,10 @@ class SystemActivity {
     sim::Time period = 0;
   };
   void loop(std::size_t index);
+  // Flat continuations of duty `index`'s burst and sleep. The destructor
+  // drops the pending ones, so neither runs against a destroyed driver.
+  void duty_done(std::uint64_t index);
+  void duty_woke(std::uint64_t index);
 
   Testbed& testbed_;
   SystemActivityConfig config_;

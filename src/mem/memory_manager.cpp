@@ -4,6 +4,7 @@
 #include <cassert>
 #include <climits>
 #include <cmath>
+#include <utility>
 
 #include "snapshot/digest.hpp"
 
@@ -111,7 +112,10 @@ void MemoryManager::free_process_pages(ProcessId pid) {
 
 void MemoryManager::exit_process(ProcessId pid) {
   if (!registry_.alive(pid)) return;
-  if (scheduler_ != nullptr) scheduler_->terminate_process(pid);
+  if (scheduler_ != nullptr) {
+    scheduler_->terminate_process(pid);
+    release_dead_bursts();
+  }
   free_process_pages(pid);
 }
 
@@ -144,7 +148,10 @@ void MemoryManager::kill_with_audit(ProcessId pid, KillAudit::Reason reason, int
   if (tracer_ != nullptr) {
     tracer_->instant(trace::InstantKind::ProcessKilled, engine_.now(), 0, adj);
   }
-  if (scheduler_ != nullptr) scheduler_->terminate_process(pid);
+  if (scheduler_ != nullptr) {
+    scheduler_->terminate_process(pid);
+    release_dead_bursts();
+  }
   free_process_pages(pid);
   if (on_kill) engine_.schedule(0, std::move(on_kill));
 }
@@ -206,7 +213,7 @@ void MemoryManager::direct_reclaim(Pages pages, ProcessId pid, sched::ThreadId t
   if (scheduled() && tid != 0 && scheduler_->exists(tid)) {
     // The allocating thread itself burns the scan/compress CPU — the
     // §2 direct-reclaim stall, happening on (e.g.) a decoder thread.
-    scheduler_->run_work(tid, outcome.cpu_refus, std::move(next));
+    run_burst(tid, outcome.cpu_refus, std::move(next));
   } else {
     next();
   }
@@ -223,7 +230,8 @@ void MemoryManager::park_waiter(Pages pages, ProcessId pid, sched::ThreadId tid,
   const std::uint64_t id = next_waiter_id_++;
   waiters_.push_back(Waiter{id, pages, pid, tid, started, std::move(done)});
   maybe_activate_lmkd();
-  engine_.schedule_flat(config_.oom_kill_timeout, &MemoryManager::on_oom_check, this, id);
+  engine_.schedule_flat(config_.oom_kill_timeout, sim::flat_method<&MemoryManager::oom_check>,
+                        this, id);
 }
 
 void MemoryManager::oom_check(std::uint64_t waiter_id) {
@@ -248,8 +256,8 @@ void MemoryManager::oom_check(std::uint64_t waiter_id) {
     // Re-arm in case the kill did not free enough (or no victim existed).
     for (const Waiter& again : waiters_) {
       if (again.id == waiter_id && again.done != nullptr) {
-        engine_.schedule_flat(config_.oom_kill_timeout, &MemoryManager::on_oom_check, this,
-                              waiter_id);
+        engine_.schedule_flat(config_.oom_kill_timeout,
+                              sim::flat_method<&MemoryManager::oom_check>, this, waiter_id);
         break;
       }
     }
@@ -433,6 +441,35 @@ void MemoryManager::touch_working_set(ProcessId pid, sched::ThreadId tid, Pages 
   fault_anon_pages(pid, tid, anon_faults, std::move(do_file_stage));
 }
 
+void MemoryManager::run_burst(sched::ThreadId tid, double cpu_refus, std::function<void()> next) {
+  std::uint32_t slot;
+  if (free_bursts_.empty()) {
+    slot = static_cast<std::uint32_t>(bursts_.size());
+    bursts_.emplace_back();
+  } else {
+    slot = free_bursts_.back();
+    free_bursts_.pop_back();
+  }
+  bursts_[slot] = Burst{tid, std::move(next)};
+  scheduler_->run_work(tid, cpu_refus, sim::flat_method<&MemoryManager::burst_done>, this, slot);
+}
+
+void MemoryManager::burst_done(std::uint64_t slot) {
+  const std::function<void()> next = std::exchange(bursts_[slot].next, nullptr);
+  free_bursts_.push_back(static_cast<std::uint32_t>(slot));
+  next();
+}
+
+void MemoryManager::release_dead_bursts() {
+  for (std::size_t slot = 0; slot < bursts_.size(); ++slot) {
+    Burst& burst = bursts_[slot];
+    if (burst.next && !scheduler_->exists(burst.tid)) {
+      burst.next = nullptr;
+      free_bursts_.push_back(static_cast<std::uint32_t>(slot));
+    }
+  }
+}
+
 void MemoryManager::fault_anon_pages(ProcessId pid, sched::ThreadId tid, Pages remaining,
                                      std::function<void()> next) {
   const ProcessMem* process = registry_.find(pid);
@@ -463,8 +500,7 @@ void MemoryManager::fault_anon_pages(ProcessId pid, sched::ThreadId tid, Pages r
     });
   };
   if (scheduled() && tid != 0 && scheduler_->exists(tid)) {
-    scheduler_->run_work(tid, static_cast<double>(chunk) * config_.decompress_cpu_refus,
-                         std::move(apply));
+    run_burst(tid, static_cast<double>(chunk) * config_.decompress_cpu_refus, std::move(apply));
   } else {
     apply();
   }
@@ -518,13 +554,13 @@ void MemoryManager::fault_file_pages(ProcessId pid, sched::ThreadId tid, Pages r
     // The fault path itself costs CPU on the faulting thread before the
     // reads are issued.
     if (tid != 0 && scheduler_->exists(tid) && scheduler_->is_idle(tid)) {
-      scheduler_->run_work(tid, static_cast<double>(chunk) * config_.file_fault_cpu_refus,
-                           [this, tid, reads = std::move(reads)]() mutable {
-                             if (scheduler_->exists(tid) && scheduler_->is_idle(tid)) {
-                               scheduler_->mark_blocked_io(tid);
-                             }
-                             reads();
-                           });
+      run_burst(tid, static_cast<double>(chunk) * config_.file_fault_cpu_refus,
+                [this, tid, reads = std::move(reads)]() mutable {
+                  if (scheduler_->exists(tid) && scheduler_->is_idle(tid)) {
+                    scheduler_->mark_blocked_io(tid);
+                  }
+                  reads();
+                });
     } else {
       reads();
     }
@@ -635,16 +671,8 @@ void MemoryManager::wake_kswapd() {
     kswapd_running_ = true;
     // Enter the step loop from a fresh event so the waker's call stack
     // stays shallow.
-    engine_.schedule_flat(0, &MemoryManager::on_kswapd_step, this);
+    engine_.schedule_flat(0, sim::flat_method<&MemoryManager::kswapd_step>, this);
   }
-}
-
-void MemoryManager::on_oom_check(void* ctx, std::uint64_t waiter_id) {
-  static_cast<MemoryManager*>(ctx)->oom_check(waiter_id);
-}
-
-void MemoryManager::on_kswapd_step(void* ctx, std::uint64_t) {
-  static_cast<MemoryManager*>(ctx)->kswapd_step();
 }
 
 void MemoryManager::kswapd_step() {
@@ -669,10 +697,12 @@ void MemoryManager::kswapd_step() {
       return;
     }
     // Genuinely low: wait for writeback / lmkd progress and retry.
-    scheduler_->sleep_for(kswapd_tid_, config_.kswapd_backoff, [this] { kswapd_step(); });
+    scheduler_->sleep_for(kswapd_tid_, config_.kswapd_backoff,
+                          sim::flat_method<&MemoryManager::kswapd_step>, this);
     return;
   }
-  scheduler_->run_work(kswapd_tid_, outcome.cpu_refus, [this] { kswapd_step(); });
+  scheduler_->run_work(kswapd_tid_, outcome.cpu_refus,
+                       sim::flat_method<&MemoryManager::kswapd_step>, this);
 }
 
 void MemoryManager::kswapd_sleep() {
@@ -707,18 +737,23 @@ int MemoryManager::lmkd_min_adj() const noexcept {
 }
 
 void MemoryManager::maybe_activate_lmkd() {
+  // Busy first: a run in flight re-checks the floor itself, and reading
+  // the floor here would only warm the decay memo.
+  if (scheduled() && lmkd_busy_) return;
   if (lmkd_min_adj() == INT_MAX) return;
   if (engine_.now() - last_lmkd_kill_ < policy_->charter().kill_cooldown) return;
   if (scheduled()) {
-    if (lmkd_busy_) return;
     lmkd_busy_ = true;
-    scheduler_->run_work(lmkd_tid_, config_.lmkd_kill_cpu_refus, [this] {
-      lmkd_busy_ = false;
-      lmkd_do_kill();
-    });
+    scheduler_->run_work(lmkd_tid_, config_.lmkd_kill_cpu_refus,
+                         sim::flat_method<&MemoryManager::lmkd_ran>, this);
   } else {
     lmkd_do_kill();
   }
+}
+
+void MemoryManager::lmkd_ran() {
+  lmkd_busy_ = false;
+  lmkd_do_kill();
 }
 
 void MemoryManager::lmkd_do_kill() {

@@ -227,6 +227,13 @@ class MemoryManager {
   void fault_anon_pages(ProcessId pid, sched::ThreadId tid, Pages remaining,
                         std::function<void()> next);
   void fault_file_pages(ProcessId pid, sched::ThreadId tid, Pages remaining, AllocCallback done);
+  /// A direct-reclaim or fault burst on `tid`, after which `next` runs.
+  /// `next` waits in a slot of bursts_ named by the burst's arg.
+  void run_burst(sched::ThreadId tid, double cpu_refus, std::function<void()> next);
+  void burst_done(std::uint64_t slot);
+  /// Free the slots of bursts whose thread was terminated; their
+  /// continuations never run.
+  void release_dead_bursts();
 
   /// Ask the policy what one scan batch reclaims (into plan_), apply the
   /// plan's instantly-free part, and submit writeback I/O.
@@ -243,6 +250,8 @@ class MemoryManager {
   void immediate_reclaim_to_high();
 
   void maybe_activate_lmkd();
+  /// lmkd's selection burst ended.
+  void lmkd_ran();
   void lmkd_do_kill();
   int lmkd_min_adj() const noexcept;
 
@@ -298,10 +307,19 @@ class MemoryManager {
   bool pumping_ = false;
 
   void oom_check(std::uint64_t waiter_id);
-  /// Flat-event trampolines (engine hot path): the OOM watchdog re-arms
-  /// per parked waiter and kswapd's step loop re-enters per batch.
-  static void on_oom_check(void* ctx, std::uint64_t waiter_id);
-  static void on_kswapd_step(void* ctx, std::uint64_t);
+
+  /// Direct-reclaim and fault bursts in flight, each slot recycled
+  /// through free_bursts_. A slot per burst, not per thread: an allocation
+  /// on a thread that is already running a burst (the player thread can
+  /// run a UI burst while its allocation waits) resubmits that thread, and
+  /// a burst resubmitted at its completion instant has two continuations
+  /// pending, the finished one and the new one.
+  struct Burst {
+    sched::ThreadId tid = 0;
+    std::function<void()> next;
+  };
+  std::vector<Burst> bursts_;
+  std::vector<std::uint32_t> free_bursts_;
 
   std::vector<TrimListener> trim_listeners_;
   std::vector<KillAudit> kill_audits_;

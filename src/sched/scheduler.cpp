@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "snapshot/digest.hpp"
@@ -173,12 +175,20 @@ std::size_t Scheduler::place_thread(const Thread& t) const {
   return best;
 }
 
-void Scheduler::run_work(ThreadId tid, double work_refus, std::function<void()> on_complete) {
+void Scheduler::refuse(ThreadId tid, const char* what) const {
+  throw std::logic_error("sched: thread " + std::to_string(tid) + " (" + thread(tid).spec.name +
+                         ") " + what);
+}
+
+void Scheduler::run_work(ThreadId tid, double work_refus, sim::Engine::FlatFn fn, void* ctx,
+                         std::uint64_t arg) {
   Thread& t = thread(tid);
   assert(t.alive && "run_work on terminated thread");
   assert(is_idle(tid) && "run_work on a thread that is already runnable/running");
+  if (t.asleep) [[unlikely]] refuse(tid, "got a burst while it sleeps");
+  // A burst resubmitted before it completed replaces its continuation.
+  t.then = Then{fn, ctx, arg};
   t.remaining_work = std::max(work_refus, kMinWork);
-  t.on_complete = std::move(on_complete);
   t.state = trace::ThreadState::Runnable;
   tracer_.state_change(tid, engine_.now(), trace::ThreadState::Runnable);
   enqueue(tid, place_thread(t), /*preempt_check=*/true);
@@ -191,11 +201,32 @@ void Scheduler::mark_blocked_io(ThreadId tid) {
   tracer_.state_change(tid, engine_.now(), trace::ThreadState::BlockedIo);
 }
 
-sim::EventId Scheduler::sleep_for(ThreadId tid, sim::Time delay, std::function<void()> on_wake) {
+void Scheduler::sleep_for(ThreadId tid, sim::Time delay, sim::Engine::FlatFn fn, void* ctx,
+                          std::uint64_t arg) {
+  Thread& t = thread(tid);
   assert(is_idle(tid));
-  return engine_.schedule(delay, [this, tid, fn = std::move(on_wake)] {
-    if (exists(tid)) fn();
-  });
+  if (t.asleep) [[unlikely]] refuse(tid, "got a second sleep");
+  if (t.alive && !is_idle(tid)) [[unlikely]] refuse(tid, "got a sleep during a burst");
+  t.asleep = true;
+  t.then = Then{fn, ctx, arg};
+  engine_.schedule_flat(delay, &Scheduler::on_wake, this, tid);
+}
+
+void Scheduler::on_wake(void* ctx, std::uint64_t arg) {
+  auto* self = static_cast<Scheduler*>(ctx);
+  const auto tid = static_cast<ThreadId>(arg);
+  Thread& t = self->thread(tid);
+  t.asleep = false;
+  if (!t.alive) return;
+  const Then then = std::exchange(t.then, Then{});
+  if (then.fn != nullptr) then.fn(then.ctx, then.arg);
+}
+
+void Scheduler::drop_continuation(ThreadId tid) {
+  thread(tid).then = Then{};
+  for (Core& core : cores_) {
+    if (core.handoff_tid == tid) core.handoff = Then{};
+  }
 }
 
 void Scheduler::enqueue(ThreadId tid, std::size_t core_idx, bool preempt_check) {
@@ -399,18 +430,17 @@ void Scheduler::complete(std::size_t core_idx) {
   t.state = trace::ThreadState::Sleeping;
   tracer_.state_change(tid, engine_.now(), trace::ThreadState::Sleeping);
 
-  // Run the completion callback at top level (a fresh flat event at the
-  // same time; the callback waits in `parked`) so it can freely call back
-  // into the scheduler — and dispatch the core *after* the callback, so a
-  // thread that immediately resubmits work competes on vruntime with the
-  // waiters instead of silently yielding its turn (CFS keeps such a
-  // thread on the runqueue continuously). The thread's next completion is
-  // at least 1 µs later, so the slot is free again by then.
-  if (t.on_complete) {
-    assert(!t.parked);
-    t.parked = std::exchange(t.on_complete, nullptr);
-    engine_.schedule_flat(0, &Scheduler::on_hand_off, this,
-                          (static_cast<std::uint64_t>(core_idx) << 32) | tid);
+  // Run the continuation at top level (a fresh flat event at the same
+  // time; the continuation waits in the core's `handoff` slot) so it can
+  // freely call back into the scheduler — and dispatch the core *after*
+  // it, so a thread that immediately resubmits work competes on vruntime
+  // with the waiters instead of silently yielding its turn (CFS keeps
+  // such a thread on the runqueue continuously).
+  if (t.then.fn != nullptr) {
+    assert(core.handoff.fn == nullptr);
+    core.handoff = std::exchange(t.then, Then{});
+    core.handoff_tid = tid;
+    engine_.schedule_flat(0, &Scheduler::on_hand_off, this, core_idx);
   } else {
     dispatch(core_idx);
   }
@@ -418,10 +448,12 @@ void Scheduler::complete(std::size_t core_idx) {
 
 void Scheduler::on_hand_off(void* ctx, std::uint64_t arg) {
   auto* self = static_cast<Scheduler*>(ctx);
-  const auto tid = static_cast<ThreadId>(arg);
-  const std::function<void()> fn = std::exchange(self->thread(tid).parked, nullptr);
-  if (self->exists(tid)) fn();
-  self->dispatch(static_cast<std::size_t>(arg >> 32));
+  const auto core_idx = static_cast<std::size_t>(arg);
+  Core& core = self->cores_[core_idx];
+  const Then then = std::exchange(core.handoff, Then{});
+  const ThreadId tid = std::exchange(core.handoff_tid, trace::kNoThread);
+  if (then.fn != nullptr && self->exists(tid)) then.fn(then.ctx, then.arg);
+  self->dispatch(core_idx);
 }
 
 void Scheduler::slice_expired(std::size_t core_idx) {
@@ -512,7 +544,7 @@ void Scheduler::terminate(ThreadId tid) {
     const std::size_t core_idx = static_cast<std::size_t>(t.core);
     deschedule(core_idx, trace::ThreadState::Terminated, trace::kNoThread);
     t.alive = false;
-    t.on_complete = nullptr;
+    t.then = Then{};
     dispatch(core_idx);
   } else {
     for (Core& core : cores_) {
@@ -522,7 +554,7 @@ void Scheduler::terminate(ThreadId tid) {
       if (fair != core.fair_queue.end()) core.fair_queue.erase(fair);
     }
     t.alive = false;
-    t.on_complete = nullptr;
+    t.then = Then{};
     t.state = trace::ThreadState::Terminated;
     tracer_.state_change(tid, engine_.now(), trace::ThreadState::Terminated);
   }

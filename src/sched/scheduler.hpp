@@ -31,7 +31,6 @@
 
 #include <cassert>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -97,21 +96,35 @@ class Scheduler {
   /// Create a thread in the idle (Sleeping) state.
   ThreadId create_thread(const ThreadSpec& spec);
 
+  /// Continuations take the engine's flat shape: `fn(ctx, arg)` runs
+  /// when the burst or sleep ends, and the caller keeps `ctx` alive
+  /// until then (or until the thread is terminated). A thread's burst and
+  /// sleep share one slot, so a sleep beside a pending sleep or a burst,
+  /// or a burst while the thread sleeps, throws std::logic_error.
+  ///
   /// Give an idle thread a CPU burst of `work_refus` reference-µs; it
-  /// becomes runnable now and `on_complete` fires when the burst has been
-  /// fully executed. The thread must not already be runnable or running.
-  void run_work(ThreadId tid, double work_refus, std::function<void()> on_complete);
+  /// becomes runnable now, and once the burst has been fully executed
+  /// `fn` runs (nothing if null) and then the core picks its next thread.
+  /// The thread must not already be runnable or running.
+  void run_work(ThreadId tid, double work_refus, sim::Engine::FlatFn fn = nullptr,
+                void* ctx = nullptr, std::uint64_t arg = 0);
 
   /// Label an idle thread as blocked on I/O (accounting only; the thread
   /// stays descheduled until the next run_work). Must be idle.
   void mark_blocked_io(ThreadId tid);
 
-  /// Convenience: idle thread sleeps until `engine.now() + delay`, then
-  /// `on_wake` fires (typically calling run_work). Returns the timer id.
-  sim::EventId sleep_for(ThreadId tid, sim::Time delay, std::function<void()> on_wake);
+  /// Idle thread sleeps until `engine.now() + delay`, then `fn` runs if
+  /// the thread still exists (typically calling run_work).
+  void sleep_for(ThreadId tid, sim::Time delay, sim::Engine::FlatFn fn, void* ctx,
+                 std::uint64_t arg = 0);
+
+  /// Forget the thread's pending continuation, including a finished
+  /// burst's that awaits its hand-off, and leave the thread as it is: for
+  /// an owner destroyed while its thread lives on.
+  void drop_continuation(ThreadId tid);
 
   /// Remove a thread permanently (process kill). Pending work is
-  /// abandoned; its completion callback never fires.
+  /// abandoned; its continuation never runs.
   void terminate(ThreadId tid);
   /// Terminate every thread belonging to `pid`.
   void terminate_process(ProcessId pid);
@@ -160,14 +173,20 @@ class Scheduler {
   std::uint64_t digest() const;
 
  private:
+  /// A pending continuation; `fn == nullptr` means none.
+  struct Then {
+    sim::Engine::FlatFn fn = nullptr;
+    void* ctx = nullptr;
+    std::uint64_t arg = 0;
+  };
+
   struct Thread {
     ThreadSpec spec;
     trace::ThreadState state = trace::ThreadState::Created;
     double remaining_work = 0.0;  // reference-µs
-    std::function<void()> on_complete;
-    // The finished burst's callback until its hand-off event runs it; apart
-    // from on_complete, which a same-instant resubmit may refill first.
-    std::function<void()> parked;
+    // The continuation of the thread's burst or sleep, whichever is pending.
+    Then then;
+    bool asleep = false;  // a sleep_for is pending; `then` is its wake
     double vruntime = 0.0;  // weighted, in reference-µs
     double weight = 1.0;
     int core = -1;           // core currently running on, -1 otherwise
@@ -182,6 +201,12 @@ class Scheduler {
     sim::Time run_start = 0;          // when current thread started this stint
     double run_start_work = 0.0;      // remaining work at stint start
     sim::EventId pending_event = sim::kInvalidEvent;
+    // The finished burst's continuation until its hand-off event runs it;
+    // apart from the thread's own slot, which a same-instant resubmit may
+    // refill first. One per core: the hand-off runs at the completion
+    // instant, and the core's next completion is at least 1 µs later.
+    Then handoff;
+    ThreadId handoff_tid = trace::kNoThread;
     // FIFO, kept sorted by priority desc. A vector: a wake-preemption
     // inserts at the front and dispatch takes it straight back off, so
     // the queue reuses its capacity instead of allocating per preemption.
@@ -220,9 +245,13 @@ class Scheduler {
   void arm_core_event(std::size_t core);
   /// Flat-event trampoline for core timers (arg = core_idx << 1 | is_slice).
   static void on_core_event(void* ctx, std::uint64_t arg);
-  /// Flat event after a burst completes (arg = core_idx << 32 | tid): runs
-  /// the parked callback if the thread still exists, then dispatches.
+  /// Throw std::logic_error: "thread <tid> (<name>) <what>".
+  [[noreturn, gnu::cold]] void refuse(ThreadId tid, const char* what) const;
+  /// Flat event after a burst completes (arg = core_idx): runs the core's
+  /// hand-off continuation if its thread still exists, then dispatches.
   static void on_hand_off(void* ctx, std::uint64_t arg);
+  /// Flat event ending a sleep (arg = tid).
+  static void on_wake(void* ctx, std::uint64_t arg);
   double min_vruntime(const Core& core) const;
 
   /// Preemption-episode bookkeeping; called only while the tracer keeps

@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -449,6 +450,29 @@ inline void Engine::run_until(Time t) {
 
 inline void Engine::run() {
   while (step()) {
+  }
+}
+
+namespace detail {
+template <class>
+struct MemberClass;
+template <class C, class F>
+struct MemberClass<F C::*> {
+  using type = C;
+};
+}  // namespace detail
+
+/// The flat handler that calls member function `M` on the object `ctx`
+/// points at, passing `arg` when `M` takes a parameter:
+/// `schedule_flat(delay, sim::flat_method<&C::tick>, this)`. One
+/// instantiation per member, so no trampoline is written by hand.
+template <auto M>
+void flat_method(void* ctx, std::uint64_t arg) {
+  using C = typename detail::MemberClass<decltype(M)>::type;
+  if constexpr (std::is_invocable_v<decltype(M), C*>) {
+    (static_cast<C*>(ctx)->*M)();
+  } else {
+    (static_cast<C*>(ctx)->*M)(arg);
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <utility>
 
 #include "snapshot/digest.hpp"
@@ -43,52 +44,61 @@ void StorageDevice::submit(IoRequest request) {
 }
 
 void StorageDevice::pump() {
-  if (queue_.empty()) {
+  if (queue_depth() == 0) {
     active_ = false;
     return;
   }
   active_ = true;
   // Dispatch phase: mmcqd wakes and burns CPU issuing the request. This
   // wakeup is what preempts fair-class threads.
-  scheduler_.run_work(mmcqd_, config_.dispatch_cpu_refus, [this] {
-    IoRequest request = std::move(queue_.front());
-    queue_.pop_front();
-    if (request.write) {
-      ++counters_.writes;
-      counters_.written_bytes += request.bytes;
-    } else {
-      ++counters_.reads;
-      counters_.read_bytes += request.bytes;
-    }
-    device_transfer(std::move(request), /*attempt=*/1);
-  });
+  scheduler_.run_work(mmcqd_, config_.dispatch_cpu_refus,
+                      sim::flat_method<&StorageDevice::dispatched>, this);
 }
 
-void StorageDevice::device_transfer(IoRequest request, int attempt) {
+void StorageDevice::dispatched() {
+  in_flight_ = std::move(queue_[queue_head_++]);
+  if (queue_head_ * 2 >= queue_.size()) {
+    queue_.erase(queue_.begin(), queue_.begin() + static_cast<std::ptrdiff_t>(queue_head_));
+    queue_head_ = 0;
+  }
+  if (in_flight_.write) {
+    ++counters_.writes;
+    counters_.written_bytes += in_flight_.bytes;
+  } else {
+    ++counters_.reads;
+    counters_.read_bytes += in_flight_.bytes;
+  }
+  device_transfer(1);
+}
+
+void StorageDevice::device_transfer(std::uint64_t attempt) {
   // Device transfer: mmcqd blocks while the eMMC moves the data.
   scheduler_.mark_blocked_io(mmcqd_);
-  const sim::Time transfer = transfer_time(request.write, request.bytes);
-  engine_.schedule(transfer, [this, request = std::move(request), attempt]() mutable {
-    // Injected transient failure: the device retries after a back-off;
-    // the final attempt always succeeds so requesters never wedge.
-    if (error_rate_ > 0.0 && attempt <= config_.max_error_retries &&
-        fault_rng_.bernoulli(error_rate_)) {
-      ++counters_.io_errors;
-      ++counters_.io_retries;
-      engine_.schedule(config_.error_retry_delay,
-                       [this, request = std::move(request), attempt]() mutable {
-                         device_transfer(std::move(request), attempt + 1);
-                       });
-      return;
-    }
-    // Completion phase: another CPU burst (another preemption), then the
-    // requester's callback and the next queued request.
-    scheduler_.run_work(mmcqd_, config_.completion_cpu_refus,
-                        [this, on_complete = std::move(request.on_complete)] {
-                          if (on_complete) on_complete();
-                          pump();
-                        });
-  });
+  engine_.schedule_flat(transfer_time(in_flight_.write, in_flight_.bytes),
+                        sim::flat_method<&StorageDevice::transfer_done>, this, attempt);
+}
+
+void StorageDevice::transfer_done(std::uint64_t attempt) {
+  // Injected transient failure: the device retries after a back-off;
+  // the final attempt always succeeds so requesters never wedge.
+  if (error_rate_ > 0.0 && static_cast<int>(attempt) <= config_.max_error_retries &&
+      fault_rng_.bernoulli(error_rate_)) {
+    ++counters_.io_errors;
+    ++counters_.io_retries;
+    engine_.schedule_flat(config_.error_retry_delay,
+                          sim::flat_method<&StorageDevice::device_transfer>, this, attempt + 1);
+    return;
+  }
+  // Completion phase: another CPU burst (another preemption), then the
+  // requester's callback and the next queued request.
+  scheduler_.run_work(mmcqd_, config_.completion_cpu_refus,
+                      sim::flat_method<&StorageDevice::completed>, this);
+}
+
+void StorageDevice::completed() {
+  const std::function<void()> on_complete = std::exchange(in_flight_.on_complete, nullptr);
+  if (on_complete) on_complete();
+  pump();
 }
 
 void StorageDevice::save(snapshot::ByteWriter& w) const {
@@ -103,10 +113,10 @@ void StorageDevice::save(snapshot::ByteWriter& w) const {
   w.u64(counters_.written_bytes);
   w.u64(counters_.io_errors);
   w.u64(counters_.io_retries);
-  w.u64(queue_.size());
-  for (const IoRequest& request : queue_) {
-    w.b(request.write);
-    w.u64(request.bytes);
+  w.u64(queue_depth());
+  for (std::size_t i = queue_head_; i < queue_.size(); ++i) {
+    w.b(queue_[i].write);
+    w.u64(queue_[i].bytes);
   }
   snapshot::write_rng(w, fault_rng_);
 }

@@ -15,8 +15,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <vector>
 
 #include "sched/scheduler.hpp"
 #include "sim/engine.hpp"
@@ -69,7 +69,7 @@ class StorageDevice {
   /// Enqueue a request; wakes mmcqd if it is idle.
   void submit(IoRequest request);
 
-  std::size_t queue_depth() const noexcept { return queue_.size(); }
+  std::size_t queue_depth() const noexcept { return queue_.size() - queue_head_; }
   bool busy() const noexcept { return active_; }
   sched::ThreadId mmcqd_tid() const noexcept { return mmcqd_; }
   const StorageCounters& counters() const noexcept { return counters_; }
@@ -90,20 +90,32 @@ class StorageDevice {
   double error_rate() const noexcept { return error_rate_; }
 
   /// Serialize queue depth/shape, counters, fault knobs and the fault
-  /// RNG stream (request completion callbacks excluded — closures,
-  /// replay-reconstructed per DESIGN.md §10).
+  /// RNG stream (request completion callbacks and the in-flight request
+  /// excluded — closures, replay-reconstructed per DESIGN.md §10).
   void save(snapshot::ByteWriter& w) const;
   std::uint64_t digest() const;
 
  private:
   void pump();
-  void device_transfer(IoRequest request, int attempt);
+  // The stages of the request in flight, each a flat continuation: the
+  // dispatch burst ends, the device transfer (attempt = 1, 2, ...) starts
+  // and ends, the completion burst ends.
+  void dispatched();
+  void device_transfer(std::uint64_t attempt);
+  void transfer_done(std::uint64_t attempt);
+  void completed();
 
   sim::Engine& engine_;
   sched::Scheduler& scheduler_;
   StorageConfig config_;
   sched::ThreadId mmcqd_;
-  std::deque<IoRequest> queue_;
+  // Waiting requests are queue_[queue_head_, size()). Popping advances the
+  // head, and the consumed prefix is erased once it is half the vector,
+  // so a steady stream of requests reuses one buffer.
+  std::vector<IoRequest> queue_;
+  std::size_t queue_head_ = 0;
+  // The request mmcqd is serving; the device serves one at a time.
+  IoRequest in_flight_;
   bool active_ = false;  // mmcqd currently working a request
   StorageCounters counters_;
   double latency_multiplier_ = 1.0;

@@ -130,10 +130,17 @@ void VideoSession::launch_stage(int stage) {
   const mem::Pages slice = config_.profile.base_heap / stages;
   memory_.alloc_anon(pid_, slice, pl_tid_, [this, stage, epoch](bool ok) {
     if (!ok || !epoch_ok(epoch) || !alive()) return;
-    scheduler_.sleep_for(pl_tid_, config_.launch_stage_pause, [this, stage, epoch] {
-      if (epoch_ok(epoch)) launch_stage(stage + 1);
-    });
+    const std::uint64_t epoch_stage =
+        static_cast<std::uint64_t>(epoch) << 32 | static_cast<std::uint32_t>(stage);
+    scheduler_.sleep_for(pl_tid_, config_.launch_stage_pause,
+                         sim::flat_method<&VideoSession::launch_paused>, this, epoch_stage);
   });
+}
+
+void VideoSession::launch_paused(std::uint64_t epoch_stage) {
+  if (epoch_ok(static_cast<int>(epoch_stage >> 32))) {
+    launch_stage(static_cast<int>(epoch_stage & 0xffffffffu) + 1);
+  }
 }
 
 // --- Download pipeline -------------------------------------------------------
@@ -272,36 +279,13 @@ void VideoSession::retry_segment(int index, Rung rung, std::uint64_t bytes, int 
 
 void VideoSession::on_segment_arrived(int index, Rung rung, mem::Pages pages) {
   const int epoch = epoch_;
-  // Demux on the player thread, then commit the buffer memory.
-  auto demux = [this, index, rung, pages, epoch] {
-    scheduler_.run_work(pl_tid_, config_.profile.demux_cost_refus,
-                        [this, index, rung, pages, epoch] {
-      memory_.alloc_anon(pid_, pages, pl_tid_, [this, index, rung, pages, epoch](bool ok) {
-        if (!ok || !epoch_ok(epoch) || !alive() || finished_) return;
-        Segment segment;
-        segment.index = index;
-        segment.rung = rung;
-        segment.pages = pages;
-        segment.frames = rung.fps * config_.asset.segment_s;
-        segment.start_pts = next_segment_pts_;
-        next_segment_pts_ += sim::sec(config_.asset.segment_s);
-        buffered_media_end_ = next_segment_pts_;
-        buffer_.push_back(segment);
-        metrics_.rung_history.push_back(rung);
-        tracer_.instant(trace::InstantKind::SegmentDownloaded, engine_.now(), pl_tid_, index);
-        downloading_ = false;
-        if (!playback_started_) begin_playback();
-        if (waiting_for_segment_) {
-          waiting_for_segment_ = false;
-          decode_next();
-        }
-        maybe_download();
-      });
-    });
-  };
   // The player thread may be mid-UI-burst; wait for it.
   if (scheduler_.exists(pl_tid_) && scheduler_.is_idle(pl_tid_)) {
-    demux();
+    // Demux on the player thread, then commit the buffer memory.
+    demuxing_ = Segment{index, rung, pages};
+    scheduler_.run_work(pl_tid_, config_.profile.demux_cost_refus,
+                        sim::flat_method<&VideoSession::demuxed>, this,
+                        static_cast<std::uint64_t>(epoch));
   } else {
     engine_.schedule(sim::msec(1), [this, index, rung, pages, epoch] {
       if (epoch_ok(epoch)) on_segment_arrived(index, rung, pages);
@@ -309,27 +293,58 @@ void VideoSession::on_segment_arrived(int index, Rung rung, mem::Pages pages) {
   }
 }
 
+void VideoSession::demuxed(std::uint64_t epoch_arg) {
+  const int epoch = static_cast<int>(epoch_arg);
+  const int index = demuxing_.index;
+  const Rung rung = demuxing_.rung;
+  const mem::Pages pages = demuxing_.pages;
+  memory_.alloc_anon(pid_, pages, pl_tid_, [this, index, rung, pages, epoch](bool ok) {
+    if (!ok || !epoch_ok(epoch) || !alive() || finished_) return;
+    Segment segment;
+    segment.index = index;
+    segment.rung = rung;
+    segment.pages = pages;
+    segment.frames = rung.fps * config_.asset.segment_s;
+    segment.start_pts = next_segment_pts_;
+    next_segment_pts_ += sim::sec(config_.asset.segment_s);
+    buffered_media_end_ = next_segment_pts_;
+    buffer_.push_back(segment);
+    metrics_.rung_history.push_back(rung);
+    tracer_.instant(trace::InstantKind::SegmentDownloaded, engine_.now(), pl_tid_, index);
+    downloading_ = false;
+    if (!playback_started_) begin_playback();
+    if (waiting_for_segment_) {
+      waiting_for_segment_ = false;
+      decode_next();
+    }
+    maybe_download();
+  });
+}
+
 void VideoSession::ui_tick() {
   if (!alive() || finished_) return;
   if (!scheduler_.exists(pl_tid_) || !scheduler_.is_idle(pl_tid_)) return;
   const double cost =
       downloading_ && link_.busy() ? config_.ui_cost_refus * 0.3 : config_.ui_cost_refus;
-  const int epoch = epoch_;
-  scheduler_.run_work(pl_tid_, cost, [this, epoch] {
-    // Runtime allocation churn: grab this tick's share, release it after
-    // its GC lifetime.
-    const auto ticks_per_sec =
-        std::max<sim::Time>(1, sim::sec(1) / std::max<sim::Time>(1, config_.ui_period));
-    const mem::Pages churn = config_.churn_pages_per_sec / ticks_per_sec;
-    if (churn <= 0 || !epoch_ok(epoch) || !alive() || finished_) return;
-    memory_.alloc_anon(pid_, churn, pl_tid_, [this, churn, epoch](bool ok) {
-      if (!ok) return;
-      engine_.schedule(config_.churn_lifetime, [this, churn, epoch] {
-        // Epoch guard: the kill already freed this incarnation's pages;
-        // releasing them against a relaunched process would corrupt the
-        // page accounting.
-        if (epoch_ok(epoch) && memory_.registry().alive(pid_)) memory_.free_anon(pid_, churn);
-      });
+  scheduler_.run_work(pl_tid_, cost, sim::flat_method<&VideoSession::ui_ran>, this,
+                      static_cast<std::uint64_t>(epoch_));
+}
+
+void VideoSession::ui_ran(std::uint64_t epoch_arg) {
+  const int epoch = static_cast<int>(epoch_arg);
+  // Runtime allocation churn: grab this tick's share, release it after
+  // its GC lifetime.
+  const auto ticks_per_sec =
+      std::max<sim::Time>(1, sim::sec(1) / std::max<sim::Time>(1, config_.ui_period));
+  const mem::Pages churn = config_.churn_pages_per_sec / ticks_per_sec;
+  if (churn <= 0 || !epoch_ok(epoch) || !alive() || finished_) return;
+  memory_.alloc_anon(pid_, churn, pl_tid_, [this, churn, epoch](bool ok) {
+    if (!ok) return;
+    engine_.schedule(config_.churn_lifetime, [this, churn, epoch] {
+      // Epoch guard: the kill already freed this incarnation's pages;
+      // releasing them against a relaunched process would corrupt the
+      // page accounting.
+      if (epoch_ok(epoch) && memory_.registry().alive(pid_)) memory_.free_anon(pid_, churn);
     });
   });
 }
@@ -379,13 +394,15 @@ void VideoSession::decode_next() {
     const double skip_cost =
         0.15 * config_.profile.decode_cost_refus(segment.rung, config_.asset.complexity);
     advance_frame();
-    scheduler_.run_work(mc_tid_, skip_cost, [this] { decode_next(); });
+    scheduler_.run_work(mc_tid_, skip_cost, sim::flat_method<&VideoSession::decode_next>, this);
     return;
   }
   if (now < deadline - config_.decode_lead) {
-    scheduler_.sleep_for(mc_tid_, deadline - config_.decode_lead - now, [this] { decode_next(); });
+    scheduler_.sleep_for(mc_tid_, deadline - config_.decode_lead - now,
+                         sim::flat_method<&VideoSession::decode_next>, this);
     return;
   }
+  decoding_ = PresentItem{deadline, pts, segment.rung};
 
   // Per-frame working-set touch: decoding a frame walks the heap, codec
   // buffers and code pages; under pressure the evicted/compressed share
@@ -409,16 +426,14 @@ void VideoSession::decode_next() {
                           static_cast<double>(std::max<sim::Time>(1, config_.touch_period)));
     const auto anon_touch = static_cast<mem::Pages>(static_cast<double>(window_anon) * scale);
     const auto file_touch = static_cast<mem::Pages>(static_cast<double>(window_file) * scale);
-    const Segment snapshot = segment;
     const int epoch = epoch_;
-    memory_.touch_working_set(pid_, mc_tid_, anon_touch, file_touch,
-                              [this, snapshot, deadline, pts, epoch](bool ok) {
-                                if (!ok || !epoch_ok(epoch) || !alive() || finished_) return;
-                                decode_current_frame(snapshot, deadline, pts);
-                              });
+    memory_.touch_working_set(pid_, mc_tid_, anon_touch, file_touch, [this, epoch](bool ok) {
+      if (!ok || !epoch_ok(epoch) || !alive() || finished_) return;
+      decode_current_frame();
+    });
     return;
   }
-  decode_current_frame(segment, deadline, pts);
+  decode_current_frame();
 }
 
 void VideoSession::ensure_decoder_pool(const Rung& rung, std::function<void()> next) {
@@ -440,23 +455,24 @@ void VideoSession::ensure_decoder_pool(const Rung& rung, std::function<void()> n
   });
 }
 
-void VideoSession::decode_current_frame(const Segment& segment, sim::Time deadline,
-                                        sim::Time pts) {
-  ensure_decoder_pool(segment.rung, [this, segment, deadline, pts] {
+void VideoSession::decode_current_frame() {
+  ensure_decoder_pool(decoding_.rung, [this] {
     const double cost =
-        config_.profile.decode_cost_refus(segment.rung, config_.asset.complexity) *
+        config_.profile.decode_cost_refus(decoding_.rung, config_.asset.complexity) *
         unit_lognormal(rng_, config_.decode_sigma);
-    scheduler_.run_work(mc_tid_, cost, [this, segment, deadline, pts] {
-      if (!alive() || finished_) return;
-      if (engine_.now() > deadline + config_.present_slack) {
-        note_dropped(pts);
-      } else {
-        enqueue_compose(deadline, pts, segment.rung);
-      }
-      advance_frame();
-      decode_next();
-    });
+    scheduler_.run_work(mc_tid_, cost, sim::flat_method<&VideoSession::decoded>, this);
   });
+}
+
+void VideoSession::decoded() {
+  if (!alive() || finished_) return;
+  if (engine_.now() > decoding_.deadline + config_.present_slack) {
+    note_dropped(decoding_.pts);
+  } else {
+    enqueue_compose(decoding_.deadline, decoding_.pts, decoding_.rung);
+  }
+  advance_frame();
+  decode_next();
 }
 
 void VideoSession::advance_frame() { ++frame_in_segment_; }
@@ -472,19 +488,21 @@ void VideoSession::comp_pump() {
   if (comp_busy_ || compose_queue_.empty()) return;
   if (!scheduler_.exists(comp_tid_)) return;
   comp_busy_ = true;
-  const PresentItem item = compose_queue_.front();
+  composing_ = compose_queue_.front();
   compose_queue_.pop_front();
-  const double cost = config_.profile.compositor_cost_refus(item.rung);
-  scheduler_.run_work(comp_tid_, cost, [this, item] {
-    if (engine_.now() > item.deadline + config_.present_slack) {
-      note_dropped(item.pts);
-    } else {
-      enqueue_present(item.deadline, item.pts, item.rung);
-    }
-    comp_busy_ = false;
-    comp_pump();
-    maybe_finish_playout();
-  });
+  const double cost = config_.profile.compositor_cost_refus(composing_.rung);
+  scheduler_.run_work(comp_tid_, cost, sim::flat_method<&VideoSession::composed>, this);
+}
+
+void VideoSession::composed() {
+  if (engine_.now() > composing_.deadline + config_.present_slack) {
+    note_dropped(composing_.pts);
+  } else {
+    enqueue_present(composing_.deadline, composing_.pts, composing_.rung);
+  }
+  comp_busy_ = false;
+  comp_pump();
+  maybe_finish_playout();
 }
 
 // --- Presentation ------------------------------------------------------------
@@ -498,25 +516,28 @@ void VideoSession::sf_pump() {
   if (sf_busy_ || present_queue_.empty()) return;
   if (!scheduler_.exists(sf_tid_)) return;
   sf_busy_ = true;
-  const PresentItem item = present_queue_.front();
+  presenting_ = present_queue_.front();
   present_queue_.pop_front();
-  const double cost = config_.profile.compose_cost_refus(item.rung);
+  const double cost = config_.profile.compose_cost_refus(presenting_.rung);
+  scheduler_.run_work(sf_tid_, cost, sim::flat_method<&VideoSession::presented>, this,
+                      static_cast<std::uint64_t>(epoch_));
+}
+
+void VideoSession::presented(std::uint64_t epoch_arg) {
   // SurfaceFlinger lives in the system process and survives a client
-  // kill, so this callback can fire for a dead incarnation: the frame was
-  // already accounted as lost at kill time — just release the stage.
-  const int epoch = epoch_;
-  scheduler_.run_work(sf_tid_, cost, [this, item, epoch] {
-    if (epoch_ok(epoch)) {
-      if (engine_.now() <= item.deadline + config_.present_slack) {
-        note_presented(item.pts);
-      } else {
-        note_dropped(item.pts);
-      }
+  // kill, so this can run for a dead incarnation: the frame was already
+  // accounted as lost at kill time — just release the stage.
+  const bool current = epoch_ok(static_cast<int>(epoch_arg));
+  if (current) {
+    if (engine_.now() <= presenting_.deadline + config_.present_slack) {
+      note_presented(presenting_.pts);
+    } else {
+      note_dropped(presenting_.pts);
     }
-    sf_busy_ = false;
-    sf_pump();
-    if (epoch_ok(epoch)) maybe_finish_playout();
-  });
+  }
+  sf_busy_ = false;
+  sf_pump();
+  if (current) maybe_finish_playout();
 }
 
 // --- Accounting ---------------------------------------------------------------

@@ -176,8 +176,9 @@ class VideoSession {
 
   /// Serialize the full playback pipeline: download/buffer state, decode
   /// cursor, compose/present queues, ABR throughput estimate, the
-  /// session RNG stream and all metrics. In-flight async callbacks are
-  /// closures and replay-reconstructed (DESIGN.md §10).
+  /// session RNG stream and all metrics. In-flight async callbacks, and
+  /// the in-flight frames the stage continuations read, are
+  /// replay-reconstructed (DESIGN.md §10).
   void save(snapshot::ByteWriter& w) const;
   std::uint64_t digest() const;
   trace::ThreadId surfaceflinger_tid() const noexcept { return sf_tid_; }
@@ -207,19 +208,28 @@ class VideoSession {
 
   // Decode pipeline (MediaCodec thread).
   void decode_next();
-  void decode_current_frame(const Segment& segment, sim::Time deadline, sim::Time pts);
+  /// Decode decoding_ once the decoder pool fits its rung.
+  void decode_current_frame();
+  void decoded();
   void ensure_decoder_pool(const Rung& rung, std::function<void()> next);
   void advance_frame();
 
   // In-process compositor stage (decode -> compositor -> SurfaceFlinger).
   void enqueue_compose(sim::Time deadline, sim::Time pts, const Rung& rung);
   void comp_pump();
-  // Presentation (SurfaceFlinger thread).
+  void composed();
+  // Presentation (SurfaceFlinger thread); arg = the incarnation's epoch.
   void enqueue_present(sim::Time deadline, sim::Time pts, const Rung& rung);
   void sf_pump();
+  void presented(std::uint64_t epoch);
 
   void spawn_client_threads();
   void launch_stage(int stage);
+  /// Flat continuations of the player thread's bursts and sleeps; each
+  /// arg carries the epoch at issue time (and the launch stage).
+  void launch_paused(std::uint64_t epoch_stage);
+  void demuxed(std::uint64_t epoch);
+  void ui_ran(std::uint64_t epoch);
   void begin_playback();
   void note_presented(sim::Time pts);
   void note_dropped(sim::Time pts);
@@ -303,6 +313,15 @@ class VideoSession {
   mem::Pages pool_pages_ = 0;
   sim::Time last_touch_ = 0;
   double throughput_estimate_mbps_ = 0.0;
+
+  // The frame each stage has in flight, read by the stage's continuation
+  // (each stage works one frame at a time), and the segment being demuxed.
+  // A dead incarnation's MediaCodec and Compositor bursts die with their
+  // threads; SurfaceFlinger's checks the epoch it was issued under.
+  PresentItem decoding_;
+  PresentItem composing_;
+  PresentItem presenting_;
+  Segment demuxing_;
 
   std::deque<PresentItem> compose_queue_;
   bool comp_busy_ = false;

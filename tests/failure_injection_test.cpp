@@ -3,7 +3,10 @@
 // downstream user will hit the day they change a default.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "check/harness.hpp"
+#include "core/system_activity.hpp"
 #include "proc/activity_manager.hpp"
 #include "scenario/driver.hpp"
 #include "trace/analysis.hpp"
@@ -150,6 +153,35 @@ TEST(FailureInjection, PressureInducerUnreachableTargetIsBounded) {
   testbed.engine.run_until(testbed.engine.now() + sec(60));
   EXPECT_LE(inducer.held_pages(), 2 * testbed.profile().memory.total);
   EXPECT_GE(testbed.memory.free_pages(), 0);
+}
+
+// The duty threads outlive their driver. A SystemActivity destroyed
+// while one duty has a burst in flight and the others sleep leaves
+// nothing that calls back into it: the world runs on, and every thread
+// it created goes idle.
+TEST(FailureInjection, DestroyedSystemActivityLeavesNoContinuation) {
+  core::Testbed testbed(core::nokia1(), 3);
+  testbed.boot();
+  const sched::ThreadId first = static_cast<sched::ThreadId>(testbed.scheduler.thread_count() + 1);
+  auto activity = std::make_unique<core::SystemActivity>(testbed);
+  activity->start();
+  const auto last = static_cast<sched::ThreadId>(testbed.scheduler.thread_count());
+  ASSERT_GT(last, first);
+  const auto busy = [&] {
+    for (sched::ThreadId tid = first; tid <= last; ++tid) {
+      if (!testbed.scheduler.is_idle(tid)) return true;
+    }
+    return false;
+  };
+  // Past the staggered first activations, up to an instant with a duty
+  // burst in flight.
+  testbed.engine.run_until(testbed.engine.now() + sec(1));
+  while (!busy()) ASSERT_TRUE(testbed.engine.step());
+
+  activity.reset();
+  testbed.engine.run_until(testbed.engine.now() + sec(5));
+  EXPECT_FALSE(busy());
+  EXPECT_TRUE(testbed.memory.check_conservation().ok);
 }
 
 TEST(FailureInjection, StartupUnderCriticalEitherPlaysOrCrashesCleanly) {

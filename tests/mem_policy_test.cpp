@@ -30,6 +30,7 @@
 #include "campaign/fuzz_campaign.hpp"
 #include "campaign/policy_campaign.hpp"
 #include "campaign/sweep_campaign.hpp"
+#include "closure.hpp"
 #include "fleet/aggregate.hpp"
 #include "fleet/spec.hpp"
 #include "mem/policy.hpp"
@@ -257,7 +258,7 @@ TEST(ReclaimPlanner, PinsEveryPolicysCalmAndDesperatePlans) {
   const auto burn = [&](sched::ProcessId pid, double refus) {
     sched::ThreadSpec spec;
     spec.pid = pid;
-    scheduler.run_work(scheduler.create_thread(spec), refus, [] {});
+    scheduler.run_work(scheduler.create_thread(spec), refus, &testkit::nothing, nullptr);
   };
   burn(1, 4000.0);  // hotness 2000 > hot_cut 500: warm tier
   burn(3, 600.0);   // hotness 300 <= 500: cold tier
@@ -397,7 +398,8 @@ TEST(ReclaimPlanner, KeptSumPlansEqualTheThreeWalkPlannerOnRandomRegistries) {
   for (mem::ProcessId pid = 1; pid <= kPids; pid += 2) {
     sched::ThreadSpec spec;
     spec.pid = pid;
-    scheduler.run_work(scheduler.create_thread(spec), rng.uniform(0.0, 2000.0), [] {});
+    scheduler.run_work(scheduler.create_thread(spec), rng.uniform(0.0, 2000.0),
+                       &testkit::nothing, nullptr);
   }
   engine.run();
   // ariadne's hotness after its first sample: half each pid's CPU.
@@ -675,7 +677,8 @@ TEST(AriadneHotness, FlatTableEqualsThePerBatchMapsPlanForPlan) {
             if (!scheduler.exists(tid) || !scheduler.is_idle(tid)) break;
             const bool zero = rng.bernoulli(0.15);
             zero_bursts += zero;
-            scheduler.run_work(tid, zero ? 0.0 : rng.uniform(1.0, 4000.0), [] {});
+            scheduler.run_work(tid, zero ? 0.0 : rng.uniform(1.0, 4000.0), &testkit::nothing,
+                               nullptr);
             break;
           }
           case 4: {

@@ -7,6 +7,7 @@
 #include <functional>
 #include <new>
 
+#include "closure.hpp"
 #include "mem/memory_manager.hpp"
 #include "trace/analysis.hpp"
 
@@ -546,7 +547,7 @@ TEST(MemoryManagerScheduled, AriadneBatchesAllocateLessThanOncePerHundred) {
     for (const double work : {1000.0, 3000.0}) {
       sched::ThreadSpec spec;
       spec.pid = pid;
-      scheduler.run_work(scheduler.create_thread(spec), work, [] {});
+      scheduler.run_work(scheduler.create_thread(spec), work, &testkit::nothing, nullptr);
     }
   }
   manager.alloc_anon(200, pages_from_mb(40), 0, nullptr);

@@ -8,13 +8,13 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "check/generator.hpp"
+#include "closure.hpp"
 #include "mem/memory_manager.hpp"
 #include "qoe/mos.hpp"
 #include "sched/scheduler.hpp"
@@ -109,12 +109,13 @@ void expect_work_conserving(sched::SchedulerConfig config, int threads) {
 
   const double work_each = 20'000.0;  // 20ms reference work per thread
   int completed = 0;
+  testkit::Closure count{[&completed] { ++completed; }};
   for (int i = 0; i < threads; ++i) {
     sched::ThreadSpec spec;
     spec.name = "worker" + std::to_string(i);
     spec.pid = 100;
     const auto tid = scheduler.create_thread(spec);
-    scheduler.run_work(tid, work_each, [&completed] { ++completed; });
+    scheduler.run_work(tid, work_each, &testkit::Closure::run, &count);
   }
   engine.run();
   EXPECT_EQ(completed, threads);
@@ -168,7 +169,7 @@ TEST_P(SchedFairness, EqualWeightThreadsGetEqualCpu) {
   sched::Scheduler scheduler(engine, tracer, config);
 
   std::vector<sched::ThreadId> tids;
-  std::vector<std::function<void()>> loops(static_cast<std::size_t>(threads));
+  std::vector<testkit::Closure> loops(static_cast<std::size_t>(threads));
   for (int i = 0; i < threads; ++i) {
     sched::ThreadSpec spec;
     spec.name = "t" + std::to_string(i);
@@ -178,8 +179,10 @@ TEST_P(SchedFairness, EqualWeightThreadsGetEqualCpu) {
   for (int i = 0; i < threads; ++i) {
     const auto tid = tids[static_cast<std::size_t>(i)];
     auto& loop = loops[static_cast<std::size_t>(i)];
-    loop = [&scheduler, tid, &loop] { scheduler.run_work(tid, 2000.0, loop); };
-    loop();
+    loop.body = [&scheduler, tid, &loop] {
+      scheduler.run_work(tid, 2000.0, &testkit::Closure::run, &loop);
+    };
+    loop.body();
   }
   engine.run_until(sim::sec(3));
   tracer.finalize(engine.now());

@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "closure.hpp"
 #include "sched/scheduler.hpp"
 #include "trace/analysis.hpp"
 
@@ -14,6 +15,8 @@ namespace {
 
 using sim::msec;
 using sim::sec;
+using testkit::Closure;
+using testkit::nothing;
 
 struct Fixture {
   sim::Engine engine;
@@ -49,7 +52,8 @@ TEST(SchedEdge, HeterogeneousCoresPreferFasterIdleCore) {
   Scheduler sched(fx.engine, fx.tracer, cores({1.0, 2.0}));
   const auto tid = sched.create_thread(fair("t"));
   sim::Time done = -1;
-  sched.run_work(tid, 10000.0, [&] { done = fx.engine.now(); });
+  Closure finished{[&] { done = fx.engine.now(); }};
+  sched.run_work(tid, 10000.0, &Closure::run, &finished);
   fx.engine.run();
   EXPECT_EQ(done, msec(5));  // ran on the 2 GHz core
 }
@@ -62,11 +66,13 @@ TEST(SchedEdge, QueuedRtThreadStolenByIdleCore) {
   const auto blocker = sched.create_thread(fair("blocker"));
   const auto rt1 = sched.create_thread(rt("rt1", 50));
   const auto rt2 = sched.create_thread(rt("rt2", 50));
-  sched.run_work(blocker, 3000.0, [] {});  // occupies core briefly
+  sched.run_work(blocker, 3000.0, &nothing, nullptr);  // occupies core briefly
   sim::Time rt1_done = -1;
   sim::Time rt2_done = -1;
-  sched.run_work(rt1, 20000.0, [&] { rt1_done = fx.engine.now(); });
-  sched.run_work(rt2, 20000.0, [&] { rt2_done = fx.engine.now(); });
+  Closure rt1_finished{[&] { rt1_done = fx.engine.now(); }};
+  Closure rt2_finished{[&] { rt2_done = fx.engine.now(); }};
+  sched.run_work(rt1, 20000.0, &Closure::run, &rt1_finished);
+  sched.run_work(rt2, 20000.0, &Closure::run, &rt2_finished);
   fx.engine.run();
   // Both finish around 20-23ms: they ended up on different cores rather
   // than serializing for 40ms.
@@ -82,9 +88,10 @@ TEST(SchedEdge, AffinityPinnedThreadWaitsForItsCore) {
   ThreadSpec pinned_spec = fair("pinned");
   pinned_spec.affinity = 0b01;
   const auto pinned = sched.create_thread(pinned_spec);
-  sched.run_work(hog, 20000.0, [] {});
+  sched.run_work(hog, 20000.0, &nothing, nullptr);
   sim::Time done = -1;
-  sched.run_work(pinned, 1000.0, [&] { done = fx.engine.now(); });
+  Closure finished{[&] { done = fx.engine.now(); }};
+  sched.run_work(pinned, 1000.0, &Closure::run, &finished);
   fx.engine.run();
   // Core 1 is idle the whole time but the pinned thread may not use it:
   // it must share core 0 (timeslicing), finishing well after 1 ms.
@@ -97,8 +104,9 @@ TEST(SchedEdge, TerminateQueuedThreadNeverRuns) {
   const auto hog = sched.create_thread(fair("hog"));
   const auto victim = sched.create_thread(fair("victim"));
   bool ran = false;
-  sched.run_work(hog, 50000.0, [] {});
-  sched.run_work(victim, 1000.0, [&] { ran = true; });
+  Closure finished{[&] { ran = true; }};
+  sched.run_work(hog, 50000.0, &nothing, nullptr);
+  sched.run_work(victim, 1000.0, &Closure::run, &finished);
   sched.terminate(victim);  // still queued, never dispatched
   fx.engine.run();
   EXPECT_FALSE(ran);
@@ -120,18 +128,17 @@ TEST(SchedEdge, RtPreemptionRecordAcrossMultipleVictims) {
   const auto a = sched.create_thread(fair("a"));
   const auto b = sched.create_thread(fair("b"));
   const auto daemon = sched.create_thread(rt("mmcqd", 50));
-  sched.run_work(a, 100000.0, [] {});
-  sched.run_work(b, 100000.0, [] {});
+  sched.run_work(a, 100000.0, &nothing, nullptr);
+  sched.run_work(b, 100000.0, &nothing, nullptr);
   // Two wakeups: each preempts whichever fair thread occupies the chosen
   // core at the time.
-  std::function<void()> fire = [&] {
-    sched.run_work(daemon, 500.0, [&] {
-      sched.sleep_for(daemon, msec(10), [&] {
-        if (fx.engine.now() < msec(50)) fire();
-      });
-    });
-  };
-  fx.engine.schedule(msec(5), fire);
+  Closure fire;
+  Closure again{[&] {
+    if (fx.engine.now() < msec(50)) fire.body();
+  }};
+  Closure nap{[&] { sched.sleep_for(daemon, msec(10), &Closure::run, &again); }};
+  fire.body = [&] { sched.run_work(daemon, 500.0, &Closure::run, &nap); };
+  fx.engine.schedule(msec(5), fire.body);
   fx.engine.run();
   fx.tracer.finalize(fx.engine.now());
   const auto stats_a = trace::preemption_stats(fx.tracer, {a}, "mmcqd");
@@ -143,7 +150,7 @@ TEST(SchedEdge, CountersAccumulateCpuTime) {
   Fixture fx;
   Scheduler sched(fx.engine, fx.tracer, cores({2.0}));
   const auto tid = sched.create_thread(fair("t"));
-  sched.run_work(tid, 10000.0, [] {});
+  sched.run_work(tid, 10000.0, &nothing, nullptr);
   fx.engine.run();
   EXPECT_NEAR(sched.counters(tid).cpu_refus_consumed, 10000.0, 1.0);
 }
@@ -153,7 +160,8 @@ TEST(SchedEdge, ZeroWorkBurstCompletesImmediately) {
   Scheduler sched(fx.engine, fx.tracer, cores({1.0}));
   const auto tid = sched.create_thread(fair("t"));
   bool done = false;
-  sched.run_work(tid, 0.0, [&] { done = true; });
+  Closure finished{[&] { done = true; }};
+  sched.run_work(tid, 0.0, &Closure::run, &finished);
   fx.engine.run();
   EXPECT_TRUE(done);
   EXPECT_LE(fx.engine.now(), msec(1));
@@ -169,13 +177,21 @@ TEST(SchedEdge, RtQueueOrdersByPriorityThenArrival) {
   const auto p50a = sched.create_thread(rt("p50a", 50));
   const auto p50b = sched.create_thread(rt("p50b", 50));
   const auto p30 = sched.create_thread(rt("p30", 30));
-  std::vector<std::pair<ThreadId, sim::Time>> finished;
-  auto record = [&](ThreadId tid) {
-    return [&finished, &fx, tid] { finished.emplace_back(tid, fx.engine.now()); };
-  };
-  sched.run_work(hog, 10000.0, record(hog));
+  // One continuation for every thread; its arg names the thread.
+  struct Log {
+    sim::Engine* engine;
+    std::vector<std::pair<ThreadId, sim::Time>> finished;
+    static void record(void* ctx, std::uint64_t tid) {
+      auto* log = static_cast<Log*>(ctx);
+      log->finished.emplace_back(static_cast<ThreadId>(tid), log->engine->now());
+    }
+  } finish_log{&fx.engine, {}};
+  const std::vector<std::pair<ThreadId, sim::Time>>& finished = finish_log.finished;
+  sched.run_work(hog, 10000.0, &Log::record, &finish_log, hog);
   fx.engine.schedule(msec(1), [&] {
-    for (const auto tid : {p10, p50a, p50b, p30}) sched.run_work(tid, 1000.0, record(tid));
+    for (const auto tid : {p10, p50a, p50b, p30}) {
+      sched.run_work(tid, 1000.0, &Log::record, &finish_log, tid);
+    }
   });
   fx.engine.run();
   const std::vector<std::pair<ThreadId, sim::Time>> expected = {
@@ -194,11 +210,12 @@ TEST(SchedEdge, PreemptedRtVictimQueuesBehindEqualPriorityWaiter) {
   sim::Time victim_done = -1;
   sim::Time waiter_done = -1;
   sim::Time high_done = -1;
-  sched.run_work(victim, 10000.0, [&] { victim_done = fx.engine.now(); });
-  sched.run_work(waiter, 1000.0, [&] { waiter_done = fx.engine.now(); });
-  fx.engine.schedule(msec(2), [&] {
-    sched.run_work(high, 1000.0, [&] { high_done = fx.engine.now(); });
-  });
+  Closure victim_finished{[&] { victim_done = fx.engine.now(); }};
+  Closure waiter_finished{[&] { waiter_done = fx.engine.now(); }};
+  Closure high_finished{[&] { high_done = fx.engine.now(); }};
+  sched.run_work(victim, 10000.0, &Closure::run, &victim_finished);
+  sched.run_work(waiter, 1000.0, &Closure::run, &waiter_finished);
+  fx.engine.schedule(msec(2), [&] { sched.run_work(high, 1000.0, &Closure::run, &high_finished); });
   fx.engine.run();
   EXPECT_EQ(high_done, msec(3));
   EXPECT_EQ(waiter_done, msec(4));
@@ -215,10 +232,12 @@ TEST(SchedEdge, SameInstantResubmitKeepsBothCallbacks) {
   const auto tid = sched.create_thread(fair("t"));
   std::vector<sim::Time> first;
   std::vector<sim::Time> second;
-  sched.run_work(tid, 10000.0, [&] { first.push_back(fx.engine.now()); });
+  Closure first_finished{[&] { first.push_back(fx.engine.now()); }};
+  Closure second_finished{[&] { second.push_back(fx.engine.now()); }};
+  sched.run_work(tid, 10000.0, &Closure::run, &first_finished);
   fx.engine.schedule(msec(10), [&] {
     ASSERT_TRUE(sched.is_idle(tid));
-    sched.run_work(tid, 2000.0, [&] { second.push_back(fx.engine.now()); });
+    sched.run_work(tid, 2000.0, &Closure::run, &second_finished);
   });
   fx.engine.run();
   EXPECT_EQ(first, std::vector<sim::Time>{msec(10)});
@@ -234,8 +253,10 @@ TEST(SchedEdge, TerminateBeforeCallbackDropsItAndRunsWaiter) {
   const auto waiter = sched.create_thread(rt("waiter", 50));
   bool fired = false;
   sim::Time waiter_done = -1;
-  sched.run_work(doomed, 10000.0, [&] { fired = true; });
-  sched.run_work(waiter, 1000.0, [&] { waiter_done = fx.engine.now(); });
+  Closure doomed_finished{[&] { fired = true; }};
+  Closure waiter_finished{[&] { waiter_done = fx.engine.now(); }};
+  sched.run_work(doomed, 10000.0, &Closure::run, &doomed_finished);
+  sched.run_work(waiter, 1000.0, &Closure::run, &waiter_finished);
   fx.engine.schedule(msec(10), [&] {
     ASSERT_TRUE(sched.is_idle(doomed));
     sched.terminate(doomed);
@@ -258,11 +279,14 @@ TEST(SchedEdge, CompletionCallbackRunsBeforeCoreRedispatch) {
   trace::ThreadState waiter_state_in_callback = trace::ThreadState::Created;
   sim::Time waiter_done = -1;
   sim::Time high_done = -1;
-  sched.run_work(first, 10000.0, [&] {
+  Closure high_finished{[&] { high_done = fx.engine.now(); }};
+  Closure first_finished{[&] {
     waiter_state_in_callback = sched.state(waiter);
-    sched.run_work(high, 1000.0, [&] { high_done = fx.engine.now(); });
-  });
-  sched.run_work(waiter, 1000.0, [&] { waiter_done = fx.engine.now(); });
+    sched.run_work(high, 1000.0, &Closure::run, &high_finished);
+  }};
+  Closure waiter_finished{[&] { waiter_done = fx.engine.now(); }};
+  sched.run_work(first, 10000.0, &Closure::run, &first_finished);
+  sched.run_work(waiter, 1000.0, &Closure::run, &waiter_finished);
   fx.engine.run();
   EXPECT_EQ(waiter_state_in_callback, trace::ThreadState::Runnable);
   EXPECT_EQ(high_done, msec(11));
@@ -279,7 +303,7 @@ TEST(SchedEdge, ManyThreadsOnManyCoresAccountingCloses) {
     const auto tid = sched.create_thread(fair("w" + std::to_string(i)));
     const double work = 1000.0 * (i + 1);
     submitted += work;
-    sched.run_work(tid, work, [] {});
+    sched.run_work(tid, work, &nothing, nullptr);
   }
   fx.engine.run();
   fx.tracer.finalize(fx.engine.now());

@@ -2,10 +2,11 @@
 
 #include <cstdint>
 #include <cstdlib>
-#include <functional>
 #include <new>
+#include <stdexcept>
 #include <vector>
 
+#include "closure.hpp"
 #include "sched/scheduler.hpp"
 #include "trace/analysis.hpp"
 
@@ -46,6 +47,8 @@ namespace {
 using sim::msec;
 using sim::sec;
 using sim::usec;
+using testkit::Closure;
+using testkit::nothing;
 using trace::ThreadState;
 
 struct Fixture {
@@ -92,7 +95,8 @@ TEST(Scheduler, SingleBurstCompletesAfterWorkOverFrequency) {
   Scheduler sched(fx.engine, fx.tracer, single_core(2.0));
   const ThreadId tid = sched.create_thread(fair_spec("t"));
   sim::Time done_at = -1;
-  sched.run_work(tid, 10000.0, [&] { done_at = fx.engine.now(); });  // 10ms ref work
+  Closure done{[&] { done_at = fx.engine.now(); }};
+  sched.run_work(tid, 10000.0, &Closure::run, &done);  // 10ms ref work
   fx.engine.run();
   EXPECT_EQ(done_at, usec(5000));  // 2 GHz core: half the reference time
   EXPECT_TRUE(sched.is_idle(tid));
@@ -103,7 +107,8 @@ TEST(Scheduler, SlowCoreTakesProportionallyLonger) {
   Scheduler sched(fx.engine, fx.tracer, single_core(0.5));
   const ThreadId tid = sched.create_thread(fair_spec("t"));
   sim::Time done_at = -1;
-  sched.run_work(tid, 10000.0, [&] { done_at = fx.engine.now(); });
+  Closure done{[&] { done_at = fx.engine.now(); }};
+  sched.run_work(tid, 10000.0, &Closure::run, &done);
   fx.engine.run();
   EXPECT_EQ(done_at, usec(20000));
 }
@@ -115,8 +120,10 @@ TEST(Scheduler, TwoFairThreadsShareOneCoreEqually) {
   const ThreadId b = sched.create_thread(fair_spec("b"));
   sim::Time a_done = -1;
   sim::Time b_done = -1;
-  sched.run_work(a, 50000.0, [&] { a_done = fx.engine.now(); });
-  sched.run_work(b, 50000.0, [&] { b_done = fx.engine.now(); });
+  Closure a_finished{[&] { a_done = fx.engine.now(); }};
+  Closure b_finished{[&] { b_done = fx.engine.now(); }};
+  sched.run_work(a, 50000.0, &Closure::run, &a_finished);
+  sched.run_work(b, 50000.0, &Closure::run, &b_finished);
   fx.engine.run();
   // Total 100ms of work on one core: both finish near the end, having
   // interleaved; neither can finish before its own 50ms of CPU.
@@ -133,10 +140,10 @@ TEST(Scheduler, FairShareIsProportionalOverWindow) {
   const ThreadId a = sched.create_thread(fair_spec("a"));
   const ThreadId b = sched.create_thread(fair_spec("b"));
   // Both threads continuously re-submit work: measure running time split.
-  std::function<void()> loop_a = [&] { sched.run_work(a, 3000.0, loop_a); };
-  std::function<void()> loop_b = [&] { sched.run_work(b, 3000.0, loop_b); };
-  loop_a();
-  loop_b();
+  Closure loop_a{[&] { sched.run_work(a, 3000.0, &Closure::run, &loop_a); }};
+  Closure loop_b{[&] { sched.run_work(b, 3000.0, &Closure::run, &loop_b); }};
+  loop_a.body();
+  loop_b.body();
   fx.engine.run_until(sec(2));
   fx.tracer.finalize(fx.engine.now());
   const auto ta = trace::state_times(fx.tracer, {a});
@@ -151,10 +158,9 @@ TEST(Scheduler, RtPreemptsFairImmediately) {
   const ThreadId fair = sched.create_thread(fair_spec("fair"));
   const ThreadId rt = sched.create_thread(rt_spec("mmcqd", 50));
   sim::Time rt_done = -1;
-  sched.run_work(fair, 100000.0, [] {});
-  fx.engine.schedule(msec(10), [&] {
-    sched.run_work(rt, 1000.0, [&] { rt_done = fx.engine.now(); });
-  });
+  Closure rt_finished{[&] { rt_done = fx.engine.now(); }};
+  sched.run_work(fair, 100000.0, &nothing, nullptr);
+  fx.engine.schedule(msec(10), [&] { sched.run_work(rt, 1000.0, &Closure::run, &rt_finished); });
   fx.engine.run();
   // RT thread finishes 1ms after waking at 10ms, despite the fair hog.
   EXPECT_EQ(rt_done, msec(11));
@@ -166,8 +172,8 @@ TEST(Scheduler, PreemptionRecordHasRunAndWaitTimes) {
   Scheduler sched(fx.engine, fx.tracer, single_core(1.0));
   const ThreadId fair = sched.create_thread(fair_spec("victim"));
   const ThreadId rt = sched.create_thread(rt_spec("mmcqd", 50));
-  sched.run_work(fair, 100000.0, [] {});
-  fx.engine.schedule(msec(10), [&] { sched.run_work(rt, 2000.0, [] {}); });
+  sched.run_work(fair, 100000.0, &nothing, nullptr);
+  fx.engine.schedule(msec(10), [&] { sched.run_work(rt, 2000.0, &nothing, nullptr); });
   fx.engine.run();
   fx.tracer.finalize(fx.engine.now());
 
@@ -191,10 +197,10 @@ TEST(Scheduler, HigherRtPriorityPreemptsLowerRt) {
   const ThreadId high = sched.create_thread(rt_spec("high", 90));
   sim::Time low_done = -1;
   sim::Time high_done = -1;
-  sched.run_work(low, 10000.0, [&] { low_done = fx.engine.now(); });
-  fx.engine.schedule(msec(2), [&] {
-    sched.run_work(high, 1000.0, [&] { high_done = fx.engine.now(); });
-  });
+  Closure low_finished{[&] { low_done = fx.engine.now(); }};
+  Closure high_finished{[&] { high_done = fx.engine.now(); }};
+  sched.run_work(low, 10000.0, &Closure::run, &low_finished);
+  fx.engine.schedule(msec(2), [&] { sched.run_work(high, 1000.0, &Closure::run, &high_finished); });
   fx.engine.run();
   EXPECT_EQ(high_done, msec(3));
   EXPECT_EQ(low_done, msec(11));
@@ -207,10 +213,11 @@ TEST(Scheduler, EqualRtPriorityDoesNotPreempt) {
   const ThreadId second = sched.create_thread(rt_spec("second", 50));
   sim::Time first_done = -1;
   sim::Time second_done = -1;
-  sched.run_work(first, 10000.0, [&] { first_done = fx.engine.now(); });
-  fx.engine.schedule(msec(2), [&] {
-    sched.run_work(second, 1000.0, [&] { second_done = fx.engine.now(); });
-  });
+  Closure first_finished{[&] { first_done = fx.engine.now(); }};
+  Closure second_finished{[&] { second_done = fx.engine.now(); }};
+  sched.run_work(first, 10000.0, &Closure::run, &first_finished);
+  fx.engine.schedule(msec(2),
+                     [&] { sched.run_work(second, 1000.0, &Closure::run, &second_finished); });
   fx.engine.run();
   EXPECT_EQ(first_done, msec(10));  // runs to completion
   EXPECT_EQ(second_done, msec(11));
@@ -221,10 +228,14 @@ TEST(Scheduler, IdleCoresPickUpWork) {
   Scheduler sched(fx.engine, fx.tracer, quad_core(1.0));
   std::vector<sim::Time> done(4, -1);
   std::vector<ThreadId> tids;
+  std::vector<Closure> finished(4);
   for (int i = 0; i < 4; ++i) tids.push_back(sched.create_thread(fair_spec("t" + std::to_string(i))));
   for (int i = 0; i < 4; ++i) {
-    sched.run_work(tids[static_cast<std::size_t>(i)], 10000.0,
-                   [&, i] { done[static_cast<std::size_t>(i)] = fx.engine.now(); });
+    finished[static_cast<std::size_t>(i)].body = [&, i] {
+      done[static_cast<std::size_t>(i)] = fx.engine.now();
+    };
+    sched.run_work(tids[static_cast<std::size_t>(i)], 10000.0, &Closure::run,
+                   &finished[static_cast<std::size_t>(i)]);
   }
   fx.engine.run();
   for (const sim::Time t : done) EXPECT_EQ(t, msec(10));  // fully parallel
@@ -237,10 +248,14 @@ TEST(Scheduler, WorkStealingDrainsLongQueues) {
   std::vector<sim::Time> done;
   std::vector<ThreadId> tids;
   done.resize(8, -1);
+  std::vector<Closure> finished(8);
   for (int i = 0; i < 8; ++i) tids.push_back(sched.create_thread(fair_spec("t" + std::to_string(i))));
   for (int i = 0; i < 8; ++i) {
-    sched.run_work(tids[static_cast<std::size_t>(i)], 10000.0,
-                   [&done, &fx, i] { done[static_cast<std::size_t>(i)] = fx.engine.now(); });
+    finished[static_cast<std::size_t>(i)].body = [&done, &fx, i] {
+      done[static_cast<std::size_t>(i)] = fx.engine.now();
+    };
+    sched.run_work(tids[static_cast<std::size_t>(i)], 10000.0, &Closure::run,
+                   &finished[static_cast<std::size_t>(i)]);
   }
   fx.engine.run();
   for (const sim::Time t : done) {
@@ -256,7 +271,7 @@ TEST(Scheduler, AffinityRestrictsPlacement) {
   spec.affinity = 0b0100;  // core 2 only
   const ThreadId tid = sched.create_thread(spec);
   bool checked = false;
-  sched.run_work(tid, 10000.0, [] {});
+  sched.run_work(tid, 10000.0, &nothing, nullptr);
   fx.engine.schedule(msec(1), [&] {
     ASSERT_TRUE(sched.running_core(tid).has_value());
     EXPECT_EQ(sched.running_core(tid).value(), 2u);
@@ -273,10 +288,10 @@ TEST(Scheduler, NiceWeightSkewsCpuShare) {
   heavy.priority = -5;  // lower nice -> heavier weight
   const ThreadId a = sched.create_thread(heavy);
   const ThreadId b = sched.create_thread(fair_spec("light"));
-  std::function<void()> loop_a = [&] { sched.run_work(a, 3000.0, loop_a); };
-  std::function<void()> loop_b = [&] { sched.run_work(b, 3000.0, loop_b); };
-  loop_a();
-  loop_b();
+  Closure loop_a{[&] { sched.run_work(a, 3000.0, &Closure::run, &loop_a); }};
+  Closure loop_b{[&] { sched.run_work(b, 3000.0, &Closure::run, &loop_b); }};
+  loop_a.body();
+  loop_b.body();
   fx.engine.run_until(sec(3));
   fx.tracer.finalize(fx.engine.now());
   const auto ta = trace::state_times(fx.tracer, {a});
@@ -291,10 +306,11 @@ TEST(Scheduler, TerminateRunningThreadFreesCore) {
   const ThreadId waiter = sched.create_thread(fair_spec("waiter"));
   bool hog_completed = false;
   sim::Time waiter_done = -1;
-  sched.run_work(hog, 1000000.0, [&] { hog_completed = true; });
-  fx.engine.schedule(msec(1), [&] {
-    sched.run_work(waiter, 1000.0, [&] { waiter_done = fx.engine.now(); });
-  });
+  Closure hog_finished{[&] { hog_completed = true; }};
+  Closure waiter_finished{[&] { waiter_done = fx.engine.now(); }};
+  sched.run_work(hog, 1000000.0, &Closure::run, &hog_finished);
+  fx.engine.schedule(msec(1),
+                     [&] { sched.run_work(waiter, 1000.0, &Closure::run, &waiter_finished); });
   fx.engine.schedule(msec(2), [&] { sched.terminate(hog); });
   fx.engine.run();
   EXPECT_FALSE(hog_completed);
@@ -308,9 +324,9 @@ TEST(Scheduler, TerminateProcessKillsAllItsThreads) {
   const ThreadId a = sched.create_thread(fair_spec("a", 200));
   const ThreadId b = sched.create_thread(fair_spec("b", 200));
   const ThreadId other = sched.create_thread(fair_spec("c", 300));
-  sched.run_work(a, 50000.0, [] {});
-  sched.run_work(b, 50000.0, [] {});
-  sched.run_work(other, 5000.0, [] {});
+  sched.run_work(a, 50000.0, &nothing, nullptr);
+  sched.run_work(b, 50000.0, &nothing, nullptr);
+  sched.run_work(other, 5000.0, &nothing, nullptr);
   fx.engine.schedule(msec(1), [&] { sched.terminate_process(200); });
   fx.engine.run();
   EXPECT_FALSE(sched.exists(a));
@@ -323,7 +339,8 @@ TEST(Scheduler, SleepForWakesAtRequestedTime) {
   Scheduler sched(fx.engine, fx.tracer, single_core(1.0));
   const ThreadId tid = sched.create_thread(fair_spec("sleeper"));
   sim::Time woke = -1;
-  sched.sleep_for(tid, msec(25), [&] { woke = fx.engine.now(); });
+  Closure wake{[&] { woke = fx.engine.now(); }};
+  sched.sleep_for(tid, msec(25), &Closure::run, &wake);
   fx.engine.run();
   EXPECT_EQ(woke, msec(25));
 }
@@ -333,7 +350,8 @@ TEST(Scheduler, SleepWakeSkippedIfThreadTerminated) {
   Scheduler sched(fx.engine, fx.tracer, single_core(1.0));
   const ThreadId tid = sched.create_thread(fair_spec("sleeper"));
   bool woke = false;
-  sched.sleep_for(tid, msec(25), [&] { woke = true; });
+  Closure wake{[&] { woke = true; }};
+  sched.sleep_for(tid, msec(25), &Closure::run, &wake);
   fx.engine.schedule(msec(1), [&] { sched.terminate(tid); });
   fx.engine.run();
   EXPECT_FALSE(woke);
@@ -343,10 +361,11 @@ TEST(Scheduler, BlockedIoStateIsAccounted) {
   Fixture fx;
   Scheduler sched(fx.engine, fx.tracer, single_core(1.0));
   const ThreadId tid = sched.create_thread(fair_spec("io"));
-  sched.run_work(tid, 1000.0, [&] {
+  Closure block{[&] {
     sched.mark_blocked_io(tid);
-    fx.engine.schedule(msec(10), [&] { sched.run_work(tid, 1000.0, [] {}); });
-  });
+    fx.engine.schedule(msec(10), [&] { sched.run_work(tid, 1000.0, &nothing, nullptr); });
+  }};
+  sched.run_work(tid, 1000.0, &Closure::run, &block);
   fx.engine.run();
   fx.tracer.finalize(fx.engine.now());
   const auto times = trace::state_times(fx.tracer, {tid});
@@ -362,9 +381,9 @@ TEST(Scheduler, ContextSwitchCostSlowsContendedWorkload) {
   const ThreadId a = sched.create_thread(fair_spec("a"));
   const ThreadId b = sched.create_thread(fair_spec("b"));
   sim::Time last_done = -1;
-  auto done = [&] { last_done = fx.engine.now(); };
-  sched.run_work(a, 30000.0, done);
-  sched.run_work(b, 30000.0, done);
+  Closure done{[&] { last_done = fx.engine.now(); }};
+  sched.run_work(a, 30000.0, &Closure::run, &done);
+  sched.run_work(b, 30000.0, &Closure::run, &done);
   fx.engine.run();
   EXPECT_GT(last_done, msec(61));  // 60ms of real work + switching overhead
 }
@@ -378,13 +397,13 @@ TEST(Scheduler, MigrationsAreCounted) {
   std::vector<ThreadId> hogs;
   for (int i = 0; i < 4; ++i) {
     const ThreadId hog = sched.create_thread(fair_spec("hog" + std::to_string(i), 300));
-    sched.run_work(hog, 500000.0, [] {});
+    sched.run_work(hog, 500000.0, &nothing, nullptr);
     hogs.push_back(hog);
   }
-  std::function<void()> wander = [&] {
-    sched.run_work(tid, 2000.0, [&] { sched.sleep_for(tid, msec(3), wander); });
-  };
-  wander();
+  Closure wander;
+  Closure nap{[&] { sched.sleep_for(tid, msec(3), &Closure::run, &wander); }};
+  wander.body = [&] { sched.run_work(tid, 2000.0, &Closure::run, &nap); };
+  wander.body();
   fx.engine.run_until(sec(1));
   EXPECT_GT(sched.counters(tid).context_switches, 10u);
 }
@@ -394,28 +413,27 @@ TEST(Scheduler, RunnableStateRecordedWhileWaiting) {
   Scheduler sched(fx.engine, fx.tracer, single_core(1.0));
   const ThreadId hog = sched.create_thread(fair_spec("hog"));
   const ThreadId waiter = sched.create_thread(fair_spec("waiter"));
-  sched.run_work(hog, 50000.0, [] {});
-  sched.run_work(waiter, 1000.0, [] {});
+  sched.run_work(hog, 50000.0, &nothing, nullptr);
+  sched.run_work(waiter, 1000.0, &nothing, nullptr);
   fx.engine.run();
   fx.tracer.finalize(fx.engine.now());
   const auto times = trace::state_times(fx.tracer, {waiter});
   EXPECT_GT(times.runnable, 0.0);
 }
 
-/// A thread that resubmits a fixed burst from its own completion callback
-/// forever. The callback captures one pointer, so std::function stores it
-/// inline and run_work itself never allocates.
+/// A thread that resubmits a fixed burst from its own continuation
+/// forever.
 struct BurstLoop {
   Scheduler* sched = nullptr;
   ThreadId tid = trace::kNoThread;
   double work_refus = 0.0;
   std::uint64_t bursts = 0;
 
-  void submit() {
-    sched->run_work(tid, work_refus, [this] {
-      ++bursts;
-      submit();
-    });
+  void submit() { sched->run_work(tid, work_refus, &BurstLoop::done, this); }
+  static void done(void* ctx, std::uint64_t) {
+    auto* self = static_cast<BurstLoop*>(ctx);
+    ++self->bursts;
+    self->submit();
   }
 };
 
@@ -465,10 +483,12 @@ struct RtWaker {
 
   static void wake(void* ctx, std::uint64_t) {
     auto* self = static_cast<RtWaker*>(ctx);
-    self->sched->run_work(self->tid, 50.0, [self] {
-      ++self->bursts;
-      self->engine->schedule_flat(self->period, &RtWaker::wake, self);
-    });
+    self->sched->run_work(self->tid, 50.0, &RtWaker::done, self);
+  }
+  static void done(void* ctx, std::uint64_t) {
+    auto* self = static_cast<RtWaker*>(ctx);
+    ++self->bursts;
+    self->engine->schedule_flat(self->period, &RtWaker::wake, self);
   }
 };
 
@@ -498,6 +518,86 @@ TEST(Scheduler, WakePreemptionLoopAllocatesLessThanOncePerFourBursts) {
   EXPECT_GE(sched.counters(busy.tid).preemptions_suffered - preempted_before, bursts - 1);
   EXPECT_TRUE(tracer.preemptions().empty());
   EXPECT_LT(allocations * 4, bursts) << allocations << " allocations over " << bursts << " bursts";
+}
+
+/// A thread that sleeps `period` and wakes to sleep again, forever.
+struct SleepLoop {
+  Scheduler* sched = nullptr;
+  ThreadId tid = trace::kNoThread;
+  sim::Time period = 0;
+  std::uint64_t wakes = 0;
+
+  static void wake(void* ctx, std::uint64_t) {
+    auto* self = static_cast<SleepLoop*>(ctx);
+    ++self->wakes;
+    self->sched->sleep_for(self->tid, self->period, &SleepLoop::wake, self);
+  }
+};
+
+// A sleep is one flat engine event and its continuation waits in the
+// thread: sleeping and waking allocates nothing.
+TEST(Scheduler, SleepLoopAllocatesNothing) {
+  Fixture fx;
+  Scheduler sched(fx.engine, fx.tracer, single_core(1.0));
+  SleepLoop loop{&sched, sched.create_thread(fair_spec("sleeper")), usec(250)};
+  sched.sleep_for(loop.tid, loop.period, &SleepLoop::wake, &loop);
+  fx.engine.run_until(msec(100));  // warm-up: the engine's arena reaches its size
+  const std::uint64_t wakes_before = loop.wakes;
+  const std::uint64_t allocations_before = g_heap_allocations;
+  fx.engine.run_until(msec(1100));
+  const std::uint64_t allocations = g_heap_allocations - allocations_before;
+
+  ASSERT_EQ(loop.wakes - wakes_before, 4000u);
+  EXPECT_EQ(allocations, 0u);
+}
+
+// A thread holds one pending continuation: a second sleep, or a burst
+// while it sleeps, is refused instead of displacing the first.
+TEST(Scheduler, SecondPendingContinuationThrows) {
+  Fixture fx;
+  Scheduler sched(fx.engine, fx.tracer, single_core(1.0));
+  const ThreadId tid = sched.create_thread(fair_spec("sleeper"));
+  int woke = 0;
+  Closure wake{[&] { ++woke; }};
+  sched.sleep_for(tid, msec(5), &Closure::run, &wake);
+  EXPECT_THROW(sched.sleep_for(tid, msec(5), &Closure::run, &wake), std::logic_error);
+  EXPECT_THROW(sched.run_work(tid, 1000.0), std::logic_error);
+  fx.engine.run();
+  EXPECT_EQ(woke, 1);
+  EXPECT_TRUE(sched.is_idle(tid));
+}
+
+// The owner of a continuation can withdraw it while the thread lives on:
+// the burst still runs and the core still moves on, but nothing calls
+// back, whether the continuation was pending or already awaiting its
+// hand-off.
+TEST(Scheduler, DroppedContinuationNeverRuns) {
+  Fixture fx;
+  Scheduler sched(fx.engine, fx.tracer, single_core(1.0));
+  const ThreadId sleeper = sched.create_thread(fair_spec("sleeper"));
+  const ThreadId worker = sched.create_thread(fair_spec("worker"));
+  const ThreadId finisher = sched.create_thread(fair_spec("finisher"));
+  int ran = 0;
+  Closure count{[&] { ++ran; }};
+  sched.sleep_for(sleeper, msec(5), &Closure::run, &count);
+  sched.run_work(worker, 2000.0, &Closure::run, &count);
+  sched.drop_continuation(sleeper);
+  sched.drop_continuation(worker);
+  // The finisher runs [2 ms, 3 ms). An event queued for 3 ms after its
+  // completion event drops the finished burst's continuation before the
+  // hand-off runs it.
+  sched.run_work(finisher, 1000.0, &Closure::run, &count);
+  fx.engine.schedule(usec(2500), [&] {
+    fx.engine.schedule(usec(500), [&] {
+      ASSERT_TRUE(sched.is_idle(finisher));
+      sched.drop_continuation(finisher);
+    });
+  });
+  fx.engine.run();
+  EXPECT_EQ(ran, 0);
+  EXPECT_TRUE(sched.exists(worker));
+  EXPECT_NEAR(sched.counters(worker).cpu_refus_consumed, 2000.0, 1.0);
+  EXPECT_NEAR(sched.counters(finisher).cpu_refus_consumed, 1000.0, 1.0);
 }
 
 }  // namespace

@@ -1,7 +1,43 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
+#include <memory>
+#include <new>
+
+#include "closure.hpp"
 #include "storage/storage.hpp"
 #include "trace/analysis.hpp"
+
+// Every plain operator new in this binary is counted, so a test can
+// bound the heap allocations of a stretch of simulation (as in
+// sched_test.cpp).
+namespace {
+std::uint64_t g_heap_allocations = 0;
+
+void* counted_alloc(std::size_t size) {
+  ++g_heap_allocations;
+  return std::malloc(size == 0 ? 1 : size);
+}
+// Out of line so the compiler does not see free() paired with new.
+[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (void* p = counted_alloc(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept { return counted_alloc(size); }
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size);
+}
+void operator delete(void* p) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete[](void* p, std::size_t) noexcept { release(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { release(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { release(p); }
 
 namespace mvqoe::storage {
 namespace {
@@ -9,6 +45,7 @@ namespace {
 using sim::msec;
 using sim::sec;
 using sim::usec;
+using testkit::nothing;
 
 struct Fixture {
   sim::Engine engine;
@@ -90,7 +127,7 @@ TEST(Storage, MmcqdPreemptsFairThreadPerRequest) {
     spec.process_name = "app";
     return spec;
   }());
-  fx.scheduler.run_work(hog, 2'000'000.0, [] {});
+  fx.scheduler.run_work(hog, 2'000'000.0, &nothing, nullptr);
   fx.engine.schedule(msec(5), [&] { dev.submit(IoRequest{false, 4096, nullptr}); });
   fx.engine.schedule(msec(50), [&] { dev.submit(IoRequest{false, 4096, nullptr}); });
   fx.engine.run();
@@ -113,7 +150,7 @@ TEST(Storage, VictimWaitCoversDeviceTransfer) {
     spec.process_name = "app";
     return spec;
   }());
-  fx.scheduler.run_work(hog, 1'000'000.0, [] {});
+  fx.scheduler.run_work(hog, 1'000'000.0, &nothing, nullptr);
   fx.engine.schedule(msec(5), [&] { dev.submit(IoRequest{false, 4096, nullptr}); });
   fx.engine.run();
   fx.tracer.finalize(fx.engine.now());
@@ -145,6 +182,54 @@ TEST(Storage, HighRequestRateKeepsMmcqdBusy) {
   ASSERT_FALSE(top.empty());
   EXPECT_EQ(top[0].name, "mmcqd");
   EXPECT_EQ(dev.counters().reads, 500u);
+}
+
+// The request in flight lives in the device and mmcqd's stages are flat
+// events, so a steady stream of reads allocates nothing per request.
+TEST(Storage, RequestRoundTripAllocatesNothing) {
+  sim::Engine engine;
+  trace::Tracer tracer(trace::TraceLevel::Counters);
+  sched::Scheduler scheduler(engine, tracer, Fixture::make_config(1, 1.0));
+  StorageDevice dev(engine, scheduler, StorageConfig{});
+  constexpr int kRequests = 2000;
+  // Warm-up: the queue and the engine's arena reach their working size.
+  for (int i = 0; i < kRequests; ++i) dev.submit(IoRequest{false, 4096, nullptr});
+  engine.run();
+  const std::uint64_t allocations_before = g_heap_allocations;
+  for (int i = 0; i < kRequests; ++i) dev.submit(IoRequest{false, 4096, nullptr});
+  engine.run();
+  const std::uint64_t allocations = g_heap_allocations - allocations_before;
+
+  EXPECT_EQ(dev.counters().reads, 2u * kRequests);
+  EXPECT_LT(allocations * 100, static_cast<std::uint64_t>(kRequests))
+      << allocations << " allocations over " << kRequests << " requests";
+}
+
+// Tearing a world down mid-request frees every request it held: the one
+// in flight (mid-transfer) and the one still queued, with their
+// completion callbacks, which never run.
+TEST(Storage, DestroyedMidTransferReleasesItsRequests) {
+  auto engine = std::make_unique<sim::Engine>();
+  trace::Tracer tracer;
+  auto scheduler =
+      std::make_unique<sched::Scheduler>(*engine, tracer, Fixture::make_config(1, 1.0));
+  StorageConfig config;
+  config.request_latency = msec(5);
+  auto dev = std::make_unique<StorageDevice>(*engine, *scheduler, config);
+  const auto token = std::make_shared<int>(0);
+  int completed = 0;
+  dev->submit(IoRequest{false, 4096, [token, &completed] { ++completed; }});
+  dev->submit(IoRequest{true, 4096, [token, &completed] { ++completed; }});
+  engine->run_until(msec(1));
+  ASSERT_EQ(scheduler->state(dev->mmcqd_tid()), trace::ThreadState::BlockedIo);
+  ASSERT_EQ(dev->queue_depth(), 1u);
+  EXPECT_EQ(token.use_count(), 3);
+
+  dev.reset();
+  scheduler.reset();
+  engine.reset();
+  EXPECT_EQ(completed, 0);
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 }  // namespace

@@ -302,6 +302,69 @@ TEST(VideoSession, ClientThreadListHasThreeAppThreads) {
   EXPECT_EQ(tids.size(), 3u);  // player main, MediaCodec, Compositor
 }
 
+// A kill that lands while the decoder, the compositor and SurfaceFlinger
+// each have a burst in flight. The client's two bursts die with its
+// threads. SurfaceFlinger outlives the client, so its burst completes for
+// the dead incarnation, whose frame the kill already counted as lost. The
+// relaunched client plays the rest, and every frame is counted once.
+TEST(VideoSession, KillWithEveryStageInFlightCountsEachFrameOnce) {
+  DeviceFixture fx;
+  fx.am.boot(1.0, 8);
+  SessionConfig config = session_config(1080, 60, 12);
+  config.recovery.relaunch_on_kill = true;
+  config.next_pid = [&fx] { return fx.am.next_pid(); };
+  VideoSession session(fx.engine, fx.scheduler, fx.memory, fx.link, fx.tracer, config);
+  bool finished = false;
+  session.start(fx.am.next_pid(), [&] { finished = true; });
+  while (session.metrics().playback_start < 0 ||
+         fx.engine.now() < session.metrics().playback_start) {
+    ASSERT_TRUE(fx.engine.step());
+  }
+
+  // Hold SurfaceFlinger off the CPU for a while (pinned to a core an RT
+  // burst occupies), so decoded and composed frames queue behind it.
+  const trace::ThreadId sf = session.surfaceflinger_tid();
+  fx.scheduler.set_affinity(sf, 0b1);
+  sched::ThreadSpec hog;
+  hog.name = "hog";
+  hog.pid = 1;
+  hog.sched_class = sched::SchedClass::Realtime;
+  hog.priority = 90;
+  hog.affinity = 0b1;
+  fx.scheduler.run_work(fx.scheduler.create_thread(hog), 300'000.0);
+  const auto busy = [&](trace::ThreadId tid) {
+    return fx.scheduler.exists(tid) && !fx.scheduler.is_idle(tid);
+  };
+  while (!(busy(session.mediacodec_tid()) && busy(session.compositor_tid()) && busy(sf))) {
+    ASSERT_LT(fx.engine.now(), sec(10)) << "no instant with all three stages busy";
+    ASSERT_TRUE(fx.engine.step());
+  }
+  const std::vector<trace::ThreadId> client = session.client_thread_ids();
+  fx.memory.kill_process(session.pid());
+  while (session.metrics().kill_times.empty()) ASSERT_TRUE(fx.engine.step());
+  for (const trace::ThreadId tid : client) EXPECT_FALSE(fx.scheduler.exists(tid));
+  ASSERT_TRUE(busy(sf));
+
+  // SurfaceFlinger finishes the dead incarnation's frame once the RT
+  // burst (130 ms) lets it run, long before the relaunch delay is over;
+  // the frame is neither presented nor dropped.
+  const SessionMetrics at_kill = session.metrics();
+  fx.engine.run_until(fx.engine.now() + sim::msec(300));
+  EXPECT_TRUE(fx.scheduler.is_idle(sf));
+  EXPECT_EQ(session.metrics().frames_presented, at_kill.frames_presented);
+  EXPECT_EQ(session.metrics().frames_dropped, at_kill.frames_dropped);
+
+  fx.engine.run_until(sec(60));
+  const SessionMetrics& metrics = session.metrics();
+  EXPECT_TRUE(finished);
+  EXPECT_FALSE(metrics.crashed);
+  EXPECT_EQ(metrics.relaunches, 1);
+  EXPECT_GT(metrics.frames_presented, at_kill.frames_presented);
+  EXPECT_EQ(metrics.frames_lost_to_kill, at_kill.frames_lost_to_kill);
+  EXPECT_EQ(metrics.frames_presented + metrics.frames_dropped + metrics.frames_lost_to_kill,
+            session.fixed_ladder_frame_total());
+}
+
 TEST(VideoSession, DeterministicForSameSeed) {
   auto run_once = [] {
     DeviceFixture fx(1024, 1.1, 4);
