@@ -4,7 +4,9 @@
 # checkpoints (--kill-after-checkpoints) then resumed from its --state
 # file must print the same digest and write byte-identical files. Each
 # tool also gets a command-line check: a malformed flag exits 2 naming it,
-# and so does a coordinator-only flag on an in-process fuzz or fleet run.
+# and so do a coordinator-only flag on an in-process fuzz or fleet run, an
+# in-process-only flag (--jobs, fuzz's --minutes) beside what starts the
+# coordinator, and --state beside --resume.
 #
 #   tests/mode_smoke.sh fuzz   MVQOE_FUZZ       # 48 fuzz runs, 6 shards of 8
 #   tests/mode_smoke.sh fleet  MVQOE_FLEET      # + the `report` round trip
@@ -104,6 +106,7 @@ case "$CASE" in
   fuzz)
     check_cli --runs --runs 2x
     check_cli --jobs --procs 1 --jobs 8
+    check_cli --minutes --minutes 1 --procs 1
     for flag in --retries --heartbeat-ms --shard-size --backoff-ms --abort-unit --abort-attempts \
       --kill-after-checkpoints; do
       check_cli "$flag" --runs 1 "$flag" 3
@@ -115,6 +118,7 @@ case "$CASE" in
   fleet)
     check_cli --devices run --devices 1e6
     check_cli --jobs run --devices 256 --procs 1 --jobs 4
+    check_cli --jobs resume "$WORK/fleet.mvqs" --jobs 2
     for flag in --retries --heartbeat-ms --abort-unit --abort-attempts --kill-after-checkpoints; do
       check_cli "$flag" run --devices 8 "$flag" 1
     done
@@ -137,6 +141,7 @@ case "$CASE" in
     ;;
   cc)
     check_cli --heights sweep --heights 36O
+    check_cli --resume sweep --state "$WORK/a.mvqs" --resume "$WORK/b.mvqs"
     # 6 one-unit shards (6 groups), killed at the first finished shard: at
     # most 4 have started.
     for cc in fifo cubic bbr c4; do
