@@ -86,50 +86,60 @@ const char* state_name(mem::PressureLevel state) {
   return kStateNames.at(static_cast<std::size_t>(state));
 }
 
+CampaignFlags::CampaignFlags(int procs, std::size_t shard_size) {
+  options.procs = procs;
+  options.shard_size = shard_size;
+  options.hooks.abort_attempts = 1;
+}
+
 void CampaignFlags::add_to(Flags& flags, bool sharded) {
-  // Flags only the coordinator reads: the first one given is remembered
-  // so an in-process run can refuse it.
-  const auto coordinator_number = [this, &flags](const char* name, auto& out, auto lo) {
-    flags.value(name, [this, name, &out, lo](std::string_view v) {
+  const auto lane_number = [this, &flags](Lane lane, const char* name, auto& out, auto lo) {
+    flags.value(name, [this, lane, name, &out, lo](std::string_view v) {
       out = runner::parse_number<decltype(lo)>(v, name, lo);
-      if (coordinator_flag.empty()) coordinator_flag = name;
+      given(lane, name);
     });
   };
-  flags.number("--procs", procs, procs).text("--state", state_path).toggle("--progress", progress);
-  coordinator_number("--retries", retries, 1);
-  coordinator_number("--heartbeat-ms", heartbeat_ms, 1);
-  coordinator_number("--kill-after-checkpoints", kill_after_checkpoints, 0);
-  coordinator_number("--abort-unit", abort_unit, std::int64_t{0});
-  coordinator_number("--abort-attempts", abort_attempts, 0);
+  flags.number("--procs", options.procs, options.procs)
+      .value("--state", [this](std::string_view v) { set_checkpoint(v, /*resume=*/false); })
+      .toggle("--progress", progress);
+  if (options.procs == 0) lane_number(kInProcess, "--jobs", options.jobs, 1);
+  lane_number(kCoordinator, "--retries", options.max_attempts, 1);
+  lane_number(kCoordinator, "--heartbeat-ms", options.heartbeat_timeout_ms, 1);
+  lane_number(kCoordinator, "--kill-after-checkpoints", options.hooks.kill_after_checkpoints, 0);
+  lane_number(kCoordinator, "--abort-unit", options.hooks.abort_unit, std::int64_t{0});
+  lane_number(kCoordinator, "--abort-attempts", options.hooks.abort_attempts, 0);
   if (sharded) {
-    coordinator_number("--shard-size", shard_size, std::size_t{1});
-    coordinator_number("--backoff-ms", backoff_ms, 0);
-    flags.text("--resume", resume_path);
+    lane_number(kCoordinator, "--shard-size", options.shard_size, std::size_t{1});
+    lane_number(kCoordinator, "--backoff-ms", options.backoff_ms, 0);
+    flags.value("--resume", [this](std::string_view v) { set_checkpoint(v, /*resume=*/true); });
   }
 }
 
-void CampaignFlags::require_coordinator(const char* starters) const {
-  if (!coordinated() && !coordinator_flag.empty()) {
-    throw UsageError(coordinator_flag + " only applies under the coordinator: add " + starters);
+void CampaignFlags::given(Lane lane, std::string_view flag) {
+  if (lane_flag[lane].empty()) lane_flag[lane] = flag;
+}
+
+void CampaignFlags::set_checkpoint(std::string_view path, bool resume) {
+  // state_path holds the other flag's path: an empty one leaves it set.
+  if (options.resume != resume && !options.state_path.empty()) {
+    if (!path.empty()) throw UsageError("--state and --resume cannot be combined");
+    return;
   }
+  options.state_path = path;
+  options.resume = resume && !path.empty();
+}
+
+void CampaignFlags::check_lane(const char* starters) const {
+  const std::string& flag = lane_flag[coordinated() ? kInProcess : kCoordinator];
+  if (flag.empty()) return;
+  throw UsageError(coordinated() ? flag + " cannot be combined with " + starters
+                                 : flag + " only applies under the coordinator: add " + starters);
 }
 
 CampaignRun::CampaignRun(const CampaignFlags& flags, const char* units, std::FILE* out)
-    : meter_(units), units_(units), out_(out) {
-  if (!flags.state_path.empty() && !flags.resume_path.empty()) {
-    throw UsageError("--state and --resume cannot be combined");
-  }
-  options.procs = flags.coordinated() ? std::max(flags.procs, 1) : 0;
-  options.shard_size = flags.shard_size;
-  options.max_attempts = flags.retries;
-  options.heartbeat_timeout_ms = flags.heartbeat_ms;
-  options.backoff_ms = flags.backoff_ms;
-  options.resume = !flags.resume_path.empty();
-  options.state_path = options.resume ? flags.resume_path : flags.state_path;
+    : options(flags.options), meter_(units), units_(units), out_(out) {
+  options.procs = flags.coordinated() ? std::max(options.procs, 1) : 0;
   options.interrupt = guard_.flag();
-  options.hooks.abort_unit = flags.abort_unit;
-  options.hooks.abort_attempts = flags.abort_attempts;
-  options.hooks.kill_after_checkpoints = flags.kill_after_checkpoints;
   if (flags.progress) {
     options.progress = [this](std::uint64_t done, std::uint64_t total) {
       meter_.update(done, total);

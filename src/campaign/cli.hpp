@@ -7,6 +7,7 @@
 // is a UsageError naming it, and run_tool turns any error into exit 2.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -67,43 +68,51 @@ std::vector<std::string> split_csv(std::string_view text, std::string_view flag)
 mem::PressureLevel parse_state(std::string_view name, std::string_view flag);
 const char* state_name(mem::PressureLevel state);
 
-/// The campaign block. A tool sets its defaults with a designated
-/// initializer; --procs never goes below the default, so fuzz and fleet
-/// keep 0 (in process) and sweep and compare keep 1.
+/// The campaign block: its flags write straight into `options`. A tool
+/// passes its defaults to the constructor; --procs never goes below the
+/// default, so fuzz and fleet keep 0 (in process) and sweep and compare
+/// keep 1. One lane rule (check_lane) refuses a flag the chosen lane
+/// would ignore; --state beside --resume is refused as it is parsed.
 struct CampaignFlags {
-  int procs = 1;
-  std::size_t shard_size = 1;
-  int retries = 3;
-  int heartbeat_ms = 120000;
-  int backoff_ms = 100;
-  std::string state_path{};
-  std::string resume_path{};
-  /// Deterministic failure injection (tests; see campaign::TestHooks).
-  int kill_after_checkpoints = 0;
-  std::int64_t abort_unit = -1;
-  int abort_attempts = 1;
-  bool progress = false;
-  /// The first flag given that only the coordinator reads (all but
-  /// --procs --state --resume --progress); empty when none was.
-  std::string coordinator_flag{};
+  /// The only lane that reads a lane-restricted flag.
+  enum Lane : std::size_t { kInProcess, kCoordinator };
 
-  /// Register --procs --state --retries --heartbeat-ms
-  /// --kill-after-checkpoints --abort-unit --abort-attempts --progress,
-  /// and with `sharded` also --shard-size --backoff-ms --resume.
+  /// One unit per shard on one worker by default; --abort-unit alone
+  /// crashes the first attempt.
+  explicit CampaignFlags(int procs = 1, std::size_t shard_size = 1);
+
+  CampaignOptions options;
+  bool progress = false;
+  /// Per lane, the first flag given that only that lane reads; empty
+  /// when none was.
+  std::array<std::string, 2> lane_flag{};
+
+  /// Register --procs --state --progress and the coordinator's own
+  /// --retries --heartbeat-ms --kill-after-checkpoints --abort-unit
+  /// --abort-attempts; with `sharded` also --resume and the coordinator's
+  /// --shard-size --backoff-ms; with an in-process default (procs 0)
+  /// also the in-process lane's --jobs.
   void add_to(Flags& flags, bool sharded);
-  bool coordinated() const { return procs > 0 || !state_path.empty() || !resume_path.empty(); }
-  /// Throws a UsageError naming `coordinator_flag` when the coordinator
-  /// will not run; `starters` names what would start it.
-  void require_coordinator(const char* starters) const;
+  /// Record `flag`, given, as one only `lane` reads.
+  void given(Lane lane, std::string_view flag);
+  /// --state PATH, or with `resume` --resume PATH (for fleet, its
+  /// `resume FILE` operand). An empty PATH unsets its own flag; a
+  /// nonempty one beside the other flag's is a UsageError.
+  void set_checkpoint(std::string_view path, bool resume);
+  bool coordinated() const { return options.procs > 0 || !options.state_path.empty(); }
+  /// The lane rule. `starters` names what starts the coordinator: with
+  /// none of them given, a UsageError names the first flag given that
+  /// only the coordinator reads; with one, the first that only the
+  /// in-process lane reads.
+  void check_lane(const char* starters) const;
 };
 
-/// One campaign run: the CampaignOptions the block describes (procs 0,
-/// the in-process lane, when nothing starts the coordinator), wired to
-/// an InterruptGuard and (with --progress) a ProgressMeter counting
-/// `units`, and the post-run report printed to `out`.
+/// One campaign run: the block's CampaignOptions with the lane chosen
+/// (procs 0, the in-process lane, when nothing starts the coordinator),
+/// wired to an InterruptGuard and (with --progress) a ProgressMeter
+/// counting `units`, and the post-run report printed to `out`.
 class CampaignRun {
  public:
-  /// Throws UsageError when --state and --resume are both set.
   CampaignRun(const CampaignFlags& flags, const char* units, std::FILE* out = stdout);
   CampaignRun(const CampaignRun&) = delete;
   CampaignRun& operator=(const CampaignRun&) = delete;

@@ -823,21 +823,22 @@ TEST(CampaignCli, CampaignBlockBuildsEachToolsOptions) {
     cli::CampaignFlags defaults;
     bool sharded;
   };
-  for (const Tool& tool : {Tool{{.procs = 0, .shard_size = 8}, true}, Tool{{}, true},
-                           Tool{{.procs = 0}, false}}) {
+  for (const Tool& tool : {Tool{cli::CampaignFlags(0, 8), true}, Tool{cli::CampaignFlags(), true},
+                           Tool{cli::CampaignFlags(0), false}}) {
     cli::CampaignFlags flags = tool.defaults;
     cli::Flags table;
     flags.add_to(table, tool.sharded);
     EXPECT_EQ(parse(table, {}), "");
     EXPECT_EQ(option_fields(cli::CampaignRun(flags, "units").options),
-              std::make_tuple(tool.defaults.procs, tool.defaults.shard_size, 3, 120000, 100,
-                              std::string(), false, std::int64_t{-1}, 1, 0, false, true));
-    EXPECT_EQ(flags.coordinated(), tool.defaults.procs > 0);
-    EXPECT_EQ(parse(table, {"--procs", "0"}).empty(), tool.defaults.procs == 0);
+              std::make_tuple(tool.defaults.options.procs, tool.defaults.options.shard_size, 3,
+                              120000, 100, std::string(), false, std::int64_t{-1}, 1, 0, false,
+                              true));
+    EXPECT_EQ(flags.coordinated(), tool.defaults.options.procs > 0);
+    EXPECT_EQ(parse(table, {"--procs", "0"}).empty(), tool.defaults.options.procs == 0);
     EXPECT_EQ(parse(table, {"--resume", "r.mvqs"}).empty(), tool.sharded);
   }
 
-  cli::CampaignFlags flags{.procs = 0, .shard_size = 8};
+  cli::CampaignFlags flags(0, 8);
   cli::Flags table;
   flags.add_to(table, true);
   EXPECT_EQ(parse(table, {"--procs", "4", "--resume=r.mvqs", "--retries", "5", "--heartbeat-ms",
@@ -848,12 +849,121 @@ TEST(CampaignCli, CampaignBlockBuildsEachToolsOptions) {
   EXPECT_EQ(option_fields(cli::CampaignRun(flags, "runs").options),
             std::make_tuple(4, std::size_t{3}, 5, 50, 0, std::string("r.mvqs"), true,
                             std::int64_t{7}, 2, 2, true, true));
-  flags.state_path = "s.mvqs";
-  EXPECT_THROW(cli::CampaignRun(flags, "runs"), cli::UsageError);
+  EXPECT_EQ(parse(table, {"--state", "s.mvqs"}), "--state and --resume cannot be combined");
 
   // A checkpoint alone engages the coordinator, on one worker.
-  const cli::CampaignFlags checkpointed{.procs = 0, .state_path = "s.mvqs"};
+  cli::CampaignFlags checkpointed(0);
+  checkpointed.set_checkpoint("s.mvqs", /*resume=*/false);
   EXPECT_EQ(cli::CampaignRun(checkpointed, "runs").options.procs, 1);
+}
+
+/// A tool's campaign block: its defaults, whether it is sharded, what
+/// starts its coordinator and whether it adds mvqoe_fuzz's --minutes.
+struct Block {
+  cli::CampaignFlags defaults;
+  bool sharded;
+  const char* starters;
+  bool minutes = false;
+};
+
+/// The UsageError `block` throws for `words` (after mvqoe_fleet's
+/// `resume FILE` operand, when `resume` is set) from its flags or its
+/// lane rule; "" if it takes them.
+std::string lane_error(const Block& block, std::vector<std::string> words,
+                       const char* resume = nullptr) {
+  cli::CampaignFlags flags = block.defaults;
+  int minutes = 0;
+  cli::Flags table;
+  flags.add_to(table, block.sharded);
+  if (block.minutes) {
+    table.value("--minutes", [&](std::string_view v) {
+      minutes = runner::parse_number<int>(v, "--minutes", 0);
+      if (minutes > 0) flags.given(cli::CampaignFlags::kInProcess, "--minutes");
+    });
+  }
+  if (resume != nullptr) flags.set_checkpoint(resume, /*resume=*/true);
+  std::string error = parse(table, std::move(words));
+  if (error.empty()) {
+    try {
+      flags.check_lane(block.starters);
+    } catch (const cli::UsageError& e) {
+      error = e.what();
+    }
+  }
+  return error;
+}
+
+// One lane rule for each block shape the tools use, with the messages
+// the tools printed before the rule moved into the block.
+TEST(CampaignCli, LaneRuleRefusesFlagsTheChosenLaneIgnores) {
+  const Block fuzz{cli::CampaignFlags(0, 8), true, "--procs, --state or --resume", true};
+  const Block fleet{cli::CampaignFlags(0, 2), false, "--procs, --state or resume"};
+  const Block sweep{cli::CampaignFlags(), true, ""};  // and compare: always coordinated
+
+  // A flag only the coordinator reads, without a starter.
+  for (const char* flag : {"--retries", "--heartbeat-ms", "--kill-after-checkpoints",
+                           "--abort-unit", "--abort-attempts", "--shard-size", "--backoff-ms"}) {
+    EXPECT_EQ(lane_error(fuzz, {flag, "3"}),
+              std::string(flag) + " only applies under the coordinator: add " + fuzz.starters);
+    EXPECT_EQ(lane_error(fuzz, {"--procs", "1", flag, "3"}), "");
+    EXPECT_EQ(lane_error(sweep, {flag, "3"}), "");
+  }
+  for (const char* flag : {"--retries", "--heartbeat-ms", "--kill-after-checkpoints",
+                           "--abort-unit", "--abort-attempts"}) {
+    EXPECT_EQ(lane_error(fleet, {flag, "1"}),
+              std::string(flag) + " only applies under the coordinator: add " + fleet.starters);
+    EXPECT_EQ(lane_error(fleet, {flag, "1"}, "f.mvqs"), "");
+  }
+
+  // A flag only the in-process lane reads, beside each starter, before
+  // or after it.
+  for (const std::vector<std::string>& starter :
+       std::vector<std::vector<std::string>>{{"--procs", "1"}, {"--state", "s.mvqs"},
+                                             {"--resume", "r.mvqs"}}) {
+    for (const std::string flag : {"--jobs", "--minutes"}) {
+      const std::string refused = flag + " cannot be combined with " + fuzz.starters;
+      std::vector<std::string> words = starter;
+      words.insert(words.end(), {flag, "2"});
+      EXPECT_EQ(lane_error(fuzz, words), refused);
+      words = {flag, "2"};
+      words.insert(words.end(), starter.begin(), starter.end());
+      EXPECT_EQ(lane_error(fuzz, words), refused);
+      EXPECT_EQ(lane_error(fuzz, {flag, "2"}), "");
+    }
+    std::vector<std::string> words = starter;
+    words.insert(words.end(), {"--jobs", "2"});
+    EXPECT_EQ(lane_error(fleet, words),
+              starter.front() == "--resume" ? "unknown argument '--resume'"
+                                            : std::string("--jobs cannot be combined with ") +
+                                                  fleet.starters);
+  }
+  EXPECT_EQ(lane_error(fleet, {"--jobs", "2"}, "f.mvqs"),
+            std::string("--jobs cannot be combined with ") + fleet.starters);
+  EXPECT_EQ(lane_error(fleet, {"--jobs", "2"}), "");
+  EXPECT_EQ(lane_error(fuzz, {"--minutes", "0", "--procs", "1"}), "");  // 0: no soak
+  // Two in-process-only flags: the first given is named.
+  EXPECT_EQ(lane_error(fuzz, {"--jobs", "2", "--minutes", "1", "--procs", "1"}),
+            std::string("--jobs cannot be combined with ") + fuzz.starters);
+  EXPECT_EQ(lane_error(fuzz, {"--minutes", "1", "--jobs", "2", "--procs", "1"}),
+            std::string("--minutes cannot be combined with ") + fuzz.starters);
+  // One of each lane: the chosen lane names the one it ignores.
+  EXPECT_EQ(lane_error(fuzz, {"--jobs", "2", "--retries", "3"}),
+            std::string("--retries only applies under the coordinator: add ") + fuzz.starters);
+  EXPECT_EQ(lane_error(fuzz, {"--retries", "3", "--jobs", "2", "--procs", "1"}),
+            std::string("--jobs cannot be combined with ") + fuzz.starters);
+
+  // --state beside --resume, in either order; an empty path is unset.
+  const std::string both = "--state and --resume cannot be combined";
+  for (const Block& block : {fuzz, sweep}) {
+    EXPECT_EQ(lane_error(block, {"--state", "s.mvqs", "--resume", "r.mvqs"}), both);
+    EXPECT_EQ(lane_error(block, {"--resume", "r.mvqs", "--state", "s.mvqs"}), both);
+    EXPECT_EQ(lane_error(block, {"--state", "s.mvqs", "--resume", ""}), "");
+    EXPECT_EQ(lane_error(block, {"--resume", "r.mvqs", "--state", ""}), "");
+  }
+  EXPECT_EQ(lane_error(fleet, {"--state", "s.mvqs"}, "f.mvqs"), both);
+  cli::CampaignFlags flags(0, 2);
+  flags.set_checkpoint("s.mvqs", /*resume=*/false);
+  EXPECT_THROW(flags.set_checkpoint("f.mvqs", /*resume=*/true), cli::UsageError);
 }
 
 /// Everything `fn` prints to the FILE it is given.
@@ -878,7 +988,7 @@ TEST(CampaignCli, ReportPrintsTheToolsLines) {
                    {4, 2, 2, campaign::ShardStatus::Completed, ""}};
   std::optional<int> code;
   EXPECT_EQ(printed([&](std::FILE* out) {
-              cli::CampaignRun run(cli::CampaignFlags{}, "groups", out);
+              cli::CampaignRun run(cli::CampaignFlags(), "groups", out);
               code = run.report(result, 8);
             }),
             "resumed: 3/8 groups from checkpoint, 3 executed\n"
@@ -891,7 +1001,9 @@ TEST(CampaignCli, ReportPrintsTheToolsLines) {
   result.interrupted = true;
   for (const std::string state : {"", "camp.mvqs"}) {
     EXPECT_EQ(printed([&](std::FILE* out) {
-                cli::CampaignRun run(cli::CampaignFlags{.state_path = state}, "runs", out);
+                cli::CampaignFlags flags;
+                flags.set_checkpoint(state, /*resume=*/false);
+                cli::CampaignRun run(flags, "runs", out);
                 std::raise(SIGINT);  // the guard's handler only records it
                 code = run.report(result, 8);
               }),

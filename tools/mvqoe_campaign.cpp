@@ -67,12 +67,12 @@ int cmd_sweep(int argc, char** argv) {
   table.parse(argc, argv, 2);
 
   cli::CampaignRun run(flags, "groups");
-  if (!flags.resume_path.empty()) {
+  if (run.options.resume) {
     const int group_workers = spec.group_workers;
-    spec = campaign::load_resume_config(flags.resume_path, campaign::decode_sweep_config);
+    spec = campaign::load_resume_config(run.options.state_path, campaign::decode_sweep_config);
     spec.group_workers = group_workers;
     std::printf("resume: %s (family=%s %zu states x %zu fps x %zu heights, %d run(s))\n",
-                flags.resume_path.c_str(), spec.family.c_str(), spec.states.size(),
+                run.options.state_path.c_str(), spec.family.c_str(), spec.states.size(),
                 spec.fps.size(), spec.heights.size(), spec.runs);
   }
 

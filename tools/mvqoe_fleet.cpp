@@ -59,10 +59,8 @@ int usage() {
 
 struct Args {
   fleet::FleetSpec spec;
-  /// Unset = 1; an in-process knob, refused under the coordinator.
-  std::optional<int> jobs;
   /// In process unless --procs/--state; two fleet units per coordinator shard.
-  cli::CampaignFlags campaign{.procs = 0, .shard_size = 2};
+  cli::CampaignFlags campaign{/*procs=*/0, /*shard_size=*/2};
   std::string blob_path;  // the FILE operand of resume and report
   std::string save_path;
   std::string report_path;
@@ -77,6 +75,7 @@ Args parse_args(int argc, char** argv, const std::string& command) {
     if (argc <= first || argv[first][0] == '-') throw cli::UsageError(command + " needs a FILE");
     args.blob_path = argv[first++];
   }
+  if (command == "resume") args.campaign.set_checkpoint(args.blob_path, /*resume=*/true);
   cli::Flags table;
   table.number("--devices", args.spec.devices, std::uint64_t{1})
       .number("--seed", args.spec.seed, std::uint64_t{0})
@@ -86,19 +85,12 @@ Args parse_args(int argc, char** argv, const std::string& command) {
       .number("--sample-period", args.spec.sample_period_s, 1)
       .number("--warmup-s", args.spec.warmup_s, 0)
       .number("--shard-size", args.spec.shard_size, std::uint64_t{1})
-      .value("--jobs",
-             [&args](std::string_view v) { args.jobs = runner::parse_number<int>(v, "--jobs", 1); })
       .text("--save", args.save_path)
       .text("--report", args.report_path)
       .text("--out", args.out_path);
   args.campaign.add_to(table, /*sharded=*/false);
   table.parse(argc, argv, first);
-  if (command == "resume") args.campaign.resume_path = args.blob_path;
-  // The coordinator owns parallelism: its runs never read --jobs.
-  if (args.campaign.coordinated() && args.jobs) {
-    throw cli::UsageError("--jobs cannot be combined with --procs, --state or resume");
-  }
-  args.campaign.require_coordinator("--procs, --state or resume");
+  args.campaign.check_lane("--procs, --state or resume");
   return args;
 }
 
@@ -110,7 +102,6 @@ int run_or_resume(Args args, bool resume) {
                 static_cast<unsigned long long>(args.spec.devices), args.spec.session_s,
                 static_cast<unsigned long long>(args.spec.shard_size));
   }
-  run.options.jobs = args.jobs.value_or(1);
   const fleet::FleetRunResult result = fleet::run_fleet(args.spec, {.campaign = run.options});
   run.report_resumed(result.campaign, fleet::fleet_total_units(args.spec), "shards");
   run.report_shards(result.campaign, "units");

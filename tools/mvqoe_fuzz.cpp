@@ -52,7 +52,6 @@
 #include <cstdio>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "campaign/cli.hpp"
 #include "campaign/fuzz_campaign.hpp"
@@ -82,74 +81,46 @@ int usage() {
 }
 
 struct Args {
-  std::uint64_t seed = 1;
-  int runs = 100;
-  /// Unset = 1; an in-process knob, refused in campaign mode.
-  std::optional<int> jobs;
+  check::FuzzOptions fuzz;
   int minutes = 0;
   std::string out_dir = ".";
   std::string repro_path;
-  int max_videos = 3;
-  int max_duration = 8;
-  /// Memory-policy axis for generated worlds; empty = baseline only.
-  std::vector<std::string> policies;
-  /// Congestion-control axis for generated worlds; empty = fifo only.
-  std::vector<std::string> ccs;
-  bool meta = true;
-  int perturb_run = -1;
-  int perturb_at_s = 2;
   /// procs 0 runs in process on --jobs threads unless --state or
   /// --resume asks for a checkpoint (the multi-process, crash-safe
   /// coordinator).
-  cli::CampaignFlags campaign{.procs = 0, .shard_size = 8};
+  cli::CampaignFlags campaign{/*procs=*/0, /*shard_size=*/8};
 };
 
 Args parse_args(int argc, char** argv) {
   Args args;
+  check::GeneratorConfig& gen = args.fuzz.generator;
   cli::Flags table;
-  table.number("--seed", args.seed, std::uint64_t{0})
-      .number("--runs", args.runs, 1)
-      .value("--jobs",
-             [&args](std::string_view v) { args.jobs = runner::parse_number<int>(v, "--jobs", 1); })
-      .number("--minutes", args.minutes, 0)
+  table.number("--seed", args.fuzz.seed, std::uint64_t{0})
+      .number("--runs", args.fuzz.runs, 1)
+      .value("--minutes",
+             [&args](std::string_view v) {
+               // A soak reseeds per batch: one checkpoint cannot describe it.
+               args.minutes = runner::parse_number<int>(v, "--minutes", 0);
+               if (args.minutes > 0) {
+                 args.campaign.given(cli::CampaignFlags::kInProcess, "--minutes");
+               }
+             })
       .text("--out", args.out_dir)
       .text("--repro", args.repro_path)
-      .number("--max-videos", args.max_videos, 1)
-      .number("--max-duration", args.max_duration, 1)
+      .number("--max-videos", gen.max_videos, 1)
+      .number("--max-duration", gen.max_duration_s, 1)
       .value("--policy",
-             [&args](std::string_view v) { args.policies = cli::split_csv(v, "--policy"); })
-      .value("--cc", [&args](std::string_view v) { args.ccs = cli::split_csv(v, "--cc"); })
-      .toggle("--no-meta", args.meta, false)
-      .number("--perturb-run", args.perturb_run, 0)
-      .number("--perturb-at", args.perturb_at_s, 0);
+             [&gen](std::string_view v) { gen.policies = cli::split_csv(v, "--policy"); })
+      .value("--cc", [&gen](std::string_view v) { gen.ccs = cli::split_csv(v, "--cc"); })
+      .toggle("--no-meta", args.fuzz.check.meta_determinism, false)
+      .number("--perturb-run", args.fuzz.perturb_run, 0)
+      .value("--perturb-at", [&args](std::string_view v) {
+        args.fuzz.perturb_offset = sim::sec(runner::parse_number<int>(v, "--perturb-at", 0));
+      });
   args.campaign.add_to(table, /*sharded=*/true);
   table.parse(argc, argv, 1);
-  // A --minutes soak reseeds per batch — one checkpoint cannot describe
-  // it — and the coordinator owns parallelism in campaign mode.
-  if (args.campaign.coordinated()) {
-    if (args.minutes > 0) {
-      throw cli::UsageError("--minutes cannot be combined with --procs, --state or --resume");
-    }
-    if (args.jobs) {
-      throw cli::UsageError("--jobs cannot be combined with --procs, --state or --resume");
-    }
-  }
-  args.campaign.require_coordinator("--procs, --state or --resume");
+  args.campaign.check_lane("--procs, --state or --resume");
   return args;
-}
-
-check::FuzzOptions fuzz_options(const Args& args, std::uint64_t seed) {
-  check::FuzzOptions opts;
-  opts.seed = seed;
-  opts.runs = args.runs;
-  opts.generator.max_videos = args.max_videos;
-  opts.generator.max_duration_s = args.max_duration;
-  opts.generator.policies = args.policies;
-  opts.generator.ccs = args.ccs;
-  opts.check.meta_determinism = args.meta;
-  opts.perturb_run = args.perturb_run;
-  opts.perturb_offset = sim::sec(args.perturb_at_s);
-  return opts;
 }
 
 /// Shrink + localize + write the repro blob for one failure.
@@ -203,9 +174,7 @@ int cmd_repro(const Args& args) {
               repro.oracle.c_str(), sim::to_seconds(repro.offset),
               repro.perturb_at ? "yes" : "no", static_cast<unsigned long long>(repro.run_seed),
               repro.detail.c_str());
-  check::CheckOptions opts;
-  opts.meta_determinism = args.meta;
-  const check::ReproReport report = check::replay_repro(repro, opts);
+  const check::ReproReport report = check::replay_repro(repro, args.fuzz.check);
   if (report.reproduced) {
     std::printf("REPRODUCED: %s\n  %s\n", report.violation->oracle.c_str(),
                 report.violation->detail.c_str());
@@ -232,18 +201,13 @@ int run_campaign(const Args& args) {
   int batch = 0;
   do {
     cli::CampaignRun run(args.campaign, "runs");
-    run.options.jobs = args.jobs.value_or(1);
-    check::FuzzOptions opts;
-    if (!args.campaign.resume_path.empty()) {
-      opts = campaign::load_resume_config(args.campaign.resume_path, campaign::decode_fuzz_config);
-      std::printf("resume: %s (seed=%llu runs=%d)\n", args.campaign.resume_path.c_str(),
+    check::FuzzOptions opts = args.fuzz;
+    if (run.options.resume) {
+      opts = campaign::load_resume_config(run.options.state_path, campaign::decode_fuzz_config);
+      std::printf("resume: %s (seed=%llu runs=%d)\n", run.options.state_path.c_str(),
                   static_cast<unsigned long long>(opts.seed), opts.runs);
-    } else {
-      const std::uint64_t batch_seed =
-          args.minutes > 0
-              ? stats::derive_seed(args.seed, 1000000ULL + static_cast<std::uint64_t>(batch))
-              : args.seed;
-      opts = fuzz_options(args, batch_seed);
+    } else if (args.minutes > 0) {
+      opts.seed = stats::derive_seed(opts.seed, 1000000ULL + static_cast<std::uint64_t>(batch));
     }
 
     const campaign::FuzzCampaignResult result = campaign::run_fuzz_campaign(opts, run.options);
@@ -283,10 +247,10 @@ int run_campaign(const Args& args) {
 int main(int argc, char** argv) {
   return cli::run_tool("mvqoe_fuzz", usage, [&] {
     const Args args = parse_args(argc, argv);
-    for (const std::string& name : args.policies) {
+    for (const std::string& name : args.fuzz.generator.policies) {
       mvqoe::mem::validate_policy_spec({name, {}});
     }
-    for (const std::string& name : args.ccs) {
+    for (const std::string& name : args.fuzz.generator.ccs) {
       mvqoe::net::validate_net_spec({name, {}});
     }
     if (!args.repro_path.empty()) return cmd_repro(args);

@@ -106,12 +106,12 @@ int cmd_compare(int argc, char** argv) {
   table.parse(argc, argv, 2);
 
   cli::CampaignRun run(flags, "groups");
-  if (!flags.resume_path.empty()) {
+  if (run.options.resume) {
     const int group_workers = spec.base.group_workers;
-    spec = campaign::load_resume_config(flags.resume_path, campaign::decode_policy_config);
+    spec = campaign::load_resume_config(run.options.state_path, campaign::decode_policy_config);
     spec.base.group_workers = group_workers;
     std::printf("resume: %s (family=%s %zu policies x %zu states, %d run(s))\n",
-                flags.resume_path.c_str(), spec.base.family.c_str(), spec.policies.size(),
+                run.options.state_path.c_str(), spec.base.family.c_str(), spec.policies.size(),
                 spec.base.states.size(), spec.base.runs);
   }
 
