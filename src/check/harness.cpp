@@ -118,6 +118,9 @@ RunRecord execute_fuzz_run(const FuzzOptions& opts, std::uint64_t index) {
   return record;
 }
 
+namespace {
+
+/// Fold one record into the campaign digest (order-sensitive).
 void mix_run_record(snapshot::StateHash& hash, const RunRecord& record) {
   hash.mix(record.index);
   hash.mix(record.harness_ok ? 1 : 0);
@@ -131,11 +134,14 @@ void mix_run_record(snapshot::StateHash& hash, const RunRecord& record) {
   if (!record.report_ok) hash.mix_bytes(record.oracle);
 }
 
+/// Campaign digest over a complete, index-ordered record sequence.
 std::uint64_t campaign_digest(const std::vector<RunRecord>& records) {
   snapshot::StateHash hash;
   for (const RunRecord& record : records) mix_run_record(hash, record);
   return hash.value();
 }
+
+}  // namespace
 
 FuzzSummary summarize_records(const FuzzOptions& opts, const std::vector<RunRecord>& records) {
   FuzzSummary summary;

@@ -14,7 +14,6 @@
 #include "check/generator.hpp"
 #include "check/oracles.hpp"
 #include "snapshot/blob.hpp"
-#include "snapshot/digest.hpp"
 #include "snapshot/replay/record.hpp"
 
 namespace mvqoe::check {
@@ -67,9 +66,9 @@ struct FuzzFailure {
 
 /// The flattened outcome of one fuzz run — everything the campaign
 /// digest and failure reporting need, and nothing that cannot cross a
-/// process boundary. Both campaign lanes (src/campaign/fuzz_campaign)
-/// reduce their runs to RunRecords, so their digests agree by
-/// construction.
+/// process boundary. A fuzz campaign (src/campaign/fuzz_campaign) gets
+/// every run as an encoded RunRecord, in either lane of the campaign,
+/// and summarize_records computes its digest from them.
 struct RunRecord {
   std::uint64_t index = 0;
   /// False when the harness itself threw (world construction, OOM, ...);
@@ -92,13 +91,6 @@ struct RunRecord {
 /// generate_scenario(derive_seed(seed, i + 1)). Never throws — harness
 /// exceptions become harness_ok == false records.
 RunRecord execute_fuzz_run(const FuzzOptions& opts, std::uint64_t index);
-
-/// Fold one record into a campaign digest (the order-sensitive per-run
-/// mixing both execution paths share).
-void mix_run_record(snapshot::StateHash& hash, const RunRecord& record);
-
-/// Campaign digest over a complete, index-ordered record sequence.
-std::uint64_t campaign_digest(const std::vector<RunRecord>& records);
 
 /// Wire encoding of a RunRecord (the campaign worker's shard payload).
 void encode_run_record(snapshot::ByteWriter& w, const RunRecord& record);
