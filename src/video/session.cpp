@@ -757,7 +757,7 @@ void VideoSession::save(snapshot::ByteWriter& w) const {
   write_rung(w, current_rung_);
   write_rung(w, pool_rung_);
   w.i64(pool_pages_);
-  w.i64(last_touch_);
+  w.i64(0);  // the retired last_touch_, which nothing ever set
   w.f64(throughput_estimate_mbps_);
 
   // Compose/present stages.

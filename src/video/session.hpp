@@ -311,7 +311,6 @@ class VideoSession {
   Rung current_rung_;
   Rung pool_rung_;
   mem::Pages pool_pages_ = 0;
-  sim::Time last_touch_ = 0;
   double throughput_estimate_mbps_ = 0.0;
 
   // The frame each stage has in flight, read by the stage's continuation
